@@ -52,19 +52,17 @@ def main(argv=None):
     print("-" * len(header))
     for name, model in stock_models().items():
         for n in args.n_list:
-            l_n = max(1, int(n**args.l_exponent))
-            r_n = min(n, max(l_n + 1, int(n**args.r_exponent)))
-            params = BlockParameters(n=n, l_n=l_n, r_n=r_n)
+            params = BlockParameters.from_exponents(n, args.l_exponent, args.r_exponent)
             print(
                 "%-16s %-8d %-6d %-6d %-12.4e %-12.4e %-12.4e"
                 % (
                     name,
                     n,
-                    l_n,
-                    r_n,
+                    params.l_n,
+                    params.r_n,
                     check_long_range(model, params),
-                    check_simplified(model, n, l_n),
-                    check_short_range(model, n, 1, r_n),
+                    check_simplified(model, n, params.l_n),
+                    check_short_range(model, n, 1, params.r_n),
                 )
             )
         print()

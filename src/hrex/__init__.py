@@ -26,7 +26,6 @@ from .correlation import (
 )
 from .errors import (
     DegenerateDelta,
-    EmbeddingNotPSD,
     InvalidDeltaSpec,
     NotPositiveSemidefinite,
     ToolkitError,
@@ -54,8 +53,6 @@ from .rng import RngKey
 from .sampler import (
     SamplePath,
     assemble_covariance,
-    cholesky_sample,
-    circulant_sample,
     componentwise_maxima,
     read_path,
     sample_paths,
@@ -83,7 +80,6 @@ __all__ = [
     "DeltaEstimate",
     "DeltaSpec",
     "DiscreteMatrixDistribution",
-    "EmbeddingNotPSD",
     "EmpiricalCdf",
     "ExperimentConfig",
     "InvalidDeltaSpec",
@@ -102,9 +98,7 @@ __all__ = [
     "check_long_range",
     "check_short_range",
     "check_simplified",
-    "cholesky_sample",
     "constant_model",
-    "circulant_sample",
     "compare_to_limit",
     "componentwise_maxima",
     "estimate_delta",

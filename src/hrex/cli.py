@@ -58,7 +58,7 @@ from .experiments import (
 from .jsonio import to_jsonable
 from .norming import hr_bivariate_cdf
 from .rng import RngKey
-from .sampler import sample_paths, write_path
+from .sampler import SamplePath, iter_path_blocks, write_path
 from .theta import theta_for_spec
 
 LEMMA1_TOL = 1e-12
@@ -213,17 +213,16 @@ def cmd_converge(args) -> int:
         write_convergence_json(report, json_path)
         _write_manifest(out_dir, "converge", args.config, seed, [csv_path, json_path], started)
     failures = []
-    for step, slack in enumerate(report.step_slacks):
+    for step in report.failed_steps:
         a, b = report.entries[step], report.entries[step + 1]
-        if b.sup_deviation > a.sup_deviation + slack:
-            failures.append(
-                {
-                    "from_n": a.n,
-                    "to_n": b.n,
-                    "increase": b.sup_deviation - a.sup_deviation,
-                    "slack": slack,
-                }
-            )
+        failures.append(
+            {
+                "from_n": a.n,
+                "to_n": b.n,
+                "increase": b.sup_deviation - a.sup_deviation,
+                "slack": report.step_slacks[step],
+            }
+        )
     summary = {
         "verdict": report.verdict,
         "sup_deviation": {str(e.n): e.sup_deviation for e in report.entries},
@@ -243,18 +242,16 @@ def cmd_check(args) -> int:
     m_list = [int(m) for m in cfg.get("m_list", [1])]
     rows = []
     for n in n_list:
-        l_n = max(1, int(n**l_exp))
-        r_n = min(n, max(l_n + 1, int(n**r_exp)))
-        params = BlockParameters(n=n, l_n=l_n, r_n=r_n)
+        params = BlockParameters.from_exponents(n, l_exp, r_exp)
         row = {
             "n": n,
-            "l_n": l_n,
-            "r_n": r_n,
+            "l_n": params.l_n,
+            "r_n": params.r_n,
             "long_range": check_long_range(model, params),
-            "simplified": check_simplified(model, n, l_n),
+            "simplified": check_simplified(model, n, params.l_n),
         }
         for m in m_list:
-            row["short_range_m%d" % m] = check_short_range(model, n, m, r_n)
+            row["short_range_m%d" % m] = check_short_range(model, n, m, params.r_n)
         rows.append(row)
 
     metrics = ["long_range", "simplified"] + ["short_range_m%d" % m for m in m_list]
@@ -324,24 +321,27 @@ def cmd_lemma1(args) -> int:
 def cmd_sample(args) -> int:
     started = time.time()
     cfg = _load_config(args.config)
+    out_dir = _resolve_out(args)
+    if out_dir is None:
+        raise ValueError("sample needs an output directory (--out or HREX_OUT)")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     model = model_from_jsonable(cfg["model"])
     length = int(cfg.get("length", cfg.get("n")))
     count = int(cfg["count"])
     sampler = args.sampler or cfg.get("sampler", "cholesky")
-    model_n = cfg.get("model_n")
-    paths = sample_paths(
-        model, length, RngKey(seed).child(length), count, method=sampler, n=model_n
-    )
-    out_dir = _resolve_out(args)
-    if out_dir is None:
-        raise ValueError("sample needs an output directory (--out or HREX_OUT)")
+    key = RngKey(seed).child(length)
     files = []
-    for r, path in enumerate(paths):
-        f = out_dir / ("path_%06d.bin" % r)
-        with open(f, "wb") as fh:
-            write_path(path, fh)
-        files.append(f)
+    blocks = iter_path_blocks(model, length, key, count, method=sampler, n=cfg.get("model_n"))
+    for first, block in blocks:
+        for row, values in enumerate(block):
+            r = first + row
+            path = SamplePath(
+                values=values, n=length, d=model.d, seed_provenance=key.child(r).provenance
+            )
+            f = out_dir / ("path_%06d.bin" % r)
+            with open(f, "wb") as fh:
+                write_path(path, fh)
+            files.append(f)
     _write_manifest(out_dir, "sample", args.config, seed, files, started)
     print(json.dumps({"paths": count, "out_dir": str(out_dir)}))
     return 0
@@ -352,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="hrex " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--out", default=None, help="output directory (HREX_OUT overrides)")
-        p.add_argument("--sampler", choices=["cholesky", "circulant"], default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+    flags = {
+        "--config": dict(required=True, help="JSON config file"),
+        "--seed": dict(type=int, default=None),
+        "--threads": dict(type=int, default=os.cpu_count() or 1),
+        "--out": dict(default=None, help="output directory (HREX_OUT overrides)"),
+        "--sampler": dict(choices=["cholesky", "circulant"], default=None),
+        "--format": dict(choices=["csv", "json"], default="csv"),
+    }
 
     p = sub.add_parser("hlambda", help="bivariate limit CDF")
     p.add_argument("--lambda", dest="lam", type=_extended_float, required=True,
@@ -377,21 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("converge", help="maxima vs. limit across n")
-    common(p)
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("check", help="asymptotic-condition diagnostics")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("lemma1", help="exceedance-decomposition identity")
-    common(p)
-    p.set_defaults(func=cmd_lemma1)
-
-    p = sub.add_parser("sample", help="write Gaussian path replicates")
-    common(p)
-    p.set_defaults(func=cmd_sample)
+    for name, helptext, func, names in (
+        ("converge", "maxima vs. limit across n", cmd_converge,
+         ("--config", "--seed", "--threads", "--out", "--sampler")),
+        ("check", "asymptotic-condition diagnostics", cmd_check, ("--config", "--out", "--format")),
+        ("lemma1", "exceedance-decomposition identity", cmd_lemma1, ("--config", "--out")),
+        ("sample", "write Gaussian path replicates", cmd_sample,
+         ("--config", "--seed", "--out", "--sampler")),
+    ):
+        p = sub.add_parser(name, help=helptext)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
 
     return parser
 

@@ -329,6 +329,12 @@ class BlockParameters:
             raise ValueError("need 1 <= l_n < r_n <= n")
         object.__setattr__(self, "q_n", self.n // self.r_n)
 
+    @classmethod
+    def from_exponents(cls, n: int, l_exp: float, r_exp: float) -> "BlockParameters":
+        """l_n = max(1, floor(n^l_exp)) and r_n = min(n, max(l_n + 1, floor(n^r_exp)))."""
+        l_n = max(1, int(n**l_exp))
+        return cls(n=n, l_n=l_n, r_n=min(n, max(l_n + 1, int(n**r_exp))))
+
 
 def _lag_window(model: CorrelationModel, lo: int, hi: int) -> range:
     if model.max_lag < lo:

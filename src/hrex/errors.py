@@ -23,7 +23,3 @@ class NotPositiveSemidefinite(ToolkitError):
 
     Signals an invalid correlation model rather than a numerical hiccup.
     """
-
-
-class EmbeddingNotPSD(ToolkitError):
-    """Circulant embedding spectrum stayed negative after padding retries."""

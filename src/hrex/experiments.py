@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,6 +118,7 @@ class ConvergenceReport:
     entries: tuple[ConvergenceEntry, ...]
     verdict: str  # "decreasing" or "not-decreasing"
     step_slacks: tuple[float, ...]
+    failed_steps: tuple[int, ...]  # step i compares entries i and i + 1
 
 
 def maxima_matrix(
@@ -132,7 +134,8 @@ def maxima_matrix(
 
     Replicate r always draws from substream key.child(r), so the result is
     byte-identical for every thread count; threads only split the replicate
-    range into fixed chunks worked in parallel."""
+    range into fixed chunks worked in parallel, on at most one worker per
+    CPU and per replicate."""
     out = np.empty((replicates, model.d))
 
     def worker(start: int, count: int) -> None:
@@ -142,12 +145,13 @@ def maxima_matrix(
         for first, block in blocks:
             out[first : first + block.shape[0]] = block.max(axis=1)
 
-    if threads <= 1 or replicates < 2:
+    workers = min(threads, os.cpu_count() or 1, replicates)
+    if workers <= 1:
         worker(0, replicates)
         return out
-    chunk = -(-replicates // max(threads, 1))
+    chunk = -(-replicates // workers)
     starts = list(range(0, replicates, chunk))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(worker, s, min(chunk, replicates - s)) for s in starts
         ]
@@ -228,8 +232,11 @@ def build_report(entries: Sequence[ConvergenceEntry]) -> ConvergenceReport:
         2.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(entries) - 1)
     )
     sups = [e.sup_deviation for e in entries]
-    verdict = "decreasing" if weakly_decreasing(sups, slacks) else "not-decreasing"
-    return ConvergenceReport(entries=entries, verdict=verdict, step_slacks=slacks)
+    failed = tuple(i for i, s in enumerate(slacks) if not sups[i + 1] <= sups[i] + s)
+    verdict = "not-decreasing" if failed else "decreasing"
+    return ConvergenceReport(
+        entries=entries, verdict=verdict, step_slacks=slacks, failed_steps=failed
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,26 @@ rho_ij(k, n) has the block-Toeplitz covariance
 
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
-indexed time-major.  Three exact routes are provided:
+indexed time-major.  One planner, `_plan`, turns (model, L, n, method)
+into the number of standard normals a replicate consumes and a transform
+from those normals to paths.  It has four routes, all reading one lag
+table rho_ij(k, n), k = 0..top_lag:
 
-* dense Cholesky of the assembled matrix (desk scale, L*d <= 8192),
-* banded Cholesky for models whose correlation vanishes beyond a small
-  max_lag (the band has width d*max_lag + d - 1),
-* circulant embedding: the covariance sequence is wrapped onto a cycle
-  of length M >= 2(L-1), diagonalised by FFT, and sampled in the
-  frequency domain.  The embedding is exact whenever the wrapped
-  spectral blocks stay positive semidefinite; padding is doubled up to
-  three times before falling back to Cholesky.
+* lag-0: models with max_lag = 0 (or length-1 paths) multiply each time
+  point by one d x d factor;
+* dense Cholesky of the assembled matrix (desk scale, L*d <= 8192);
+* banded Cholesky for longer paths of models whose correlation vanishes
+  beyond a finite max_lag (the band has width d*max_lag + d - 1);
+* circulant embedding (method "circulant"): the lag table is wrapped onto
+  a cycle of length M >= 2(L-1), diagonalised by FFT, and sampled in the
+  frequency domain.  The embedding is exact whenever the wrapped spectral
+  blocks stay positive semidefinite; padding is doubled up to three times
+  before falling back to dense Cholesky with a logged warning.
 
-Models with max_lag = 0 short-circuit to a lag-0 factor multiply, which
-is the same distribution at a fraction of the cost.
-
-Every replicate draws from its own substream, so results are
-reproducible for a given (seed, model, length, count) no matter how
-replicates are batched or parallelised.
+`iter_path_blocks` is the one batching loop.  Replicate r draws its
+normals from its own substream key.child(r), so results are reproducible
+for a given (seed, model, length, count) no matter how replicates are
+batched or parallelised.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
 
 from .correlation import CorrelationModel
-from .errors import EmbeddingNotPSD, NotPositiveSemidefinite
+from .errors import NotPositiveSemidefinite
 from .rng import RngKey, standard_normal
 
 __all__ = [
@@ -45,8 +48,6 @@ __all__ = [
     "PsdReport",
     "assemble_covariance",
     "validate_psd",
-    "cholesky_sample",
-    "circulant_sample",
     "sample_paths",
     "iter_path_blocks",
     "componentwise_maxima",
@@ -61,6 +62,10 @@ PATH_MAGIC = b"HREXPATH"
 
 _DEFAULT_JITTER = 1e-10
 _BLOCK_VALUES = 4_000_000  # target floats per replicate batch
+_MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
+
+# (normals per replicate, transform from (b, normals) to (b, L, d) paths)
+Plan = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +85,23 @@ class SamplePath:
 
 @dataclass(frozen=True, eq=False)
 class PsdReport:
-    ok: bool  # True when plain Cholesky succeeded, False when jitter was needed
-    jitter_used: float
+    jitter_used: float  # 0.0 when plain Cholesky succeeded
     factor: np.ndarray = field(repr=False)
+
+
+def _lag_table(model: CorrelationModel, top_lag: int, n: float) -> np.ndarray:
+    """table[k, i, j] = rho_{i+1, j+1}(k, n) for k = 0..top_lag."""
+    d = model.d
+    values = (
+        model.rho(i + 1, j + 1, k, n)
+        for k in range(top_lag + 1)
+        for i in range(d)
+        for j in range(d)
+    )
+    table = np.fromiter(values, float, count=(top_lag + 1) * d * d).reshape(top_lag + 1, d, d)
+    if not np.allclose(table, np.swapaxes(table, 1, 2), atol=1e-14):
+        raise ValueError("correlation model is not symmetric in (i, j)")
+    return table
 
 
 def assemble_covariance(
@@ -105,22 +124,14 @@ def assemble_covariance(
             "dense covariance of size %d exceeds the cap %d; use the banded or"
             " circulant sampler" % (size, max_size)
         )
+    table = _lag_table(model, int(min(length - 1, model.max_lag)), n)
     out = np.zeros((size, size))
-    top_lag = min(length - 1, model.max_lag)
-    lag = 0
-    while lag <= top_lag:
-        block = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                block[i, j] = model.rho(i + 1, j + 1, lag, n)
-        if not np.allclose(block, block.T, atol=1e-14):
-            raise ValueError("correlation model is not symmetric in (i, j)")
-        for t in range(length - lag):
-            r0, c0 = t * d, (t + lag) * d
-            out[r0 : r0 + d, c0 : c0 + d] = block
-            if lag:
-                out[c0 : c0 + d, r0 : r0 + d] = block
-        lag += 1
+    blocks = out.reshape(length, d, length, d)
+    times = np.arange(length)
+    for lag, block in enumerate(table):
+        t = times[: length - lag]
+        blocks[t, :, t + lag, :] = block
+        blocks[t + lag, :, t, :] = block
     return BlockCovariance(length=length, d=d, matrix=out)
 
 
@@ -131,51 +142,17 @@ def validate_psd(cov: BlockCovariance, jitter: float = _DEFAULT_JITTER) -> PsdRe
     invalid correlation model, not a numerical accident.
     """
     try:
-        return PsdReport(ok=True, jitter_used=0.0, factor=np.linalg.cholesky(cov.matrix))
+        return PsdReport(jitter_used=0.0, factor=np.linalg.cholesky(cov.matrix))
     except np.linalg.LinAlgError:
         pass
     try:
         bumped = cov.matrix + jitter * np.eye(cov.matrix.shape[0])
-        return PsdReport(ok=True, jitter_used=jitter, factor=np.linalg.cholesky(bumped))
+        return PsdReport(jitter_used=jitter, factor=np.linalg.cholesky(bumped))
     except np.linalg.LinAlgError:
         raise NotPositiveSemidefinite(
             "covariance (size %d) is not positive semidefinite, even with"
             " jitter %g" % (cov.matrix.shape[0], jitter)
         ) from None
-
-
-def cholesky_sample(
-    cov: BlockCovariance, key: RngKey, count: int, jitter: float = _DEFAULT_JITTER
-) -> list[SamplePath]:
-    """Exact dense-Cholesky paths; replicate r draws from substream key.child(r)."""
-    report = validate_psd(cov, jitter)
-    return list(_paths_from_blocks(_cholesky_blocks(cov, report, key, count, 0), key))
-
-
-def _cholesky_blocks(
-    cov: BlockCovariance, report: PsdReport, key: RngKey, count: int, start: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    size = cov.length * cov.d
-    batch = max(1, _BLOCK_VALUES // max(size, 1))
-    factor_t = report.factor.T.copy()
-    r = start
-    while r < start + count:
-        b = min(batch, start + count - r)
-        z = np.empty((b, size))
-        for row in range(b):
-            z[row] = standard_normal(key.child(r + row).generator(), size)
-        x = z @ factor_t
-        yield r, x.reshape(b, cov.length, cov.d)
-        r += b
-
-
-def _lag_blocks(model: CorrelationModel, top_lag: int, n: float) -> np.ndarray:
-    out = np.empty((top_lag + 1, model.d, model.d))
-    for k in range(top_lag + 1):
-        for i in range(model.d):
-            for j in range(model.d):
-                out[k, i, j] = model.rho(i + 1, j + 1, k, n)
-    return out
 
 
 def _factor_spectrum(lam: np.ndarray, tol: float) -> np.ndarray | None:
@@ -187,166 +164,112 @@ def _factor_spectrum(lam: np.ndarray, tol: float) -> np.ndarray | None:
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def circulant_sample(
-    model: CorrelationModel,
-    length: int,
-    key: RngKey,
-    count: int,
-    n: float | None = None,
-    max_doublings: int = 3,
-    fallback: bool = True,
-) -> list[SamplePath]:
-    """Paths by circulant embedding (exact when the embedding is PSD).
-
-    On a persistently indefinite embedding the sampler either falls back
-    to dense Cholesky with a logged warning or raises EmbeddingNotPSD.
-    """
-    return list(
-        _paths_from_blocks(
-            _circulant_blocks(model, length, key, count, 0, n, max_doublings, fallback), key
-        )
-    )
-
-
-def _circulant_blocks(
-    model: CorrelationModel,
-    length: int,
-    key: RngKey,
-    count: int,
-    start: int,
-    n: float | None,
-    max_doublings: int = 3,
-    fallback: bool = True,
-) -> Iterator[tuple[int, np.ndarray]]:
-    if length < 1:
-        raise ValueError("need path length >= 1")
-    if n is None:
-        n = length
+def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
+    """Serially independent time points: one d x d factor per point."""
     d = model.d
-    if model.max_lag == 0 or length == 1:
-        yield from _lag0_blocks(model, length, key, count, start, n)
-        return
+    lag0 = _lag_table(model, 0, n)[0]
+    factor = _factor_spectrum(lag0[None], tol=1e-9 * max(1.0, float(np.abs(lag0).max())))
+    if factor is None:
+        raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
+    factor_t = factor[0].T.copy()
+    return length * d, lambda z: z.reshape(-1, length, d) @ factor_t
 
+
+def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
+    cov = assemble_covariance(model, length, n)
+    factor_t = validate_psd(cov).factor.T.copy()
+    return length * model.d, lambda z: (z @ factor_t).reshape(-1, length, model.d)
+
+
+def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
+    """Cholesky of the lower band storage ab[o, a] = Sigma[a + o, a]."""
+    d = model.d
+    max_lag = int(model.max_lag)
+    bw = max_lag * d + (d - 1)
+    size = length * d
+    table = _lag_table(model, max_lag, n)
+    comp = np.arange(d)[:, None]
+    lag, other = np.divmod(comp + np.arange(bw + 1), d)
+    per_comp = np.where(lag <= max_lag, table[np.minimum(lag, max_lag), comp, other], 0.0)
+    ab = per_comp[np.arange(size) % d].T.copy()
+    ab[np.arange(bw + 1)[:, None] + np.arange(size) >= size] = 0.0
+    try:
+        band = scipy.linalg.cholesky_banded(ab, lower=True)
+    except np.linalg.LinAlgError:
+        try:
+            ab[0] += _DEFAULT_JITTER
+            band = scipy.linalg.cholesky_banded(ab, lower=True)
+        except np.linalg.LinAlgError:
+            raise NotPositiveSemidefinite(
+                "banded covariance (length %d, bandwidth %d) is not positive"
+                " semidefinite, even with jitter %g" % (length, bw, _DEFAULT_JITTER)
+            ) from None
+
+    def transform(z: np.ndarray) -> np.ndarray:
+        x = np.zeros_like(z)
+        for o in range(bw + 1):
+            x[:, o:] += band[o, : size - o] * z[:, : size - o]
+        return x.reshape(-1, length, d)
+
+    return size, transform
+
+
+def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
+    """Circulant embedding; None when every padding stays indefinite."""
+    d = model.d
     m = 1 << max(1, int(math.ceil(math.log2(max(2 * (length - 1), 2)))))
-    factors = None
-    for attempt in range(max_doublings + 1):
-        half = m // 2
-        top_lag = min(half, model.max_lag)
-        blocks = _lag_blocks(model, int(top_lag), n)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        top_lag = int(min(m // 2, model.max_lag))
+        table = _lag_table(model, top_lag, n)
         wrapped = np.zeros((m, d, d))
         lags = np.minimum(np.arange(m), m - np.arange(m))
         inside = lags <= top_lag
-        wrapped[inside] = blocks[lags[inside]]
+        wrapped[inside] = table[lags[inside]]
         spectrum = np.fft.fft(wrapped, axis=0).real
         tol = 1e-9 * max(1.0, float(np.abs(spectrum).max()))
         factors = _factor_spectrum(spectrum, tol)
         if factors is not None:
             break
         m *= 2
-    if factors is None:
-        if not fallback:
-            raise EmbeddingNotPSD(
-                "circulant embedding stayed indefinite after %d doublings" % max_doublings
-            )
+    else:
+        return None
+
+    def transform(z: np.ndarray) -> np.ndarray:
+        eps = np.empty((z.shape[0], m, d), dtype=complex)
+        eps.real = z[:, : m * d].reshape(-1, m, d)
+        eps.imag = z[:, m * d :].reshape(-1, m, d)
+        spectral = np.einsum("fij,bfj->bfi", factors, eps)
+        return math.sqrt(m) * np.fft.ifft(spectral, axis=1)[:, :length, :].real
+
+    return 2 * m * d, transform
+
+
+def _plan(model: CorrelationModel, length: int, n: float, method: str) -> Plan:
+    """Pick the sampling route: lag-0 whenever the path has no serial
+    dependence; otherwise circulant when asked for (dense Cholesky if the
+    embedding fails), else dense Cholesky up to DENSE_CAP and banded beyond."""
+    if method not in ("cholesky", "circulant"):
+        raise ValueError("unknown sampling method %r" % (method,))
+    if length < 1:
+        raise ValueError("need path length >= 1")
+    if model.max_lag == 0 or length == 1:
+        return _lag0_plan(model, length, n)
+    if method == "circulant":
+        plan = _circulant_plan(model, length, n)
+        if plan is not None:
+            return plan
         log.warning(
             "circulant embedding indefinite after %d doublings; falling back to"
-            " dense Cholesky", max_doublings,
+            " dense Cholesky", _MAX_DOUBLINGS,
         )
-        cov = assemble_covariance(model, length, n)
-        yield from _cholesky_blocks(cov, validate_psd(cov), key, count, start)
-        return
-
-    batch = max(1, _BLOCK_VALUES // (2 * m * d))
-    r = start
-    while r < start + count:
-        b = min(batch, start + count - r)
-        eps = np.empty((b, m, d), dtype=complex)
-        for row in range(b):
-            z = standard_normal(key.child(r + row).generator(), 2 * m * d)
-            eps[row] = z[: m * d].reshape(m, d) + 1j * z[m * d :].reshape(m, d)
-        spectral = np.einsum("fij,bfj->bfi", factors, eps)
-        paths = (math.sqrt(m) * np.fft.ifft(spectral, axis=1)[:, :length, :].real)
-        yield r, paths
-        r += b
-
-
-def _lag0_blocks(
-    model: CorrelationModel, length: int, key: RngKey, count: int, start: int, n: float
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Fast path for serially independent models: one d x d factor."""
-    d = model.d
-    lag0 = _lag_blocks(model, 0, n)[0]
-    factor = _factor_spectrum(lag0[None], tol=1e-9 * max(1.0, float(np.abs(lag0).max())))
-    if factor is None:
-        raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
-    factor_t = factor[0].T.copy()
-    batch = max(1, _BLOCK_VALUES // (length * d))
-    r = start
-    while r < start + count:
-        b = min(batch, start + count - r)
-        z = np.empty((b, length, d))
-        for row in range(b):
-            z[row] = standard_normal(key.child(r + row).generator(), (length, d))
-        yield r, z @ factor_t
-        r += b
-
-
-def _banded_form(model: CorrelationModel, length: int, n: float) -> tuple[np.ndarray, int]:
-    """Lower band storage ab[o, a] = Sigma[a + o, a] of the block-Toeplitz
-    covariance, for models with finite max_lag."""
-    d = model.d
-    max_lag = int(model.max_lag)
-    bw = max_lag * d + (d - 1)
-    size = length * d
-    table = np.zeros((d, bw + 1))
-    for rcomp in range(d):
-        for o in range(bw + 1):
-            lag, jcomp = divmod(rcomp + o, d)
-            if lag <= max_lag:
-                table[rcomp, o] = model.rho(rcomp + 1, jcomp + 1, lag, n)
-    ab = np.zeros((bw + 1, size))
-    a = np.arange(size)
-    for o in range(bw + 1):
-        valid = a + o < size
-        ab[o, valid] = table[a[valid] % d, o]
-    return ab, bw
-
-
-def _banded_blocks(
-    model: CorrelationModel,
-    length: int,
-    key: RngKey,
-    count: int,
-    start: int,
-    n: float,
-    jitter: float = _DEFAULT_JITTER,
-) -> Iterator[tuple[int, np.ndarray]]:
-    ab, bw = _banded_form(model, length, n)
-    try:
-        band = scipy.linalg.cholesky_banded(ab, lower=True)
-    except np.linalg.LinAlgError:
-        try:
-            bumped = ab.copy()
-            bumped[0] += jitter
-            band = scipy.linalg.cholesky_banded(bumped, lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveSemidefinite(
-                "banded covariance (length %d, bandwidth %d) is not positive"
-                " semidefinite, even with jitter %g" % (length, bw, jitter)
-            ) from None
-    size = length * model.d
-    batch = max(1, _BLOCK_VALUES // size)
-    r = start
-    while r < start + count:
-        b = min(batch, start + count - r)
-        z = np.empty((b, size))
-        for row in range(b):
-            z[row] = standard_normal(key.child(r + row).generator(), size)
-        x = np.zeros_like(z)
-        for o in range(bw + 1):
-            x[:, o:] += band[o, : size - o] * z[:, : size - o]
-        yield r, x.reshape(b, length, model.d)
-        r += b
+    elif length * model.d > DENSE_CAP:
+        if not math.isfinite(model.max_lag):
+            raise ValueError(
+                "path of size %d exceeds the dense cap and the model has no"
+                " finite band; use the circulant sampler" % (length * model.d)
+            )
+        return _banded_plan(model, length, n)
+    return _dense_plan(model, length, n)
 
 
 def iter_path_blocks(
@@ -360,25 +283,16 @@ def iter_path_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
     holding all paths in memory.  Values are independent of the batching."""
-    if n is None:
-        n = length
-    if method == "circulant":
-        yield from _circulant_blocks(model, length, key, count, start, n)
-    elif method == "cholesky":
-        if model.max_lag == 0 or length == 1:
-            yield from _lag0_blocks(model, length, key, count, start, n)
-        elif length * model.d <= DENSE_CAP:
-            cov = assemble_covariance(model, length, n)
-            yield from _cholesky_blocks(cov, validate_psd(cov), key, count, start)
-        elif math.isfinite(model.max_lag):
-            yield from _banded_blocks(model, length, key, count, start, n)
-        else:
-            raise ValueError(
-                "path of size %d exceeds the dense cap and the model has no"
-                " finite band; use the circulant sampler" % (length * model.d)
-            )
-    else:
-        raise ValueError("unknown sampling method %r" % (method,))
+    size, transform = _plan(model, length, length if n is None else n, method)
+    batch = max(1, _BLOCK_VALUES // size)
+    r = start
+    while r < start + count:
+        b = min(batch, start + count - r)
+        z = np.empty((b, size))
+        for row in range(b):
+            z[row] = standard_normal(key.child(r + row).generator(), size)
+        yield r, transform(z)
+        r += b
 
 
 def sample_paths(
@@ -389,19 +303,17 @@ def sample_paths(
     method: str = "cholesky",
     n: float | None = None,
 ) -> list[SamplePath]:
-    return list(_paths_from_blocks(iter_path_blocks(model, length, key, count, method, n), key))
-
-
-def _paths_from_blocks(blocks, key: RngKey) -> Iterator[SamplePath]:
-    for start, values in blocks:
-        for row in range(values.shape[0]):
-            v = values[row]
-            yield SamplePath(
-                values=v,
-                n=v.shape[0],
-                d=v.shape[1],
-                seed_provenance=key.child(start + row).provenance,
-            )
+    """All `count` paths as a list; replicate r draws from key.child(r)."""
+    return [
+        SamplePath(
+            values=values,
+            n=length,
+            d=model.d,
+            seed_provenance=key.child(first + row).provenance,
+        )
+        for first, block in iter_path_blocks(model, length, key, count, method, n)
+        for row, values in enumerate(block)
+    ]
 
 
 def componentwise_maxima(path: SamplePath) -> np.ndarray:

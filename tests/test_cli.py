@@ -353,7 +353,12 @@ def test_sample_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_sample_requires_out_dir(tmp_path, capsys):
+def test_sample_requires_out_dir(tmp_path, capsys, monkeypatch):
+    # the output directory is checked before any path is sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampler called without an output directory")
+
+    monkeypatch.setattr("hrex.cli.iter_path_blocks", no_sampling)
     cfg = write_json(tmp_path / "cfg.json", SAMPLE_CFG)
     code, _, err = run(["sample", "--config", cfg], capsys)
     assert code == 2
@@ -361,6 +366,12 @@ def test_sample_requires_out_dir(tmp_path, capsys):
 
 
 # --- failure paths -------------------------------------------------------------------
+
+
+def test_check_rejects_flags_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--config", "cfg.json", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_unknown_model_name(tmp_path, capsys):

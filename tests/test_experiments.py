@@ -107,6 +107,42 @@ def test_maxima_thread_count_invariant():
     assert np.array_equal(one, four)
 
 
+def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
+    # a huge thread request must not become one OS thread per replicate;
+    # the fake pool runs every chunk inline and records its worker count
+    from concurrent.futures import Future
+
+    from hrex import experiments
+
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    model = bivariate_hr(1.0)
+    key = RngKey(5).child(64)
+    many = maxima_matrix(model, 16, key, 7, threads=10**6)
+    maxima_matrix(model, 16, key, 2, threads=10**6)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    serial = maxima_matrix(model, 16, key, 7, threads=10**6)
+    assert seen == [3, 2]
+    assert np.array_equal(many, serial)
+
+
 def test_maxima_shape_and_samplers_agree_for_iid():
     model = iid_model(3)
     key = RngKey(2).child(8)
@@ -205,9 +241,9 @@ def test_weakly_decreasing_plain_and_slacked():
 def test_build_report_sorts_and_judges():
     up = build_report([_entry(100, 0.05), _entry(10, 0.02)])
     assert [e.n for e in up.entries] == [10, 100]
-    assert up.verdict == "not-decreasing"
+    assert up.verdict == "not-decreasing" and up.failed_steps == (0,)
     down = build_report([_entry(10, 0.05), _entry(100, 0.02)])
-    assert down.verdict == "decreasing"
+    assert down.verdict == "decreasing" and down.failed_steps == ()
     # a small uptick within two combined standard errors still passes
     noisy = build_report([_entry(10, 0.020, se=0.01), _entry(100, 0.025, se=0.01)])
     assert noisy.step_slacks[0] == pytest.approx(2.0 * math.hypot(0.01, 0.01))

@@ -18,13 +18,11 @@ from hrex.correlation import (
     iid_model,
     tabulated_model,
 )
-from hrex.errors import EmbeddingNotPSD, NotPositiveSemidefinite
-from hrex.rng import RngKey
+from hrex.errors import NotPositiveSemidefinite
+from hrex.rng import RngKey, standard_normal
 from hrex.sampler import (
     BlockCovariance,
     assemble_covariance,
-    cholesky_sample,
-    circulant_sample,
     componentwise_maxima,
     iter_path_blocks,
     read_path,
@@ -32,7 +30,7 @@ from hrex.sampler import (
     validate_psd,
     write_path,
 )
-from hrex.sampler import _banded_blocks, _cholesky_blocks
+from hrex.sampler import _banded_plan, _circulant_plan, _dense_plan
 
 
 def serial_spec(**lags):
@@ -77,7 +75,7 @@ def test_assemble_respects_size_cap():
 
 def test_validate_psd_identity_no_jitter():
     report = validate_psd(BlockCovariance(length=3, d=1, matrix=np.eye(3)))
-    assert report.ok and report.jitter_used == 0.0
+    assert report.jitter_used == 0.0
 
 
 def test_validate_psd_rejects_invalid():
@@ -90,7 +88,7 @@ def test_validate_psd_rank_deficient_needs_jitter():
     # comonotone pair: eigenvalues {2, 0}; the jitter retry must engage
     ones = np.ones((2, 2))
     report = validate_psd(BlockCovariance(length=1, d=2, matrix=ones))
-    assert report.ok and report.jitter_used > 0.0
+    assert report.jitter_used > 0.0
 
 
 # --- cholesky route ----------------------------------------------------------
@@ -190,17 +188,15 @@ def test_circulant_single_point_paths():
     assert paths[0].values.shape == (1, 2)
 
 
-def test_circulant_embedding_failure_raises_without_fallback():
+def test_circulant_embedding_failure_falls_back_to_dense(caplog):
     # the left-over serial family is not PSD at realistic n, so every
-    # padded spectrum stays negative; with the fallback disabled the
-    # embedding error surfaces, with it enabled the dense validator throws
-    from hrex.sampler import _circulant_blocks
-
+    # padded spectrum stays negative: the circulant plan gives up, the
+    # sampler logs the fallback, and the dense validator throws
     model = hr_family(serial_spec(**{"1": 1.0}))
-    with pytest.raises(EmbeddingNotPSD):
-        list(_circulant_blocks(model, 64, RngKey(0).child(0), 1, 0, n=10**4, fallback=False))
+    assert _circulant_plan(model, 64, n=10**4) is None
     with pytest.raises(NotPositiveSemidefinite):
-        list(_circulant_blocks(model, 64, RngKey(0).child(0), 1, 0, n=10**4, fallback=True))
+        list(iter_path_blocks(model, 64, RngKey(0).child(0), 1, method="circulant", n=10**4))
+    assert "falling back to dense Cholesky" in caplog.text
 
 
 # --- banded route ------------------------------------------------------------
@@ -212,10 +208,9 @@ def test_banded_matches_dense_exactly():
     model = tabulated_model(1, {(1, 1, 1): 0.3})
     length, count = 60, 5
     key = RngKey(21).child(length)
-    cov = assemble_covariance(model, length)
-    report = validate_psd(cov)
-    dense = np.concatenate([b for _, b in _cholesky_blocks(cov, report, key, count, 0)])
-    banded = np.concatenate([b for _, b in _banded_blocks(model, length, key, count, 0, n=length)])
+    z = np.stack([standard_normal(key.child(r).generator(), length) for r in range(count)])
+    dense = _dense_plan(model, length, n=length)[1](z)
+    banded = _banded_plan(model, length, n=length)[1](z)
     assert np.allclose(dense, banded, rtol=0.0, atol=1e-12)
 
 
@@ -306,14 +301,3 @@ def test_path_dump_rejects_truncated():
 def test_sample_paths_provenance_distinct_per_replicate():
     paths = sample_paths(iid_model(1), 2, RngKey(1).child(2), 3)
     assert len({p.seed_provenance for p in paths}) == 3
-
-
-def test_public_wrappers_match_iterator():
-    model = geometric_model(1, 0.4)
-    key = RngKey(30).child(5)
-    via_chol = cholesky_sample(assemble_covariance(model, 5), key, 3)
-    via_circ = circulant_sample(model, 5, key, 3)
-    direct = sample_paths(model, 5, key, 3, method="cholesky")
-    for a, b in zip(via_chol, direct):
-        assert np.array_equal(a.values, b.values)
-    assert all(p.values.shape == (5, 1) for p in via_circ)
