@@ -63,7 +63,6 @@ from .theta import (
     ConstraintSet,
     ThetaEstimate,
     build_constraints,
-    build_w_covariance,
     estimate_theta,
     theta_bivariate_closed_form,
     theta_for_spec,
@@ -94,7 +93,6 @@ __all__ = [
     "block_consistency_check",
     "build_constraints",
     "build_report",
-    "build_w_covariance",
     "check_long_range",
     "check_short_range",
     "check_simplified",

@@ -24,9 +24,8 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .correlation import (
@@ -53,9 +52,8 @@ from .experiments import (
     weakly_decreasing,
     write_convergence_csv,
     write_convergence_json,
-    report_jsonable,
 )
-from .jsonio import to_jsonable
+from .jsonio import to_jsonable, write_json
 from .norming import hr_bivariate_cdf
 from .rng import RngKey
 from .sampler import SamplePath, iter_path_blocks, write_path
@@ -111,9 +109,7 @@ def _write_manifest(
         "duration_seconds": round(time.time() - started, 3),
         "files": entries,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_config(path: str) -> dict:
@@ -148,13 +144,7 @@ def cmd_theta(args) -> int:
     )
     payload = estimate.to_jsonable()
     if gap is not None:
-        payload["truncation_gap"] = {
-            "lag": gap.lag,
-            "lag_doubled": gap.lag_doubled,
-            "value": gap.value,
-            "value_doubled": gap.value_doubled,
-            "gap": gap.gap,
-        }
+        payload["truncation_gap"] = asdict(gap)
     print(json.dumps(to_jsonable(payload), sort_keys=True))
     return 0
 
@@ -266,14 +256,7 @@ def cmd_check(args) -> int:
         files = []
         if args.format == "json":
             path = out_dir / "conditions.json"
-            with open(path, "w") as fh:
-                json.dump(
-                    to_jsonable({"rows": rows, "verdicts": verdicts}),
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-                fh.write("\n")
+            write_json(path, {"rows": rows, "verdicts": verdicts})
             files.append(path)
         else:
             path = out_dir / "conditions.csv"
@@ -310,9 +293,7 @@ def cmd_lemma1(args) -> int:
     out_dir = _resolve_out(args)
     if out_dir is not None:
         path = out_dir / "lemma1.json"
-        with open(path, "w") as fh:
-            json.dump(to_jsonable(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
         _write_manifest(out_dir, "lemma1", args.config, cfg.get("seed"), [path], started)
     print(json.dumps(to_jsonable(payload), sort_keys=True))
     return 0 if payload["pass"] else 1
@@ -326,7 +307,10 @@ def cmd_sample(args) -> int:
         raise ValueError("sample needs an output directory (--out or HREX_OUT)")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     model = model_from_jsonable(cfg["model"])
-    length = int(cfg.get("length", cfg.get("n")))
+    length = cfg.get("length", cfg.get("n"))
+    if length is None:
+        raise ValueError("sample config needs a path 'length' (or 'n')")
+    length = int(length)
     count = int(cfg["count"])
     sampler = args.sampler or cfg.get("sampler", "cholesky")
     key = RngKey(seed).child(length)

@@ -29,7 +29,6 @@ block-decoupling step of the limit argument.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import CorrelationModel
-from .jsonio import to_jsonable
+from .jsonio import to_jsonable, write_json
 from .norming import limit_cdf, norming_constants, threshold
 from .rng import RngKey
 from .sampler import iter_path_blocks
@@ -470,6 +469,4 @@ def report_jsonable(report: ConvergenceReport) -> dict:
 
 
 def write_convergence_json(report: ConvergenceReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report_jsonable(report))

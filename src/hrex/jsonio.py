@@ -6,6 +6,7 @@ All JSON surfaces of the toolkit encode +infinity as the string "inf"
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Any
 
@@ -42,3 +43,10 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, float):
         return encode_extended(obj)
     return obj
+
+
+def write_json(path, obj: Any) -> None:
+    """Write obj as indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(to_jsonable(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")

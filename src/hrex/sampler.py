@@ -333,7 +333,10 @@ def read_path(file) -> SamplePath:
     magic = file.read(8)
     if magic != PATH_MAGIC:
         raise ValueError("not a path dump: bad magic %r" % (magic,))
-    n, d = struct.unpack("<QQ", file.read(16))
+    header = file.read(16)
+    if len(header) != 16:
+        raise ValueError("truncated path dump")
+    n, d = struct.unpack("<QQ", header)
     payload = file.read(8 * n * d)
     if len(payload) != 8 * n * d:
         raise ValueError("truncated path dump")

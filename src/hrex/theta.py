@@ -6,29 +6,36 @@ where each coefficient is a Gaussian orthant-type probability
     theta_i(x) = P( A/2 + sqrt(delta) * W  <=  delta + (x_t - x_i)/2
                     for every active constraint ),
 
-with A ~ Exp(1) independent of a centred Gaussian vector W.  One
-constraint is active per pair (lag ell, component t) with
-delta_ti(ell) < infinity: for the first component only positive lags
-enter; for component i >= 2 the lag-0 pairs with smaller-indexed
-components enter as well, which is what removes double counting of
-simultaneous exceedances.  The W entries have unit variance and
+with A ~ Exp(1) independent of a centred Gaussian vector W.
+
+One pass over the pairs (lag ell = 0..K, component t = 1..d) reads each
+coefficient delta = delta_ti(ell) once and decides two things:
+
+- a finite positive delta is a W slot, indexed k = ell + 1 and t;
+- a finite delta is a constraint row when ell >= 1 or t < i.  At lag 0
+  only the components numbered below the target enter, which is what
+  removes double counting of simultaneous exceedances.  A zero lag-0
+  coefficient gives a pure-A row (the Gaussian part drops out); zero
+  coefficients at positive lags are rejected upstream.
+
+Lag-0 slots with t > i carry no row but stay in W, so the validity check
+of the covariance sees every finite pair.  The W entries have unit
+variance and
 
     Cov(W_{k}^{(j)}, W_{l}^{(t)}) =
         (delta_ji(k-1) + delta_ti(l-1) - delta_jt(|k-l|))
-        / (2 sqrt(delta_ji(k-1) * delta_ti(l-1))),
+        / (2 sqrt(delta_ji(k-1) * delta_ti(l-1))).
 
-where the W index k = lag + 1.  A zero lag-0 coefficient contributes a
-pure-A constraint (the Gaussian part drops out); zero coefficients at
-positive lags are rejected upstream.
-
-When no constraint is active the coefficient is exactly 1 and the
-corresponding margin is pure Gumbel.
+The covariance is filled and factored when the constraint set is built,
+and the Monte Carlo estimate draws W through that factor.  When no
+constraint is active the coefficient is exactly 1 and the corresponding
+margin is pure Gumbel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,12 +49,10 @@ from .rng import RngKey, standard_exponential, standard_normal
 
 __all__ = [
     "WIndex",
-    "WCovariance",
     "ConstraintRow",
     "ConstraintSet",
     "ThetaEstimate",
     "TruncationGap",
-    "build_w_covariance",
     "build_constraints",
     "estimate_theta",
     "theta_for_spec",
@@ -68,13 +73,6 @@ class WIndex:
     t: int
 
 
-@dataclass(frozen=True, eq=False)
-class WCovariance:
-    target: int
-    indices: tuple[WIndex, ...]
-    matrix: np.ndarray
-
-
 @dataclass(frozen=True)
 class ConstraintRow:
     w_index: WIndex | None  # None for pure-A rows (zero lag-0 coefficient)
@@ -82,15 +80,21 @@ class ConstraintRow:
     bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
+    """Constraint rows of theta_i(x) and the W vector they read.
+
+    indices lists the W slots in lag-then-component order, matrix is
+    their covariance and factor satisfies factor @ factor.T == matrix.
+    """
+
     target: int
     x: tuple[float, ...]
     rows: tuple[ConstraintRow, ...]
     truncation_lag: int
-    # Targets beyond the first carry an extra same-time block against the
-    # lower-numbered components; the first target has no such block.
-    includes_lag0_cross: bool = False
+    indices: tuple[WIndex, ...]
+    matrix: np.ndarray
+    factor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,7 @@ class ThetaEstimate:
             raise ValueError("std_error exceeds the binomial bound")
 
     def to_jsonable(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "truncation_K": self.truncation_K,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -136,68 +135,20 @@ def _resolve_lag(spec: DeltaSpec, max_lag: int | None) -> int:
     return int(max_lag)
 
 
-def _active_indices(spec: DeltaSpec, i: int, max_lag: int) -> list[WIndex]:
-    out = []
-    for lag in range(0, max_lag + 1):
-        for t in range(1, spec.d + 1):
-            value = spec.delta(t, i, lag)
-            if 0.0 < value < math.inf:
-                out.append(WIndex(k=lag + 1, t=t))
-    return out
-
-
-def build_w_covariance(spec: DeltaSpec, i: int, max_lag: int | None = None) -> WCovariance:
-    """Covariance of the Gaussian constraint vector for component i.
-
-    Instantiates one W entry per (lag <= max_lag, component) pair carrying
-    a finite positive coefficient, fills the matrix from the coefficient
-    formula above, and rejects the coefficient set if the result is materially
-    indefinite (smallest eigenvalue below -1e-10 * dim) or if a needed
-    cross coefficient is infinite while its endpoints are finite: points
-    at finite dependence distance cannot be infinitely far from each
-    other.
-    """
-    if not 1 <= i <= spec.d:
-        raise ValueError("target component out of range")
-    max_lag = _resolve_lag(spec, max_lag)
-    indices = _active_indices(spec, i, max_lag)
-    q = len(indices)
-    matrix = np.eye(q)
-    for a in range(q):
-        ka, ta = indices[a].k, indices[a].t
-        da = spec.delta(ta, i, ka - 1)
-        for b in range(a + 1, q):
-            kb, tb = indices[b].k, indices[b].t
-            db = spec.delta(tb, i, kb - 1)
-            cross = spec.delta(ta, tb, abs(ka - kb))
-            if math.isinf(cross):
-                raise InvalidDeltaSpec(
-                    "delta(%d,%d,%d) is infinite but both endpoints sit at finite"
-                    " dependence distance from component %d; no Gaussian array"
-                    " realises these coefficients" % (ta, tb, abs(ka - kb), i)
-                )
-            denom = 2.0 * math.sqrt(da * db)
-            if denom == 0.0:
-                raise DegenerateDelta("zero coefficient reached the W covariance")
-            matrix[a, b] = matrix[b, a] = (da + db - cross) / denom
-    if q:
-        min_eig = float(np.linalg.eigvalsh(matrix).min())
-        if min_eig < -_PSD_TOL * q:
-            raise InvalidDeltaSpec(
-                "constraint covariance for component %d is not PSD (min eigenvalue"
-                " %.3e); the coefficient spec is inconsistent" % (i, min_eig)
-            )
-    return WCovariance(target=i, indices=tuple(indices), matrix=matrix)
-
-
 def build_constraints(
     spec: DeltaSpec, x: Sequence[float], i: int, max_lag: int | None = None
 ) -> ConstraintSet:
-    """Constraint rows defining theta_i(x).
+    """Constraint rows, W slots and W covariance defining theta_i(x).
 
-    Positive lags contribute rows for every component; lag 0 contributes
-    rows only for components s < i (and only when i >= 2).  A zero lag-0
-    coefficient yields a pure-A row with scale 0.
+    One pass over lag = 0..max_lag and t = 1..d reads delta_ti(lag) once
+    per pair.  A finite positive value is the W slot (lag + 1, t).  A
+    finite value is a row when lag >= 1 or t < i, with scale
+    sqrt(delta) and bound delta + (x_t - x_i)/2; a zero lag-0 value makes
+    it a pure-A row with no slot and scale 0.  The slot covariance is
+    then filled and factored.  Coefficients that no Gaussian array
+    realises raise InvalidDeltaSpec: a cross coefficient that is
+    infinite between two slots, or a covariance whose smallest eigenvalue
+    is below -1e-10 * (number of slots).
     """
     if len(x) != spec.d:
         raise ValueError("need one level per component")
@@ -206,53 +157,77 @@ def build_constraints(
     if not 1 <= i <= spec.d:
         raise ValueError("target component out of range")
     max_lag = _resolve_lag(spec, max_lag)
-    rows = []
-    if i >= 2:
-        for s in range(1, i):
-            value = spec.delta(s, i, 0)
-            if math.isinf(value):
-                continue
-            rows.append(
-                ConstraintRow(
-                    w_index=(WIndex(k=1, t=s) if value > 0.0 else None),
-                    scale=math.sqrt(value),
-                    bound=value + (x[s - 1] - x[i - 1]) / 2.0,
-                )
-            )
-    for lag in range(1, max_lag + 1):
+    indices, deltas, rows = [], [], []
+    for lag in range(max_lag + 1):
         for t in range(1, spec.d + 1):
             value = spec.delta(t, i, lag)
             if math.isinf(value):
                 continue
-            rows.append(
-                ConstraintRow(
-                    w_index=WIndex(k=lag + 1, t=t),
-                    scale=math.sqrt(value),
-                    bound=value + (x[t - 1] - x[i - 1]) / 2.0,
+            slot = WIndex(k=lag + 1, t=t) if value > 0.0 else None
+            if slot is not None:
+                indices.append(slot)
+                deltas.append(value)
+            if lag >= 1 or t < i:
+                rows.append(
+                    ConstraintRow(
+                        w_index=slot,
+                        scale=math.sqrt(value),
+                        bound=value + (x[t - 1] - x[i - 1]) / 2.0,
+                    )
                 )
-            )
+    matrix = _w_covariance(spec, i, indices, deltas)
     return ConstraintSet(
         target=i,
         x=tuple(x),
         rows=tuple(rows),
         truncation_lag=max_lag,
-        includes_lag0_cross=(i >= 2),
+        indices=tuple(indices),
+        matrix=matrix,
+        factor=_factor(matrix, i),
     )
 
 
-def _factor(matrix: np.ndarray) -> np.ndarray:
+def _w_covariance(
+    spec: DeltaSpec, i: int, indices: Sequence[WIndex], deltas: Sequence[float]
+) -> np.ndarray:
+    """Unit-diagonal covariance of the W slots; deltas[a] is the
+    coefficient of slot indices[a] against component i."""
+    q = len(indices)
+    matrix = np.eye(q)
+    for a in range(q):
+        ka, ta = indices[a].k, indices[a].t
+        for b in range(a + 1, q):
+            kb, tb = indices[b].k, indices[b].t
+            cross = spec.delta(ta, tb, abs(ka - kb))
+            if math.isinf(cross):
+                raise InvalidDeltaSpec(
+                    "delta(%d,%d,%d) is infinite but both endpoints sit at finite"
+                    " dependence distance from component %d; no Gaussian array"
+                    " realises these coefficients" % (ta, tb, abs(ka - kb), i)
+                )
+            denom = 2.0 * math.sqrt(deltas[a] * deltas[b])
+            if denom == 0.0:
+                raise DegenerateDelta("zero coefficient reached the W covariance")
+            matrix[a, b] = matrix[b, a] = (deltas[a] + deltas[b] - cross) / denom
+    return matrix
+
+
+def _factor(matrix: np.ndarray, i: int) -> np.ndarray:
+    """Cholesky factor, or for a singular matrix the eigen-factor with
+    clipped eigenvalues; rejects a materially indefinite matrix."""
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(matrix)
-        if w.min() < -_PSD_TOL * max(len(w), 1):
-            raise InvalidDeltaSpec("constraint covariance is not PSD") from None
-        return v * np.sqrt(np.clip(w, 0.0, None))[None, :]
+    if w.min() < -_PSD_TOL * len(w):
+        raise InvalidDeltaSpec(
+            "constraint covariance for component %d is not PSD (min eigenvalue"
+            " %.3e); the coefficient spec is inconsistent" % (i, w.min())
+        )
+    return v * np.sqrt(np.clip(w, 0.0, None))[None, :]
 
 
-def estimate_theta(
-    cs: ConstraintSet, wcov: WCovariance, samples: int, key: RngKey
-) -> ThetaEstimate:
+def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEstimate:
     """Monte Carlo estimate of P(all constraint rows hold).
 
     Each fixed-size batch b draws from substream key.child(b): first the
@@ -267,12 +242,9 @@ def estimate_theta(
         return ThetaEstimate(
             value=1.0, std_error=0.0, samples=samples, truncation_K=cs.truncation_lag
         )
-    column = {index: pos for pos, index in enumerate(wcov.indices)}
-    for row in cs.rows:
-        if row.w_index is not None and row.w_index not in column:
-            raise ValueError("constraint references a W index outside the covariance")
-    factor_t = _factor(wcov.matrix).T.copy()
-    q = len(wcov.indices)
+    columns = [None if r.w_index is None else cs.indices.index(r.w_index) for r in cs.rows]
+    factor_t = cs.factor.T.copy()
+    q = len(cs.indices)
     hits = 0
     done = 0
     batch_index = 0
@@ -282,8 +254,8 @@ def estimate_theta(
         a_half = 0.5 * standard_exponential(gen, b)
         w = standard_normal(gen, (b, q)) @ factor_t if q else None
         ok = np.ones(b, dtype=bool)
-        for row in cs.rows:
-            lhs = a_half if row.w_index is None else a_half + row.scale * w[:, column[row.w_index]]
+        for row, column in zip(cs.rows, columns):
+            lhs = a_half if column is None else a_half + row.scale * w[:, column]
             ok &= lhs <= row.bound
         hits += int(ok.sum())
         done += b
@@ -313,18 +285,11 @@ def theta_for_spec(
     can judge the truncation error.
     """
     lag = _resolve_lag(spec, max_lag)
-    estimate = estimate_theta(
-        build_constraints(spec, x, i, lag), build_w_covariance(spec, i, lag), samples, key
-    )
+    estimate = estimate_theta(build_constraints(spec, x, i, lag), samples=samples, key=key)
     if lag >= spec.finite_horizon:
         return estimate, None
     doubled = max(2 * lag, 1)
-    second = estimate_theta(
-        build_constraints(spec, x, i, doubled),
-        build_w_covariance(spec, i, doubled),
-        samples,
-        key,
-    )
+    second = estimate_theta(build_constraints(spec, x, i, doubled), samples=samples, key=key)
     gap = TruncationGap(
         lag=lag,
         lag_doubled=doubled,

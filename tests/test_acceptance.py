@@ -39,7 +39,6 @@ from hrex.rng import RngKey
 from hrex.sampler import assemble_covariance, iter_path_blocks
 from hrex.theta import (
     build_constraints,
-    build_w_covariance,
     estimate_theta,
     theta_bivariate_closed_form,
     theta_for_spec,
@@ -110,11 +109,10 @@ def test_criterion_3_single_constraint_oracle_equivalence():
     worst_mc, worst_quad = 0.0, 0.0
     for a, delta in enumerate((0.25, 1.0, 4.0)):
         spec = bivariate_spec(delta)
-        w = build_w_covariance(spec, 2, 0)
         for b, shift in enumerate((-1.0, 0.0, 1.0)):
             cs = build_constraints(spec, [2.0 * shift, 0.0], 2, max_lag=0)
             assert cs.rows[0].bound == pytest.approx(delta + shift, abs=1e-12)
-            est = estimate_theta(cs, w, 10**6, key.child(a, b))
+            est = estimate_theta(cs, samples=10**6, key=key.child(a, b))
             oracle = theta_oracle_single(delta, shift)
             gap = abs(est.value - oracle)
             assert gap <= max(3.0 * est.std_error, 5e-3), (delta, shift, gap)

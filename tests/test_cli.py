@@ -365,6 +365,19 @@ def test_sample_requires_out_dir(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_sample_requires_path_length(tmp_path, capsys):
+    cfg = {k: v for k, v in SAMPLE_CFG.items() if k not in ("length", "n")}
+    out_dir = tmp_path / "paths"
+    code, _, err = run(
+        ["sample", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 2
+    failure = json.loads(err)
+    assert failure["error"] == "ValueError" and "length" in failure["message"]
+    assert list(out_dir.glob("path_*.bin")) == []
+
+
 # --- failure paths -------------------------------------------------------------------
 
 

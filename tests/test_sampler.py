@@ -294,8 +294,9 @@ def test_path_dump_rejects_truncated():
     paths = sample_paths(iid_model(1), 3, RngKey(1).child(3), 1)
     buf = io.BytesIO()
     write_path(paths[0], buf)
-    with pytest.raises(ValueError):
-        read_path(io.BytesIO(buf.getvalue()[:-8]))
+    for cut in (buf.getvalue()[:-8], buf.getvalue()[:12]):
+        with pytest.raises(ValueError, match="truncated path dump"):
+            read_path(io.BytesIO(cut))
 
 
 def test_sample_paths_provenance_distinct_per_replicate():

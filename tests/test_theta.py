@@ -12,6 +12,7 @@ which was evaluated with mpmath at 40 digits for the frozen table below.
 It is a third route, independent of both quadratures in the module.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +26,10 @@ from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf
 from hrex.rng import RngKey
 from hrex.theta import (
     ConstraintRow,
-    ConstraintSet,
     ThetaEstimate,
     WIndex,
+    _w_covariance,
     build_constraints,
-    build_w_covariance,
     estimate_theta,
     theta_bivariate_closed_form,
     theta_for_spec,
@@ -59,33 +59,40 @@ def bivariate_spec(lam):
     return DeltaSpec.from_entries(2, {(1, 2, 0): lam})
 
 
+def power_variogram(alpha, horizon):
+    return DeltaSpec.from_function(
+        1, lambda i, j, k: 0.0 if k == 0 else float(k) ** alpha, horizon
+    )
+
+
+def parallel_lines(a, b, k):
+    # components embedded as parallel lines in the plane, coefficients a
+    # fractional power of squared Euclidean distance
+    return (k * k + (0.0 if a == b else 0.16)) ** 0.75
+
+
 # --- W covariance -------------------------------------------------------------
 
 
 def test_w_cov_single_index_is_unit():
-    w = build_w_covariance(serial_spec(**{"1": 2.0}), 1, 1)
+    w = build_constraints(serial_spec(**{"1": 2.0}), [0.0], 1, 1)
     assert w.indices == (WIndex(k=2, t=1),)
     assert np.array_equal(w.matrix, np.eye(1))
 
 
 def test_w_cov_consecutive_lags_frozen():
     # delta(1) = 1, delta(2) = 2: covariance (1 + 2 - 1)/(2 sqrt(2)) = 1/sqrt(2)
-    w = build_w_covariance(serial_spec(**{"1": 1.0, "2": 2.0}), 1, 2)
+    w = build_constraints(serial_spec(**{"1": 1.0, "2": 2.0}), [0.0], 1, 2)
     assert w.matrix.shape == (2, 2)
     assert w.matrix[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert w.matrix[0, 0] == w.matrix[1, 1] == 1.0
 
 
 def test_w_cov_symmetric_unit_diagonal():
-    # components embedded as parallel lines in the plane, coefficients a
-    # fractional power of squared Euclidean distance: a valid spec with
-    # every cross term finite
-    def dist(a, b, k):
-        return (k * k + (0.0 if a == b else 0.16)) ** 0.75
-
-    spec = DeltaSpec.from_function(2, dist, 1)
+    # a valid spec with every cross term finite
+    spec = DeltaSpec.from_function(2, parallel_lines, 1)
     for i in (1, 2):
-        w = build_w_covariance(spec, i, 1)
+        w = build_constraints(spec, [0.0, 0.0], i, 1)
         assert len(w.indices) == 3
         assert np.array_equal(w.matrix, w.matrix.T)
         assert np.array_equal(np.diag(w.matrix), np.ones(len(w.indices)))
@@ -93,7 +100,7 @@ def test_w_cov_symmetric_unit_diagonal():
 
 def test_w_cov_excludes_infinite_and_zero_entries():
     spec = DeltaSpec.from_entries(2, {(1, 2, 0): 0.0, (1, 1, 1): 1.0})
-    w = build_w_covariance(spec, 2, 1)
+    w = build_constraints(spec, [0.0, 0.0], 2, 1)
     # the lag-0 cross coefficient is zero (pure-A constraint) and the
     # serial coefficient belongs to component pair (1,1); only (2,1) at
     # lag 1 would involve the target, and it is infinite
@@ -107,7 +114,7 @@ def test_w_cov_infinite_cross_rejected():
         3, {(1, 3, 0): 1.0, (2, 3, 0): 1.0}
     )  # delta(1,2,0) stays infinite
     with pytest.raises(InvalidDeltaSpec):
-        build_w_covariance(spec, 3, 0)
+        build_constraints(spec, [0.0, 0.0, 0.0], 3, 0)
 
 
 def test_w_cov_non_psd_rejected():
@@ -117,24 +124,18 @@ def test_w_cov_non_psd_rejected():
         3, {(1, 3, 0): 0.01, (2, 3, 0): 0.01, (1, 2, 0): 100.0}
     )
     with pytest.raises(InvalidDeltaSpec):
-        build_w_covariance(spec, 3, 0)
+        build_constraints(spec, [0.0, 0.0, 0.0], 3, 0)
 
 
-def test_w_cov_degenerate_guard(monkeypatch):
-    # the index filter keeps zero coefficients out of the W vector; if one
+def test_w_cov_degenerate_guard():
+    # the slot rule keeps zero coefficients out of the W vector; if one
     # slips through, the fill must refuse rather than divide by zero
-    from hrex import theta as theta_module
-
     spec = DeltaSpec.from_entries(
         2, {(1, 2, 0): 0.0, (1, 2, 1): 1.0, (1, 1, 1): 1.0}
     )
-    monkeypatch.setattr(
-        theta_module,
-        "_active_indices",
-        lambda s, i, m: [WIndex(k=1, t=1), WIndex(k=2, t=1)],
-    )
+    slots = [WIndex(k=1, t=1), WIndex(k=2, t=1)]
     with pytest.raises(DegenerateDelta):
-        build_w_covariance(spec, 2, 1)
+        _w_covariance(spec, 2, slots, [spec.delta(s.t, 2, s.k - 1) for s in slots])
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,12 +143,35 @@ def test_w_cov_degenerate_guard(monkeypatch):
 def test_w_cov_variogram_family_is_psd(alpha, horizon):
     # power variograms delta(k) = k^alpha give valid covariances for
     # alpha up to 2 (alpha = 2 is the rank-one boundary case)
-    spec = DeltaSpec.from_function(
-        1, lambda i, j, k, a=alpha: 0.0 if k == 0 else float(k) ** a, horizon
-    )
-    w = build_w_covariance(spec, 1, horizon)
+    w = build_constraints(power_variogram(alpha, horizon), [0.0], 1, horizon)
     assert len(w.indices) == horizon
     assert float(np.linalg.eigvalsh(w.matrix).min()) >= -1e-10 * horizon
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.integers(1, 2),
+    st.integers(0, 5),
+)
+def test_one_pass_slots_and_rows(lines, alpha, target, lag):
+    # slots are exactly the finite positive (lag, component) pairs, in
+    # lag-then-component order, and every row reads one of them or is pure A
+    if lines:
+        spec = DeltaSpec.from_function(2, parallel_lines, math.inf)
+    else:
+        spec, target = power_variogram(alpha, math.inf), 1
+    cs = build_constraints(spec, [0.0] * spec.d, target, lag)
+    expect = tuple(
+        WIndex(k=ell + 1, t=t)
+        for ell in range(lag + 1)
+        for t in range(1, spec.d + 1)
+        if 0.0 < spec.delta(t, target, ell) < math.inf
+    )
+    assert cs.indices == expect
+    for row in cs.rows:
+        assert row.w_index in cs.indices or (row.w_index is None and row.scale == 0.0)
 
 
 # --- constraint sets ----------------------------------------------------------
@@ -156,7 +180,6 @@ def test_w_cov_variogram_family_is_psd(alpha, horizon):
 def test_constraints_all_infinite_empty():
     cs = build_constraints(DeltaSpec.from_entries(2, {}), [0.0, 0.0], 2, max_lag=3)
     assert cs.rows == ()
-    assert cs.includes_lag0_cross
 
 
 def test_constraints_bivariate_lag0_row():
@@ -174,7 +197,6 @@ def test_constraints_bivariate_lag0_row():
 def test_constraints_first_component_has_no_lag0_block():
     cs = build_constraints(bivariate_spec(1.0), [0.0, 0.0], 1, max_lag=0)
     assert cs.rows == ()
-    assert not cs.includes_lag0_cross
 
 
 def test_constraints_zero_lag0_coefficient_is_pure_exponential():
@@ -186,8 +208,19 @@ def test_constraints_zero_lag0_coefficient_is_pure_exponential():
 
 
 def test_constraints_serial_rows():
-    cs = build_constraints(serial_spec(**{"1": 1.0, "3": 2.0}), [0.0], 1, max_lag=3)
-    assert [r.w_index for r in cs.rows] == [WIndex(k=2, t=1), WIndex(k=4, t=1)]
+    # lags 1 and 3 finite with lag 2 infinite: the two finite slots sit
+    # at infinite distance from each other, which no Gaussian array
+    # realises
+    with pytest.raises(InvalidDeltaSpec):
+        build_constraints(serial_spec(**{"1": 1.0, "3": 2.0}), [0.0], 1, max_lag=3)
+    # two independent Brownian-lag components: the infinite cross
+    # coefficients give no row
+    spec = DeltaSpec.from_function(
+        2, lambda i, j, k: float(k) if i == j else math.inf, math.inf
+    )
+    for i in (1, 2):
+        cs = build_constraints(spec, [0.0, 0.0], i, max_lag=2)
+        assert [r.w_index for r in cs.rows] == [WIndex(k=2, t=i), WIndex(k=3, t=i)]
 
 
 def test_constraints_validate_inputs():
@@ -217,29 +250,24 @@ def test_truncation_defaults_to_horizon():
 def test_estimate_empty_is_exactly_one():
     spec = DeltaSpec.from_entries(2, {})
     cs = build_constraints(spec, [0.0, 0.0], 2, max_lag=0)
-    w = build_w_covariance(spec, 2, 0)
-    est = estimate_theta(cs, w, 1000, RngKey(0).child(0))
+    est = estimate_theta(cs, samples=1000, key=RngKey(0).child(0))
     assert est.value == 1.0
     assert est.std_error == 0.0
 
 
 def test_estimate_impossible_bound_is_zero():
-    cs = ConstraintSet(
-        target=1,
-        x=(0.0,),
+    cs = dataclasses.replace(
+        build_constraints(DeltaSpec.from_entries(1, {}), [0.0], 1, 0),
         rows=(ConstraintRow(w_index=None, scale=0.0, bound=0.0),),
-        truncation_lag=0,
     )
-    w = build_w_covariance(DeltaSpec.from_entries(1, {}), 1, 0)
-    est = estimate_theta(cs, w, 5000, RngKey(0).child(0))
+    est = estimate_theta(cs, samples=5000, key=RngKey(0).child(0))
     assert est.value == 0.0
 
 
 def test_estimate_single_constraint_against_oracle():
     spec = bivariate_spec(1.0)
     cs = build_constraints(spec, [0.0, 0.0], 2, max_lag=0)
-    w = build_w_covariance(spec, 2, 0)
-    est = estimate_theta(cs, w, 10**5, RngKey(41).child(0))
+    est = estimate_theta(cs, samples=10**5, key=RngKey(41).child(0))
     oracle = theta_oracle_single(1.0, 0.0)
     assert abs(est.value - oracle) <= 3.0 * est.std_error
 
@@ -247,9 +275,8 @@ def test_estimate_single_constraint_against_oracle():
 def test_estimate_deterministic():
     spec = bivariate_spec(0.5)
     cs = build_constraints(spec, [0.1, -0.1], 2, max_lag=0)
-    w = build_w_covariance(spec, 2, 0)
-    a = estimate_theta(cs, w, 30000, RngKey(7).child(0))
-    b = estimate_theta(cs, w, 30000, RngKey(7).child(0))
+    a = estimate_theta(cs, samples=30000, key=RngKey(7).child(0))
+    b = estimate_theta(cs, samples=30000, key=RngKey(7).child(0))
     assert a.value == b.value and a.std_error == b.std_error
 
 
@@ -258,9 +285,8 @@ def test_estimate_batch_boundary_consistency():
     # a count just past one batch against the same count re-run
     spec = bivariate_spec(1.0)
     cs = build_constraints(spec, [0.0, 0.0], 2, max_lag=0)
-    w = build_w_covariance(spec, 2, 0)
-    est = estimate_theta(cs, w, 2**16 + 17, RngKey(3).child(0))
-    again = estimate_theta(cs, w, 2**16 + 17, RngKey(3).child(0))
+    est = estimate_theta(cs, samples=2**16 + 17, key=RngKey(3).child(0))
+    again = estimate_theta(cs, samples=2**16 + 17, key=RngKey(3).child(0))
     assert est.value == again.value
     assert 0.0 < est.value < 1.0
 
@@ -271,20 +297,18 @@ def test_estimate_pathwise_monotone_in_bound(lam, widen):
     # same substreams, same Gaussian row, loosened bound: the indicator
     # can only gain, so the estimate is monotone with zero MC noise
     spec = bivariate_spec(lam)
-    w = build_w_covariance(spec, 2, 0)
     key = RngKey(13).child(0)
     tight = build_constraints(spec, [0.0, 0.0], 2, max_lag=0)
     loose = build_constraints(spec, [widen, 0.0], 2, max_lag=0)
-    a = estimate_theta(tight, w, 20000, key)
-    b = estimate_theta(loose, w, 20000, key)
+    a = estimate_theta(tight, samples=20000, key=key)
+    b = estimate_theta(loose, samples=20000, key=key)
     assert b.value >= a.value
 
 
 def test_estimate_value_range_and_se_bound():
     spec = bivariate_spec(2.0)
     cs = build_constraints(spec, [0.0, 0.0], 2, max_lag=0)
-    w = build_w_covariance(spec, 2, 0)
-    est = estimate_theta(cs, w, 12345, RngKey(1).child(0))
+    est = estimate_theta(cs, samples=12345, key=RngKey(1).child(0))
     assert 0.0 <= est.value <= 1.0
     assert est.std_error <= 0.5 / math.sqrt(12345) + 1e-15
     assert est.samples == 12345
