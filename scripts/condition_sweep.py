@@ -14,11 +14,8 @@ import argparse
 import sys
 
 from hrex.correlation import (
-    BlockParameters,
     DeltaSpec,
-    check_long_range,
-    check_short_range,
-    check_simplified,
+    condition_row,
     constant_model,
     geometric_model,
     hr_family,
@@ -52,18 +49,11 @@ def main(argv=None):
     print("-" * len(header))
     for name, model in stock_models().items():
         for n in args.n_list:
-            params = BlockParameters.from_exponents(n, args.l_exponent, args.r_exponent)
+            row = condition_row(model, n, args.l_exponent, args.r_exponent, [1])
             print(
                 "%-16s %-8d %-6d %-6d %-12.4e %-12.4e %-12.4e"
-                % (
-                    name,
-                    n,
-                    params.l_n,
-                    params.r_n,
-                    check_long_range(model, params),
-                    check_simplified(model, n, params.l_n),
-                    check_short_range(model, n, 1, params.r_n),
-                )
+                % (name, n, row["l_n"], row["r_n"], row["long_range"], row["simplified"],
+                   row["short_range_m1"])
             )
         print()
     return 0

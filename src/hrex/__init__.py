@@ -53,9 +53,7 @@ from .rng import RngKey
 from .sampler import (
     SamplePath,
     assemble_covariance,
-    componentwise_maxima,
     read_path,
-    sample_paths,
     validate_psd,
     write_path,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "check_simplified",
     "constant_model",
     "compare_to_limit",
-    "componentwise_maxima",
     "estimate_delta",
     "estimate_theta",
     "geometric_model",
@@ -110,7 +107,6 @@ __all__ = [
     "norming_constants",
     "read_path",
     "run_maxima_experiment",
-    "sample_paths",
     "std_normal_cdf",
     "tabulated_model",
     "theta_bivariate_closed_form",

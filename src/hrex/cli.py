@@ -29,12 +29,9 @@ from pathlib import Path
 
 from . import __version__
 from .correlation import (
-    BlockParameters,
     CorrelationModel,
     DeltaSpec,
-    check_long_range,
-    check_short_range,
-    check_simplified,
+    condition_row,
     constant_model,
     geometric_model,
     hr_family,
@@ -230,19 +227,7 @@ def cmd_check(args) -> int:
     l_exp = float(cfg.get("l_exponent", 0.4))
     r_exp = float(cfg.get("r_exponent", 0.6))
     m_list = [int(m) for m in cfg.get("m_list", [1])]
-    rows = []
-    for n in n_list:
-        params = BlockParameters.from_exponents(n, l_exp, r_exp)
-        row = {
-            "n": n,
-            "l_n": params.l_n,
-            "r_n": params.r_n,
-            "long_range": check_long_range(model, params),
-            "simplified": check_simplified(model, n, params.l_n),
-        }
-        for m in m_list:
-            row["short_range_m%d" % m] = check_short_range(model, n, m, params.r_n)
-        rows.append(row)
+    rows = [condition_row(model, n, l_exp, r_exp, m_list) for n in n_list]
 
     metrics = ["long_range", "simplified"] + ["short_range_m%d" % m for m in m_list]
     verdicts = {}

@@ -11,10 +11,17 @@ taking values in (0, inf] for lags k >= 1 and [0, inf] for lag 0.
 A DeltaSpec records these limits; hr_family turns one back into the
 canonical correlation model rho_ij(k, n) = 1 - delta_ij(k) / log n.
 
+The module owns the lag table: lag_table(model, lags, n) is the only
+reader of model.rho across lags, the only place that cuts correlations to
+0 beyond model.max_lag, and the only (i, j) symmetry check.  The samplers
+and the diagnostics read correlations through it.
+
 The module also evaluates the three summability diagnostics that a model
 must satisfy for the limit theorem to apply: a long-range sum built from
 Berman's inequality, a short-range sum over small lags, and a simplified
-single-line criterion that implies both when it holds.
+single-line criterion that implies both when it holds.  Each is a
+reduction over a window of the lag table; condition_row builds one table
+per n and reads all three (for every short-range start m) from it.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import InvalidDeltaSpec
 
@@ -39,6 +48,8 @@ __all__ = [
     "check_long_range",
     "check_short_range",
     "check_simplified",
+    "condition_row",
+    "lag_table",
 ]
 
 
@@ -124,6 +135,8 @@ class DeltaSpec:
         return self.entries.get(_canonical(i, j, k), math.inf)
 
     def to_jsonable(self) -> dict:
+        if self.func is not None:
+            raise InvalidDeltaSpec("a spec built from a function has no JSON form")
         items = [
             {"i": i, "j": j, "k": k, "delta": (v if math.isfinite(v) else "inf")}
             for (i, j, k), v in sorted(self.entries.items())
@@ -336,11 +349,47 @@ class BlockParameters:
         return cls(n=n, l_n=l_n, r_n=min(n, max(l_n + 1, int(n**r_exp))))
 
 
-def _lag_window(model: CorrelationModel, lo: int, hi: int) -> range:
-    if model.max_lag < lo:
-        return range(0)
-    hi = min(hi, model.max_lag if math.isfinite(model.max_lag) else hi)
-    return range(lo, int(hi) + 1)
+def lag_table(model: CorrelationModel, lags: range, n: float) -> np.ndarray:
+    """table[a, i, j] = rho_{i+1, j+1}(lags[a], n) over an increasing range
+    of lags.
+
+    This is the only reader of model.rho across lags.  Lags beyond
+    model.max_lag read 0 without a call to rho; a model that is not
+    symmetric in (i, j) is rejected.
+    """
+    d = model.d
+    top = lags.stop if math.isinf(model.max_lag) else min(lags.stop, int(model.max_lag) + 1)
+    called = range(lags.start, top, lags.step)
+    values = (model.rho(i + 1, j + 1, k, n) for k in called for i in range(d) for j in range(d))
+    table = np.zeros((len(lags), d, d))
+    table[: len(called)] = np.fromiter(values, float, count=len(called) * d * d).reshape(-1, d, d)
+    if not np.allclose(table, np.swapaxes(table, 1, 2), atol=1e-14):
+        raise ValueError("correlation model is not symmetric in (i, j)")
+    return table
+
+
+def _long_range(window: np.ndarray, n: int, r_n: int) -> float:
+    terms = [berman_term(r, n) for r in window[window != 0.0].tolist()]
+    return (n * n / r_n) * math.fsum(terms)
+
+
+def _short_range(window: np.ndarray, n: int) -> float:
+    log_n = math.log(n)
+    terms = []
+    for r in window.ravel().tolist():
+        if not abs(r) < 1.0:
+            raise ValueError("need |rho| < 1 in the short-range sum")
+        terms.append(
+            n ** (-(1.0 - r) / (1.0 + r)) * log_n ** (-r / (1.0 + r)) / math.sqrt(1.0 - r * r)
+        )
+    return math.fsum(terms)
+
+
+def _simplified(window: np.ndarray, n: int) -> float:
+    total = 0.0
+    for peak in np.abs(window).max(axis=0, initial=0.0).ravel().tolist():
+        total += peak
+    return math.log(n) * total
 
 
 def check_long_range(model: CorrelationModel, params: BlockParameters) -> float:
@@ -348,17 +397,17 @@ def check_long_range(model: CorrelationModel, params: BlockParameters) -> float:
 
         (n^2 / r_n) * sum_{i,j} sum_{s=l_n}^{n} berman_term(rho_ij(s, n), n).
 
-    Lags beyond model.max_lag contribute nothing and are skipped.
+    Zero correlations (every lag beyond model.max_lag) contribute nothing.
     """
-    n = params.n
-    terms = []
-    for i in range(1, model.d + 1):
-        for j in range(1, model.d + 1):
-            for s in _lag_window(model, params.l_n, n):
-                r = model.rho(i, j, s, n)
-                if r != 0.0:
-                    terms.append(berman_term(r, n))
-    return (n * n / params.r_n) * math.fsum(terms)
+    table = lag_table(model, range(params.l_n, params.n + 1), params.n)
+    return _long_range(table, params.n, params.r_n)
+
+
+def _check_short_args(n: int, m: int, r_n: int) -> None:
+    if m < 1 or r_n < 1:
+        raise ValueError("need m >= 1 and r_n >= 1")
+    if n < 2:
+        raise ValueError("need n >= 2")
 
 
 def check_short_range(model: CorrelationModel, n: int, m: int, r_n: int) -> float:
@@ -371,24 +420,8 @@ def check_short_range(model: CorrelationModel, n: int, m: int, r_n: int) -> floa
     are probed by increasing m; each rho = 0 term contributes exactly 1/n,
     and m > r_n gives an empty sum.
     """
-    if m < 1 or r_n < 1:
-        raise ValueError("need m >= 1 and r_n >= 1")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    log_n = math.log(n)
-    terms = []
-    for i in range(1, model.d + 1):
-        for j in range(1, model.d + 1):
-            for s in range(m, r_n + 1):
-                r = model.rho(i, j, s, n) if s <= model.max_lag else 0.0
-                if not abs(r) < 1.0:
-                    raise ValueError("need |rho| < 1 in the short-range sum")
-                terms.append(
-                    n ** (-(1.0 - r) / (1.0 + r))
-                    * log_n ** (-r / (1.0 + r))
-                    / math.sqrt(1.0 - r * r)
-                )
-    return math.fsum(terms)
+    _check_short_args(n, m, r_n)
+    return _short_range(lag_table(model, range(m, r_n + 1), n), n)
 
 
 def check_simplified(model: CorrelationModel, n: int, l_n: int) -> float:
@@ -399,11 +432,30 @@ def check_simplified(model: CorrelationModel, n: int, l_n: int) -> float:
     """
     if not 1 <= l_n <= n:
         raise ValueError("need 1 <= l_n <= n")
-    total = 0.0
-    for i in range(1, model.d + 1):
-        for j in range(1, model.d + 1):
-            peak = 0.0
-            for s in _lag_window(model, l_n, n):
-                peak = max(peak, abs(model.rho(i, j, s, n)))
-            total += peak
-    return math.log(n) * total
+    return _simplified(lag_table(model, range(l_n, n + 1), n), n)
+
+
+def condition_row(
+    model: CorrelationModel, n: int, l_exp: float, r_exp: float, m_list: list[int]
+) -> dict:
+    """All three diagnostics at one n, read from one lag table.
+
+    Block sizes come from BlockParameters.from_exponents; the row holds n,
+    l_n, r_n, long_range, simplified and short_range_m<m> for each m.
+    """
+    params = BlockParameters.from_exponents(n, l_exp, r_exp)
+    for m in m_list:
+        _check_short_args(n, m, params.r_n)
+    first = min([params.l_n, *m_list])
+    table = lag_table(model, range(first, n + 1), n)
+    tail = table[params.l_n - first :]
+    row = {
+        "n": n,
+        "l_n": params.l_n,
+        "r_n": params.r_n,
+        "long_range": _long_range(tail, n, params.r_n),
+        "simplified": _simplified(tail, n),
+    }
+    for m in m_list:
+        row["short_range_m%d" % m] = _short_range(table[m - first : params.r_n - first + 1], n)
+    return row

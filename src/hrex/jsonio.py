@@ -19,21 +19,6 @@ def encode_extended(value: float) -> Any:
     return value
 
 
-def decode_extended(value: Any) -> float:
-    if isinstance(value, str):
-        if value == "inf":
-            return math.inf
-        if value == "-inf":
-            return -math.inf
-        raise ValueError("need a number or 'inf', got %r" % (value,))
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("need a number or 'inf', got %r" % (value,))
-    value = float(value)
-    if math.isnan(value):
-        raise ValueError("NaN is not accepted")
-    return value
-
-
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert dicts/lists/floats, mapping infinities to strings."""
     if isinstance(obj, dict):

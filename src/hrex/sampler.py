@@ -7,8 +7,10 @@ rho_ij(k, n) has the block-Toeplitz covariance
 
 indexed time-major.  One planner, `_plan`, turns (model, L, n, method)
 into the number of standard normals a replicate consumes and a transform
-from those normals to paths.  It has four routes, all reading one lag
-table rho_ij(k, n), k = 0..top_lag:
+from those normals to paths.  It has four routes, all reading the lag
+table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
+to 0 beyond model.max_lag.  Here max_lag only picks routes and sizes the
+band:
 
 * lag-0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -38,7 +40,7 @@ from typing import Callable, Iterator
 import numpy as np
 import scipy.linalg
 
-from .correlation import CorrelationModel
+from .correlation import CorrelationModel, lag_table
 from .errors import NotPositiveSemidefinite
 from .rng import RngKey, standard_normal
 
@@ -48,9 +50,7 @@ __all__ = [
     "PsdReport",
     "assemble_covariance",
     "validate_psd",
-    "sample_paths",
     "iter_path_blocks",
-    "componentwise_maxima",
     "write_path",
     "read_path",
 ]
@@ -63,6 +63,7 @@ PATH_MAGIC = b"HREXPATH"
 _DEFAULT_JITTER = 1e-10
 _BLOCK_VALUES = 4_000_000  # target floats per replicate batch
 _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
+_READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
 # (normals per replicate, transform from (b, normals) to (b, L, d) paths)
 Plan = tuple[int, Callable[[np.ndarray], np.ndarray]]
@@ -89,29 +90,14 @@ class PsdReport:
     factor: np.ndarray = field(repr=False)
 
 
-def _lag_table(model: CorrelationModel, top_lag: int, n: float) -> np.ndarray:
-    """table[k, i, j] = rho_{i+1, j+1}(k, n) for k = 0..top_lag."""
-    d = model.d
-    values = (
-        model.rho(i + 1, j + 1, k, n)
-        for k in range(top_lag + 1)
-        for i in range(d)
-        for j in range(d)
-    )
-    table = np.fromiter(values, float, count=(top_lag + 1) * d * d).reshape(top_lag + 1, d, d)
-    if not np.allclose(table, np.swapaxes(table, 1, 2), atol=1e-14):
-        raise ValueError("correlation model is not symmetric in (i, j)")
-    return table
-
-
 def assemble_covariance(
-    model: CorrelationModel, length: int, n: float | None = None, max_size: int = DENSE_CAP
+    model: CorrelationModel, length: int, n: float | None = None
 ) -> BlockCovariance:
     """Dense block-Toeplitz covariance of a length-L path.
 
     n is the array-row size fed to the correlation function; it defaults
     to the path length, which is the triangular-array reading where one
-    samples a whole row.  Dense assembly is limited to L*d <= max_size.
+    samples a whole row.  Dense assembly is limited to L*d <= DENSE_CAP.
     """
     if length < 1:
         raise ValueError("need path length >= 1")
@@ -119,24 +105,22 @@ def assemble_covariance(
         n = length
     d = model.d
     size = length * d
-    if size > max_size:
+    if size > DENSE_CAP:
         raise ValueError(
             "dense covariance of size %d exceeds the cap %d; use the banded or"
-            " circulant sampler" % (size, max_size)
+            " circulant sampler" % (size, DENSE_CAP)
         )
-    table = _lag_table(model, int(min(length - 1, model.max_lag)), n)
-    out = np.zeros((size, size))
-    blocks = out.reshape(length, d, length, d)
-    times = np.arange(length)
-    for lag, block in enumerate(table):
-        t = times[: length - lag]
-        blocks[t, :, t + lag, :] = block
-        blocks[t + lag, :, t, :] = block
-    return BlockCovariance(length=length, d=d, matrix=out)
+    table = lag_table(model, range(length), n)
+    # mirrored[L - 1 + k] = table[|k|]; reversed length-L sliding windows give
+    # windows[t, i, j, s] = mirrored[L - 1 - t + s, i, j] = table[|s - t|, i, j]
+    mirrored = np.concatenate([table[:0:-1], table])
+    windows = np.lib.stride_tricks.sliding_window_view(mirrored, length, axis=0)[::-1]
+    matrix = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(size, size)
+    return BlockCovariance(length=length, d=d, matrix=matrix)
 
 
-def validate_psd(cov: BlockCovariance, jitter: float = _DEFAULT_JITTER) -> PsdReport:
-    """Cholesky-test a covariance, retrying once with jitter * I added.
+def validate_psd(cov: BlockCovariance) -> PsdReport:
+    """Cholesky-test a covariance, retrying once with _DEFAULT_JITTER * I added.
 
     Raises NotPositiveSemidefinite when both attempts fail; that is an
     invalid correlation model, not a numerical accident.
@@ -146,12 +130,12 @@ def validate_psd(cov: BlockCovariance, jitter: float = _DEFAULT_JITTER) -> PsdRe
     except np.linalg.LinAlgError:
         pass
     try:
-        bumped = cov.matrix + jitter * np.eye(cov.matrix.shape[0])
-        return PsdReport(jitter_used=jitter, factor=np.linalg.cholesky(bumped))
+        bumped = cov.matrix + _DEFAULT_JITTER * np.eye(cov.matrix.shape[0])
+        return PsdReport(jitter_used=_DEFAULT_JITTER, factor=np.linalg.cholesky(bumped))
     except np.linalg.LinAlgError:
         raise NotPositiveSemidefinite(
             "covariance (size %d) is not positive semidefinite, even with"
-            " jitter %g" % (cov.matrix.shape[0], jitter)
+            " jitter %g" % (cov.matrix.shape[0], _DEFAULT_JITTER)
         ) from None
 
 
@@ -167,7 +151,7 @@ def _factor_spectrum(lam: np.ndarray, tol: float) -> np.ndarray | None:
 def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     """Serially independent time points: one d x d factor per point."""
     d = model.d
-    lag0 = _lag_table(model, 0, n)[0]
+    lag0 = lag_table(model, range(1), n)[0]
     factor = _factor_spectrum(lag0[None], tol=1e-9 * max(1.0, float(np.abs(lag0).max())))
     if factor is None:
         raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
@@ -187,10 +171,11 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     max_lag = int(model.max_lag)
     bw = max_lag * d + (d - 1)
     size = length * d
-    table = _lag_table(model, max_lag, n)
+    # the band reaches lag max_lag + 1 at most, which the table holds as 0
+    table = lag_table(model, range(max_lag + 2), n)
     comp = np.arange(d)[:, None]
     lag, other = np.divmod(comp + np.arange(bw + 1), d)
-    per_comp = np.where(lag <= max_lag, table[np.minimum(lag, max_lag), comp, other], 0.0)
+    per_comp = table[lag, comp, other]
     ab = per_comp[np.arange(size) % d].T.copy()
     ab[np.arange(bw + 1)[:, None] + np.arange(size) >= size] = 0.0
     try:
@@ -219,13 +204,8 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
     d = model.d
     m = 1 << max(1, int(math.ceil(math.log2(max(2 * (length - 1), 2)))))
     for _ in range(_MAX_DOUBLINGS + 1):
-        top_lag = int(min(m // 2, model.max_lag))
-        table = _lag_table(model, top_lag, n)
-        wrapped = np.zeros((m, d, d))
-        lags = np.minimum(np.arange(m), m - np.arange(m))
-        inside = lags <= top_lag
-        wrapped[inside] = table[lags[inside]]
-        spectrum = np.fft.fft(wrapped, axis=0).real
+        table = lag_table(model, range(m // 2 + 1), n)
+        spectrum = np.fft.fft(table[np.minimum(np.arange(m), m - np.arange(m))], axis=0).real
         tol = 1e-9 * max(1.0, float(np.abs(spectrum).max()))
         factors = _factor_spectrum(spectrum, tol)
         if factors is not None:
@@ -295,32 +275,6 @@ def iter_path_blocks(
         r += b
 
 
-def sample_paths(
-    model: CorrelationModel,
-    length: int,
-    key: RngKey,
-    count: int,
-    method: str = "cholesky",
-    n: float | None = None,
-) -> list[SamplePath]:
-    """All `count` paths as a list; replicate r draws from key.child(r)."""
-    return [
-        SamplePath(
-            values=values,
-            n=length,
-            d=model.d,
-            seed_provenance=key.child(first + row).provenance,
-        )
-        for first, block in iter_path_blocks(model, length, key, count, method, n)
-        for row, values in enumerate(block)
-    ]
-
-
-def componentwise_maxima(path: SamplePath) -> np.ndarray:
-    """Vector of per-component maxima over the path."""
-    return path.values.max(axis=0)
-
-
 def write_path(path: SamplePath, file) -> None:
     """Binary dump: magic 'HREXPATH', little-endian u64 n and d, then
     n*d little-endian f64 in row-major (time-major) order."""
@@ -337,8 +291,13 @@ def read_path(file) -> SamplePath:
     if len(header) != 16:
         raise ValueError("truncated path dump")
     n, d = struct.unpack("<QQ", header)
-    payload = file.read(8 * n * d)
-    if len(payload) != 8 * n * d:
-        raise ValueError("truncated path dump")
-    values = np.frombuffer(payload, dtype="<f8").reshape(n, d).copy()
+    # read in bounded chunks, so a header that claims more values than the
+    # file holds costs at most one chunk of memory, not the claimed size
+    size, payload = 8 * n * d, bytearray()
+    while len(payload) < size:
+        chunk = file.read(min(size - len(payload), _READ_CHUNK))
+        if not chunk:
+            raise ValueError("truncated path dump")
+        payload += chunk
+    values = np.frombuffer(payload, dtype="<f8").reshape(n, d)
     return SamplePath(values=values, n=int(n), d=int(d), seed_provenance="file")

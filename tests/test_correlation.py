@@ -2,8 +2,13 @@
 the asymptotic condition checkers.
 """
 
+import ast
+import collections
+import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +22,13 @@ from hrex.correlation import (
     check_long_range,
     check_short_range,
     check_simplified,
+    condition_row,
     constant_model,
     estimate_delta,
     geometric_model,
     hr_family,
     iid_model,
+    lag_table,
     tabulated_model,
 )
 from hrex.errors import InvalidDeltaSpec
@@ -97,6 +104,14 @@ def test_spec_json_roundtrip():
     back = DeltaSpec.from_jsonable(obj)
     for key in [(1, 2, 0), (1, 1, 2), (2, 2, 1), (1, 2, 5)]:
         assert back.delta(*key) == spec.delta(*key)
+
+
+def test_function_spec_has_no_json_form():
+    # the entries of a function spec are empty, so a JSON form would read
+    # back as a different spec (horizon 0, every coefficient infinite)
+    spec = DeltaSpec.from_function(1, lambda i, j, k: float(k), finite_horizon=3)
+    with pytest.raises(InvalidDeltaSpec, match="no JSON form"):
+        spec.to_jsonable()
 
 
 def test_spec_json_inf_convention():
@@ -439,3 +454,144 @@ def test_iid_model_is_identity_correlation():
     assert model.rho(1, 2, 0, 5) == 0.0
     assert model.rho(1, 1, 1, 5) == 0.0
     assert model.max_lag == 0
+
+
+# --- one lag table ------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def counting(model):
+    """The model with a rho that records every (i, j, k) it is asked for."""
+    calls = collections.Counter()
+
+    def rho(i, j, k, n):
+        calls[(i, j, k)] += 1
+        return model.rho(i, j, k, n)
+
+    return dataclasses.replace(model, rho=rho), calls
+
+
+def test_rho_read_only_through_lag_table():
+    # estimate_delta probes one (i, j, k) across n; every read across lags
+    # goes through lag_table
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (where[0], node.name)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "rho":
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "hrex").glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.name, "<module>"))
+    assert callers == {("correlation.py", "lag_table"), ("correlation.py", "estimate_delta")}
+
+
+def test_lag_table_cuts_beyond_max_lag_without_calling_rho():
+    model, calls = counting(tabulated_model(2, {(1, 2, 1): 0.25, (1, 1, 2): -0.5}))
+    table = lag_table(model, range(1, 6), 50)
+    assert table.shape == (5, 2, 2)
+    assert table[0, 0, 1] == table[0, 1, 0] == 0.25 and table[1, 0, 0] == -0.5
+    assert not table[2:].any()
+    assert set(calls) == {(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)}
+
+
+def test_condition_row_reads_rho_once_per_lag_and_pair():
+    n = 10**4
+    model, calls = counting(geometric_model(2, 0.5, 0.3))
+    row = condition_row(model, n, 0.4, 0.6, [1, 3])
+    assert max(calls.values()) == 1
+    assert {k for _, _, k in calls} == set(range(1, n + 1))
+    plain = geometric_model(2, 0.5, 0.3)
+    params = BlockParameters.from_exponents(n, 0.4, 0.6)
+    assert row == {
+        "n": n,
+        "l_n": params.l_n,
+        "r_n": params.r_n,
+        "long_range": check_long_range(plain, params),
+        "simplified": check_simplified(plain, n, params.l_n),
+        "short_range_m1": check_short_range(plain, n, 1, params.r_n),
+        "short_range_m3": check_short_range(plain, n, 3, params.r_n),
+    }
+
+
+def loop_reference(model, n, l_n, r_n, m):
+    """The three diagnostics as plain loops over (i, j, s) calling rho."""
+    d, log_n = model.d, math.log(n)
+    long_terms, short_terms, simplified = [], [], 0.0
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            peak = 0.0
+            for s in range(l_n, n + 1):
+                r = model.rho(i, j, s, n) if s <= model.max_lag else 0.0
+                if r != 0.0:
+                    long_terms.append(berman_term(r, n))
+                peak = max(peak, abs(r))
+            simplified += peak
+            for s in range(m, r_n + 1):
+                r = model.rho(i, j, s, n) if s <= model.max_lag else 0.0
+                short_terms.append(
+                    n ** (-(1.0 - r) / (1.0 + r)) * log_n ** (-r / (1.0 + r)) / math.sqrt(1.0 - r * r)
+                )
+    return (n * n / r_n) * math.fsum(long_terms), math.fsum(short_terms), log_n * simplified
+
+
+@pytest.mark.parametrize("name", ["geometric", "hr", "tabulated", "log-decay"])
+def test_checkers_equal_loop_reference(name):
+    model = {
+        "geometric": geometric_model(3, 0.7, -0.2),
+        "hr": hr_family(DeltaSpec.from_entries(2, {(1, 2, 0): 1.0, (1, 1, 1): 3.0, (1, 2, 2): 4.0})),
+        "tabulated": tabulated_model(2, {(1, 1, 1): 0.4, (1, 2, 2): -0.3}),
+        "log-decay": CorrelationModel(
+            d=1, rho=lambda i, j, k, n: 1.0 / math.log(n) if k >= 1 else 1.0, max_lag=math.inf
+        ),
+    }[name]
+    for n in (100, 3000):
+        p = BlockParameters.from_exponents(n, 0.3, 0.6)
+        for m in (1, 2):
+            expect = loop_reference(model, n, p.l_n, p.r_n, m)
+            got = (
+                check_long_range(model, p),
+                check_short_range(model, n, m, p.r_n),
+                check_simplified(model, n, p.l_n),
+            )
+            assert got == expect
+
+
+def test_checkers_reject_asymmetric_model():
+    # rho_12 != rho_21: no covariance has these correlations
+    model = CorrelationModel(
+        d=2,
+        rho=lambda i, j, k, n: 1.0 if i == j and k == 0 else (0.1 if i < j else 0.2) * 0.5**k,
+        max_lag=6,
+    )
+    p = BlockParameters(n=100, l_n=2, r_n=10)
+    for check in (
+        lambda: check_long_range(model, p),
+        lambda: check_short_range(model, 100, 1, 10),
+        lambda: check_simplified(model, 100, 2),
+        lambda: condition_row(model, 100, 0.4, 0.6, [1]),
+    ):
+        with pytest.raises(ValueError, match="not symmetric"):
+            check()
+
+
+def test_condition_sweep_script_rows(capsys):
+    spec = importlib.util.spec_from_file_location("condition_sweep", ROOT / "scripts" / "condition_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--n-list", "100", "1000"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()[2:] if line.strip()]
+    assert len(lines) == 2 * len(script.stock_models())
+    for fields in lines:
+        n = int(fields[-6])
+        model = script.stock_models()[" ".join(fields[:-6])]
+        row = condition_row(model, n, 0.4, 0.6, [1])
+        assert fields[-6:] == [str(n), str(row["l_n"]), str(row["r_n"])] + [
+            "%.4e" % row[key] for key in ("long_range", "simplified", "short_range_m1")
+        ]
+    iid = [fields for fields in lines if fields[0] == "iid"]
+    assert [float(fields[-3]) for fields in iid] == [0.0, 0.0]

@@ -32,7 +32,7 @@ from hrex.experiments import (
 )
 from hrex.norming import limit_cdf, norming_constants, std_normal_cdf, threshold
 from hrex.rng import RngKey
-from hrex.sampler import sample_paths
+from hrex.sampler import iter_path_blocks
 
 
 def bivariate_hr(lam):
@@ -94,8 +94,7 @@ def test_maxima_match_full_paths():
     model = bivariate_hr(1.5)
     key = RngKey(11).child(100)
     maxima = maxima_matrix(model, 12, key, 40, sampler="cholesky")
-    paths = sample_paths(model, 12, key, 40, method="cholesky")
-    stacked = np.stack([p.values for p in paths])
+    stacked = np.concatenate([b for _, b in iter_path_blocks(model, 12, key, 40, method="cholesky")])
     assert np.array_equal(maxima, stacked.max(axis=1))
 
 

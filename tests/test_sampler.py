@@ -4,12 +4,12 @@ maxima extraction, and the binary path dump format.
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from hrex.correlation import (
     DeltaSpec,
@@ -19,14 +19,14 @@ from hrex.correlation import (
     tabulated_model,
 )
 from hrex.errors import NotPositiveSemidefinite
+from hrex.experiments import maxima_matrix
 from hrex.rng import RngKey, standard_normal
 from hrex.sampler import (
     BlockCovariance,
+    SamplePath,
     assemble_covariance,
-    componentwise_maxima,
     iter_path_blocks,
     read_path,
-    sample_paths,
     validate_psd,
     write_path,
 )
@@ -35,6 +35,11 @@ from hrex.sampler import _banded_plan, _circulant_plan, _dense_plan
 
 def serial_spec(**lags):
     return DeltaSpec.from_entries(1, {(1, 1, int(k)): v for k, v in lags.items()})
+
+
+def path_values(model, length, key, count, method="cholesky"):
+    """All `count` replicates stacked as values[r, t, i]."""
+    return np.concatenate([b for _, b in iter_path_blocks(model, length, key, count, method)])
 
 
 # --- covariance assembly -----------------------------------------------------
@@ -65,7 +70,7 @@ def test_assemble_block_toeplitz_structure():
             for i in range(2):
                 for j in range(2):
                     expect = model.rho(i + 1, j + 1, abs(t1 - t2), length)
-                    assert m[t1 * 2 + i, t2 * 2 + j] == pytest.approx(expect)
+                    assert m[t1 * 2 + i, t2 * 2 + j] == expect
 
 
 def test_assemble_respects_size_cap():
@@ -96,19 +101,16 @@ def test_validate_psd_rank_deficient_needs_jitter():
 
 def test_cholesky_mean_near_zero():
     count = 20000
-    paths = sample_paths(iid_model(1), 4, RngKey(5).child(4), count)
-    values = np.stack([p.values for p in paths])
+    values = path_values(iid_model(1), 4, RngKey(5).child(4), count)
     mean = values.mean(axis=0)
     assert np.abs(mean).max() <= 4.0 / math.sqrt(count)
 
 
 def test_cholesky_deterministic():
     model = geometric_model(1, 0.5)
-    a = sample_paths(model, 6, RngKey(9).child(6), 5)
-    b = sample_paths(model, 6, RngKey(9).child(6), 5)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.values, pb.values)
-        assert pa.seed_provenance == pb.seed_provenance
+    a = path_values(model, 6, RngKey(9).child(6), 5)
+    b = path_values(model, 6, RngKey(9).child(6), 5)
+    assert np.array_equal(a, b)
 
 
 def test_cholesky_pair_correlation_tracks_model():
@@ -129,10 +131,10 @@ def test_cholesky_replicates_independent_of_batching():
     # replicate r draws from substream (key, r) regardless of how many
     # replicates are requested in one call
     model = geometric_model(1, 0.3)
-    few = sample_paths(model, 5, RngKey(2).child(5), 2)
-    many = sample_paths(model, 5, RngKey(2).child(5), 7)
+    few = path_values(model, 5, RngKey(2).child(5), 2)
+    many = path_values(model, 5, RngKey(2).child(5), 7)
     for r in range(2):
-        assert np.array_equal(few[r].values, many[r].values)
+        assert np.array_equal(few[r], many[r])
 
 
 # --- circulant route ---------------------------------------------------------
@@ -140,8 +142,7 @@ def test_cholesky_replicates_independent_of_batching():
 
 def test_circulant_matches_iid():
     count, length = 4000, 16
-    paths = sample_paths(iid_model(1), length, RngKey(3).child(length), count, method="circulant")
-    values = np.stack([p.values[:, 0] for p in paths])
+    values = path_values(iid_model(1), length, RngKey(3).child(length), count, "circulant")[:, :, 0]
     lag1 = np.mean(values[:, :-1] * values[:, 1:])
     assert abs(lag1) <= 4.0 / math.sqrt(count * (length - 1))
     assert abs(values.var() - 1.0) <= 0.05
@@ -150,8 +151,7 @@ def test_circulant_matches_iid():
 def test_circulant_geometric_lag_correlations():
     count, length = 4000, 256
     model = geometric_model(1, 0.5)
-    paths = sample_paths(model, length, RngKey(8).child(length), count, method="circulant")
-    values = np.stack([p.values[:, 0] for p in paths])
+    values = path_values(model, length, RngKey(8).child(length), count, "circulant")[:, :, 0]
     for k in range(1, 6):
         lag = np.mean(values[:, :-k] * values[:, k:])
         assert abs(lag - 0.5**k) <= 0.01
@@ -159,10 +159,9 @@ def test_circulant_geometric_lag_correlations():
 
 def test_circulant_deterministic():
     model = geometric_model(2, 0.4, 0.2)
-    a = sample_paths(model, 12, RngKey(13).child(12), 4, method="circulant")
-    b = sample_paths(model, 12, RngKey(13).child(12), 4, method="circulant")
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.values, pb.values)
+    a = path_values(model, 12, RngKey(13).child(12), 4, "circulant")
+    b = path_values(model, 12, RngKey(13).child(12), 4, "circulant")
+    assert np.array_equal(a, b)
 
 
 def test_circulant_agrees_with_cholesky_distributionally():
@@ -184,8 +183,8 @@ def test_circulant_agrees_with_cholesky_distributionally():
 def test_circulant_single_point_paths():
     # length-1 paths degenerate to the lag-0 factor; must not crash
     model = geometric_model(2, 0.5, 0.3)
-    paths = sample_paths(model, 1, RngKey(1).child(1), 3, method="circulant")
-    assert paths[0].values.shape == (1, 2)
+    values = path_values(model, 1, RngKey(1).child(1), 3, "circulant")
+    assert values[0].shape == (1, 2)
 
 
 def test_circulant_embedding_failure_falls_back_to_dense(caplog):
@@ -217,8 +216,7 @@ def test_banded_matches_dense_exactly():
 def test_banded_handles_lengths_beyond_dense_cap():
     model = tabulated_model(1, {(1, 1, 1): 0.3})
     length, count = 8200, 30
-    paths = sample_paths(model, length, RngKey(17).child(length), count)
-    values = np.stack([p.values[:, 0] for p in paths])
+    values = path_values(model, length, RngKey(17).child(length), count)[:, :, 0]
     lag1 = np.mean(values[:, :-1] * values[:, 1:])
     assert abs(lag1 - 0.3) <= 0.01
     assert abs(values.var() - 1.0) <= 0.01
@@ -226,7 +224,7 @@ def test_banded_handles_lengths_beyond_dense_cap():
 
 def test_dense_cap_without_finite_horizon_rejected():
     with pytest.raises(ValueError):
-        sample_paths(constant_like_model(), 9000, RngKey(0).child(9000), 1)
+        path_values(constant_like_model(), 9000, RngKey(0).child(9000), 1)
 
 
 def constant_like_model():
@@ -239,50 +237,37 @@ def constant_like_model():
 
 
 def test_maxima_single_row():
-    paths = sample_paths(iid_model(3), 1, RngKey(4).child(1), 1)
-    assert np.array_equal(componentwise_maxima(paths[0]), paths[0].values[0])
+    key = RngKey(4).child(1)
+    values = path_values(iid_model(3), 1, key, 1)
+    assert np.array_equal(maxima_matrix(iid_model(3), 1, key, 1)[0], values[0, 0])
 
 
 @settings(max_examples=40)
-@given(
-    hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 12), st.integers(1, 4)),
-        elements=st.floats(-1e6, 1e6),
-    )
-)
-def test_maxima_matches_brute_force(values):
-    from hrex.sampler import SamplePath
-
-    path = SamplePath(values=values, n=values.shape[0], d=values.shape[1], seed_provenance="test")
-    got = componentwise_maxima(path)
-    brute = [max(values[t, i] for t in range(values.shape[0])) for i in range(values.shape[1])]
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_maxima_matches_brute_force(length, d, seed):
+    key = RngKey(seed).child(length)
+    values = path_values(iid_model(d), length, key, 2)
+    got = maxima_matrix(iid_model(d), length, key, 2)
+    brute = [[max(values[r, t, i] for t in range(length)) for i in range(d)] for r in range(2)]
     assert np.array_equal(got, np.array(brute))
 
 
 def test_maxima_exchangeable_under_row_permutation():
-    paths = sample_paths(iid_model(2), 9, RngKey(6).child(9), 1)
-    from hrex.sampler import SamplePath
-
-    values = paths[0].values
-    shuffled = SamplePath(
-        values=values[::-1].copy(), n=9, d=2, seed_provenance="test"
-    )
-    assert np.array_equal(
-        componentwise_maxima(paths[0]), componentwise_maxima(shuffled)
-    )
+    key = RngKey(6).child(9)
+    values = path_values(iid_model(2), 9, key, 1)[0]
+    assert np.array_equal(maxima_matrix(iid_model(2), 9, key, 1)[0], values[::-1].max(axis=0))
 
 
 def test_path_dump_roundtrip():
-    paths = sample_paths(geometric_model(2, 0.5, 0.1), 7, RngKey(10).child(7), 1)
+    values = path_values(geometric_model(2, 0.5, 0.1), 7, RngKey(10).child(7), 1)[0]
     buf = io.BytesIO()
-    write_path(paths[0], buf)
+    write_path(SamplePath(values=values, n=7, d=2, seed_provenance="test"), buf)
     raw = buf.getvalue()
     assert raw[:8] == b"HREXPATH"
     assert len(raw) == 8 + 8 + 8 + 7 * 2 * 8
     back = read_path(io.BytesIO(raw))
     assert back.n == 7 and back.d == 2
-    assert np.array_equal(back.values, paths[0].values)
+    assert np.array_equal(back.values, values)
 
 
 def test_path_dump_rejects_bad_magic():
@@ -291,14 +276,28 @@ def test_path_dump_rejects_bad_magic():
 
 
 def test_path_dump_rejects_truncated():
-    paths = sample_paths(iid_model(1), 3, RngKey(1).child(3), 1)
+    values = path_values(iid_model(1), 3, RngKey(1).child(3), 1)[0]
     buf = io.BytesIO()
-    write_path(paths[0], buf)
+    write_path(SamplePath(values=values, n=3, d=1, seed_provenance="test"), buf)
     for cut in (buf.getvalue()[:-8], buf.getvalue()[:12]):
         with pytest.raises(ValueError, match="truncated path dump"):
             read_path(io.BytesIO(cut))
 
 
+def test_path_dump_header_larger_than_file(tmp_path):
+    # a header may claim more values than any machine holds; reading must
+    # stop at the bytes present instead of allocating what the header says
+    for n in (2**40, 2**61):
+        f = tmp_path / ("claims_%d.bin" % n)
+        f.write_bytes(b"HREXPATH" + struct.pack("<QQ", n, 1) + b"\x00" * 16)
+        assert f.stat().st_size == 40
+        with open(f, "rb") as fh, pytest.raises(ValueError, match="truncated path dump"):
+            read_path(fh)
+
+
 def test_sample_paths_provenance_distinct_per_replicate():
-    paths = sample_paths(iid_model(1), 2, RngKey(1).child(2), 3)
-    assert len({p.seed_provenance for p in paths}) == 3
+    # the dump of replicate r records key.child(r) as its provenance
+    key = RngKey(1).child(2)
+    blocks = iter_path_blocks(iid_model(1), 2, key, 3)
+    provenance = {key.child(first + row).provenance for first, b in blocks for row in range(len(b))}
+    assert len(provenance) == 3
