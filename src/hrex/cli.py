@@ -297,19 +297,17 @@ def cmd_sample(args) -> int:
         raise ValueError("sample config needs a path 'length' (or 'n')")
     length = int(length)
     count = int(cfg["count"])
+    if count < 1:
+        raise ValueError("sample config needs 'count' >= 1, got %d" % count)
     sampler = args.sampler or cfg.get("sampler", "cholesky")
     key = RngKey(seed).child(length)
     files = []
     blocks = iter_path_blocks(model, length, key, count, method=sampler, n=cfg.get("model_n"))
     for first, block in blocks:
         for row, values in enumerate(block):
-            r = first + row
-            path = SamplePath(
-                values=values, n=length, d=model.d, seed_provenance=key.child(r).provenance
-            )
-            f = out_dir / ("path_%06d.bin" % r)
+            f = out_dir / ("path_%06d.bin" % (first + row))
             with open(f, "wb") as fh:
-                write_path(path, fh)
+                write_path(SamplePath(values), fh)
             files.append(f)
     _write_manifest(out_dir, "sample", args.config, seed, files, started)
     print(json.dumps({"paths": count, "out_dir": str(out_dir)}))

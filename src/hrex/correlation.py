@@ -354,8 +354,8 @@ def lag_table(model: CorrelationModel, lags: range, n: float) -> np.ndarray:
     of lags.
 
     This is the only reader of model.rho across lags.  Lags beyond
-    model.max_lag read 0 without a call to rho; a model that is not
-    symmetric in (i, j) is rejected.
+    model.max_lag read 0 without a call to rho; a model with a non-finite
+    correlation or one that is not symmetric in (i, j) is rejected.
     """
     d = model.d
     top = lags.stop if math.isinf(model.max_lag) else min(lags.stop, int(model.max_lag) + 1)
@@ -363,6 +363,12 @@ def lag_table(model: CorrelationModel, lags: range, n: float) -> np.ndarray:
     values = (model.rho(i + 1, j + 1, k, n) for k in called for i in range(d) for j in range(d))
     table = np.zeros((len(lags), d, d))
     table[: len(called)] = np.fromiter(values, float, count=len(called) * d * d).reshape(-1, d, d)
+    if not np.isfinite(table).all():
+        a, i, j = np.argwhere(~np.isfinite(table))[0]
+        raise ValueError(
+            "correlation model gives a non-finite rho at (i, j, k) = (%d, %d, %d)"
+            % (i + 1, j + 1, lags[a])
+        )
     if not np.allclose(table, np.swapaxes(table, 1, 2), atol=1e-14):
         raise ValueError("correlation model is not symmetric in (i, j)")
     return table

@@ -38,10 +38,6 @@ class RngKey:
         seq = np.random.SeedSequence(self.root, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
-    @property
-    def provenance(self) -> str:
-        return "philox:%d:%s" % (self.root, ",".join(map(str, self.path)))
-
 
 def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     """Uniforms on the open interval (0, 1), safe to pass to inverse CDFs.

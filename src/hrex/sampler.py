@@ -5,12 +5,12 @@ rho_ij(k, n) has the block-Toeplitz covariance
 
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
-indexed time-major.  One planner, `_plan`, turns (model, L, n, method)
-into the number of standard normals a replicate consumes and a transform
-from those normals to paths.  It has four routes, all reading the lag
-table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
-to 0 beyond model.max_lag.  Here max_lag only picks routes and sizes the
-band:
+indexed time-major.  One planner, `make_plan`, turns (model, L, n,
+method) into the number of standard normals a replicate consumes and a
+transform from those normals to paths.  It has four routes, all reading
+the lag table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes
+the cut to 0 beyond model.max_lag.  Here max_lag only picks routes and
+sizes the band:
 
 * lag-0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -23,7 +23,10 @@ band:
   blocks stay positive semidefinite; padding is doubled up to three times
   before falling back to dense Cholesky with a logged warning.
 
-`iter_path_blocks` is the one batching loop.  Replicate r draws its
+`iter_path_blocks` is the one batching loop.  A caller that splits the
+replicates into chunks (`hrex.experiments.maxima_matrix`) makes the plan
+once per call and hands it to every chunk, so the covariance, factor or
+spectrum is built once however many threads work.  Replicate r draws its
 normals from its own substream key.child(r), so results are reproducible
 for a given (seed, model, length, count) no matter how replicates are
 batched or parallelised.
@@ -45,11 +48,10 @@ from .errors import NotPositiveSemidefinite
 from .rng import RngKey, standard_normal
 
 __all__ = [
-    "BlockCovariance",
     "SamplePath",
-    "PsdReport",
     "assemble_covariance",
     "validate_psd",
+    "make_plan",
     "iter_path_blocks",
     "write_path",
     "read_path",
@@ -70,29 +72,13 @@ Plan = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
-class BlockCovariance:
-    length: int
-    d: int
-    matrix: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class SamplePath:
-    values: np.ndarray = field(repr=False)
-    n: int
-    d: int
-    seed_provenance: str
-
-
-@dataclass(frozen=True, eq=False)
-class PsdReport:
-    jitter_used: float  # 0.0 when plain Cholesky succeeded
-    factor: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)  # (n, d), time-major
 
 
 def assemble_covariance(
     model: CorrelationModel, length: int, n: float | None = None
-) -> BlockCovariance:
+) -> np.ndarray:
     """Dense block-Toeplitz covariance of a length-L path.
 
     n is the array-row size fed to the correlation function; it defaults
@@ -115,28 +101,36 @@ def assemble_covariance(
     # windows[t, i, j, s] = mirrored[L - 1 - t + s, i, j] = table[|s - t|, i, j]
     mirrored = np.concatenate([table[:0:-1], table])
     windows = np.lib.stride_tricks.sliding_window_view(mirrored, length, axis=0)[::-1]
-    matrix = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(size, size)
-    return BlockCovariance(length=length, d=d, matrix=matrix)
+    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(size, size)
 
 
-def validate_psd(cov: BlockCovariance) -> PsdReport:
-    """Cholesky-test a covariance, retrying once with _DEFAULT_JITTER * I added.
+def _factor_or_jitter(factor, matrix: np.ndarray, diagonal, what: str) -> np.ndarray:
+    """factor(matrix), retried once with _DEFAULT_JITTER added to
+    matrix[diagonal] (on a copy).
 
     Raises NotPositiveSemidefinite when both attempts fail; that is an
     invalid correlation model, not a numerical accident.
     """
     try:
-        return PsdReport(jitter_used=0.0, factor=np.linalg.cholesky(cov.matrix))
+        return factor(matrix)
     except np.linalg.LinAlgError:
         pass
+    bumped = matrix.copy()
+    bumped[diagonal] += _DEFAULT_JITTER
     try:
-        bumped = cov.matrix + _DEFAULT_JITTER * np.eye(cov.matrix.shape[0])
-        return PsdReport(jitter_used=_DEFAULT_JITTER, factor=np.linalg.cholesky(bumped))
+        return factor(bumped)
     except np.linalg.LinAlgError:
-        raise NotPositiveSemidefinite(
-            "covariance (size %d) is not positive semidefinite, even with"
-            " jitter %g" % (cov.matrix.shape[0], _DEFAULT_JITTER)
-        ) from None
+        msg = "%s is not positive semidefinite, even with jitter %g" % (what, _DEFAULT_JITTER)
+        raise NotPositiveSemidefinite(msg) from None
+
+
+def validate_psd(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a covariance, retrying once with
+    _DEFAULT_JITTER * I added."""
+    size = matrix.shape[0]
+    return _factor_or_jitter(
+        np.linalg.cholesky, matrix, np.diag_indices(size), "covariance (size %d)" % size
+    )
 
 
 def _factor_spectrum(lam: np.ndarray, tol: float) -> np.ndarray | None:
@@ -160,8 +154,7 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
 
 
 def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
-    cov = assemble_covariance(model, length, n)
-    factor_t = validate_psd(cov).factor.T.copy()
+    factor_t = validate_psd(assemble_covariance(model, length, n)).T.copy()
     return length * model.d, lambda z: (z @ factor_t).reshape(-1, length, model.d)
 
 
@@ -178,17 +171,10 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     per_comp = table[lag, comp, other]
     ab = per_comp[np.arange(size) % d].T.copy()
     ab[np.arange(bw + 1)[:, None] + np.arange(size) >= size] = 0.0
-    try:
-        band = scipy.linalg.cholesky_banded(ab, lower=True)
-    except np.linalg.LinAlgError:
-        try:
-            ab[0] += _DEFAULT_JITTER
-            band = scipy.linalg.cholesky_banded(ab, lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveSemidefinite(
-                "banded covariance (length %d, bandwidth %d) is not positive"
-                " semidefinite, even with jitter %g" % (length, bw, _DEFAULT_JITTER)
-            ) from None
+    band = _factor_or_jitter(
+        lambda m: scipy.linalg.cholesky_banded(m, lower=True), ab, 0,
+        "banded covariance (length %d, bandwidth %d)" % (length, bw),
+    )
 
     def transform(z: np.ndarray) -> np.ndarray:
         x = np.zeros_like(z)
@@ -224,14 +210,20 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
     return 2 * m * d, transform
 
 
-def _plan(model: CorrelationModel, length: int, n: float, method: str) -> Plan:
+def make_plan(
+    model: CorrelationModel, length: int, method: str, n: float | None = None
+) -> Plan:
     """Pick the sampling route: lag-0 whenever the path has no serial
     dependence; otherwise circulant when asked for (dense Cholesky if the
-    embedding fails), else dense Cholesky up to DENSE_CAP and banded beyond."""
+    embedding fails), else dense Cholesky up to DENSE_CAP and banded beyond.
+    n is the array-row size fed to the correlation function (default: the
+    path length)."""
     if method not in ("cholesky", "circulant"):
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:
         raise ValueError("need path length >= 1")
+    if n is None:
+        n = length
     if model.max_lag == 0 or length == 1:
         return _lag0_plan(model, length, n)
     if method == "circulant":
@@ -260,10 +252,14 @@ def iter_path_blocks(
     method: str = "cholesky",
     n: float | None = None,
     start: int = 0,
+    *,
+    plan: Plan | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
-    holding all paths in memory.  Values are independent of the batching."""
-    size, transform = _plan(model, length, length if n is None else n, method)
+    holding all paths in memory.  Values are independent of the batching.
+    plan, when given, is make_plan(model, length, method, n), made once by
+    a caller that works one call's replicates in chunks."""
+    size, transform = make_plan(model, length, method, n) if plan is None else plan
     batch = max(1, _BLOCK_VALUES // size)
     r = start
     while r < start + count:
@@ -276,10 +272,11 @@ def iter_path_blocks(
 
 
 def write_path(path: SamplePath, file) -> None:
-    """Binary dump: magic 'HREXPATH', little-endian u64 n and d, then
-    n*d little-endian f64 in row-major (time-major) order."""
+    """Binary dump: magic 'HREXPATH', little-endian u64 n and d (the shape
+    of path.values), then n*d little-endian f64 in row-major (time-major)
+    order."""
     file.write(PATH_MAGIC)
-    file.write(struct.pack("<QQ", path.n, path.d))
+    file.write(struct.pack("<QQ", *path.values.shape))
     file.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
 
 
@@ -300,4 +297,4 @@ def read_path(file) -> SamplePath:
             raise ValueError("truncated path dump")
         payload += chunk
     values = np.frombuffer(payload, dtype="<f8").reshape(n, d)
-    return SamplePath(values=values, n=int(n), d=int(d), seed_provenance="file")
+    return SamplePath(values)

@@ -290,7 +290,7 @@ def test_criterion_8_sampler_covariance_and_determinism():
     budget, started = 120, time.monotonic()
     model = geometric_model(2, 0.6, 0.4)
     length, replicates = 64, 10**5
-    cov = assemble_covariance(model, length).matrix
+    cov = assemble_covariance(model, length)
     dim = cov.shape[0]
     sigma = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / replicates)
 

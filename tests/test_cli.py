@@ -378,6 +378,17 @@ def test_sample_requires_path_length(tmp_path, capsys):
     assert list(out_dir.glob("path_*.bin")) == []
 
 
+def test_sample_rejects_count_below_one(tmp_path, capsys):
+    for count in (0, -3):
+        out_dir = tmp_path / ("paths_%d" % count)
+        cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "count": count})
+        code, out, err = run(["sample", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "ValueError" and "count" in failure["message"]
+        assert list(out_dir.iterdir()) == []
+
+
 # --- failure paths -------------------------------------------------------------------
 
 

@@ -579,6 +579,17 @@ def test_checkers_reject_asymmetric_model():
             check()
 
 
+def test_checkers_name_a_non_finite_correlation():
+    # NaN is unequal to itself, so a symmetry test alone would blame (i, j)
+    model = CorrelationModel(
+        d=1, rho=lambda i, j, k, n: math.nan if k == 3 else 0.5**k, max_lag=6
+    )
+    with pytest.raises(ValueError, match=r"non-finite rho at \(i, j, k\) = \(1, 1, 3\)"):
+        check_simplified(model, 100, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        lag_table(model, range(1, 7), 100)
+
+
 def test_condition_sweep_script_rows(capsys):
     spec = importlib.util.spec_from_file_location("condition_sweep", ROOT / "scripts" / "condition_sweep.py")
     script = importlib.util.module_from_spec(spec)

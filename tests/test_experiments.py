@@ -5,13 +5,15 @@ matrices, and block self-consistency."""
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrex.correlation import DeltaSpec, hr_family, iid_model
+from hrex import sampler
+from hrex.correlation import DeltaSpec, geometric_model, hr_family, iid_model, tabulated_model
 from hrex.experiments import (
     BlockConsistency,
     ConvergenceEntry,
@@ -104,6 +106,52 @@ def test_maxima_thread_count_invariant():
     one = maxima_matrix(model, 16, key, 101, threads=1)
     four = maxima_matrix(model, 16, key, 101, threads=4)
     assert np.array_equal(one, four)
+
+
+ROUTES = {
+    # route: (model, length, replicates, sampler)
+    "lag0": (bivariate_hr(1.0), 16, 9, "cholesky"),
+    "dense": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
+    "banded": (tabulated_model(1, {(1, 1, 1): 0.3}), 8200, 5, "cholesky"),
+    "circulant": (geometric_model(2, 0.5, 0.3), 256, 9, "circulant"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
+    # four real worker threads share one plan, switching often; each
+    # replicate keeps its own substream, so the bytes cannot depend on the
+    # thread count
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    model, length, replicates, method = ROUTES[route]
+    key = RngKey(31).child(length)
+    one = maxima_matrix(model, length, key, replicates, method, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = maxima_matrix(model, length, key, replicates, method, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.tobytes() == four.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("method, counted", [("cholesky", "assemble_covariance"), ("circulant", "lag_table")])
+def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
+    # every worker chunk reuses the one plan: the dense covariance is
+    # assembled once, the circulant lag table built once
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    calls = []
+    original = getattr(sampler, counted)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, counted, counting)
+    model = geometric_model(2, 0.5, 0.3)
+    maxima_matrix(model, 1000, RngKey(3).child(1000), 8, method, threads=threads)
+    assert len(calls) == 1
 
 
 def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):

@@ -22,7 +22,6 @@ from hrex.errors import NotPositiveSemidefinite
 from hrex.experiments import maxima_matrix
 from hrex.rng import RngKey, standard_normal
 from hrex.sampler import (
-    BlockCovariance,
     SamplePath,
     assemble_covariance,
     iter_path_blocks,
@@ -30,7 +29,7 @@ from hrex.sampler import (
     validate_psd,
     write_path,
 )
-from hrex.sampler import _banded_plan, _circulant_plan, _dense_plan
+from hrex.sampler import _DEFAULT_JITTER, _banded_plan, _circulant_plan, _dense_plan
 
 
 def serial_spec(**lags):
@@ -47,7 +46,7 @@ def path_values(model, length, key, count, method="cholesky"):
 
 def test_assemble_iid_identity():
     cov = assemble_covariance(iid_model(2), 3)
-    assert np.array_equal(cov.matrix, np.eye(6))
+    assert np.array_equal(cov, np.eye(6))
 
 
 def test_assemble_length_one_uses_model_n():
@@ -56,14 +55,13 @@ def test_assemble_length_one_uses_model_n():
     n = math.exp(4.0)
     cov = assemble_covariance(hr_family(spec), 1, n=n)
     off = 1.0 - lam / 4.0
-    assert cov.matrix == pytest.approx(np.array([[1.0, off], [off, 1.0]]), abs=1e-12)
+    assert cov == pytest.approx(np.array([[1.0, off], [off, 1.0]]), abs=1e-12)
 
 
 def test_assemble_block_toeplitz_structure():
     model = geometric_model(2, 0.5, 0.3)
     length = 5
-    cov = assemble_covariance(model, length)
-    m = cov.matrix
+    m = assemble_covariance(model, length)
     assert np.array_equal(m, m.T)
     for t1 in range(length):
         for t2 in range(length):
@@ -79,21 +77,29 @@ def test_assemble_respects_size_cap():
 
 
 def test_validate_psd_identity_no_jitter():
-    report = validate_psd(BlockCovariance(length=3, d=1, matrix=np.eye(3)))
-    assert report.jitter_used == 0.0
+    # the plain factor of I is I; a jittered one would have sqrt(1 + jitter)
+    assert np.array_equal(validate_psd(np.eye(3)), np.eye(3))
 
 
 def test_validate_psd_rejects_invalid():
     bad = np.array([[1.0, 1.5], [1.5, 1.0]])
-    with pytest.raises(NotPositiveSemidefinite):
-        validate_psd(BlockCovariance(length=2, d=1, matrix=bad))
+    with pytest.raises(NotPositiveSemidefinite, match=r"covariance \(size 2\)"):
+        validate_psd(bad)
 
 
 def test_validate_psd_rank_deficient_needs_jitter():
     # comonotone pair: eigenvalues {2, 0}; the jitter retry must engage
     ones = np.ones((2, 2))
-    report = validate_psd(BlockCovariance(length=1, d=2, matrix=ones))
-    assert report.jitter_used > 0.0
+    factor = validate_psd(ones)
+    assert factor[0, 0] == math.sqrt(1.0 + _DEFAULT_JITTER)
+    assert np.allclose(factor @ factor.T, ones + _DEFAULT_JITTER * np.eye(2), rtol=0.0, atol=1e-15)
+
+
+def test_banded_failure_names_length_and_bandwidth():
+    # |rho(1)| = 0.9 > 1/2 is no MA(1) covariance: both banded attempts fail
+    model = tabulated_model(1, {(1, 1, 1): 0.9})
+    with pytest.raises(NotPositiveSemidefinite, match=r"length 10, bandwidth 1\)"):
+        _banded_plan(model, 10, n=10)
 
 
 # --- cholesky route ----------------------------------------------------------
@@ -169,7 +175,7 @@ def test_circulant_agrees_with_cholesky_distributionally():
     # within MC bands, so the routes match each other
     model = geometric_model(2, 0.5, 0.3)
     length, count = 8, 20000
-    target = assemble_covariance(model, length).matrix
+    target = assemble_covariance(model, length)
     for method in ("cholesky", "circulant"):
         gram = np.zeros((length * 2, length * 2))
         for _, block in iter_path_blocks(model, length, RngKey(7).child(length), count, method=method):
@@ -261,12 +267,13 @@ def test_maxima_exchangeable_under_row_permutation():
 def test_path_dump_roundtrip():
     values = path_values(geometric_model(2, 0.5, 0.1), 7, RngKey(10).child(7), 1)[0]
     buf = io.BytesIO()
-    write_path(SamplePath(values=values, n=7, d=2, seed_provenance="test"), buf)
+    write_path(SamplePath(values), buf)
     raw = buf.getvalue()
     assert raw[:8] == b"HREXPATH"
     assert len(raw) == 8 + 8 + 8 + 7 * 2 * 8
+    assert struct.unpack("<QQ", raw[8:24]) == (7, 2)
     back = read_path(io.BytesIO(raw))
-    assert back.n == 7 and back.d == 2
+    assert back.values.shape == (7, 2)
     assert np.array_equal(back.values, values)
 
 
@@ -278,7 +285,7 @@ def test_path_dump_rejects_bad_magic():
 def test_path_dump_rejects_truncated():
     values = path_values(iid_model(1), 3, RngKey(1).child(3), 1)[0]
     buf = io.BytesIO()
-    write_path(SamplePath(values=values, n=3, d=1, seed_provenance="test"), buf)
+    write_path(SamplePath(values), buf)
     for cut in (buf.getvalue()[:-8], buf.getvalue()[:12]):
         with pytest.raises(ValueError, match="truncated path dump"):
             read_path(io.BytesIO(cut))
@@ -293,11 +300,3 @@ def test_path_dump_header_larger_than_file(tmp_path):
         assert f.stat().st_size == 40
         with open(f, "rb") as fh, pytest.raises(ValueError, match="truncated path dump"):
             read_path(fh)
-
-
-def test_sample_paths_provenance_distinct_per_replicate():
-    # the dump of replicate r records key.child(r) as its provenance
-    key = RngKey(1).child(2)
-    blocks = iter_path_blocks(iid_model(1), 2, key, 3)
-    provenance = {key.child(first + row).provenance for first, b in blocks for row in range(len(b))}
-    assert len(provenance) == 3
