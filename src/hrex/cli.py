@@ -299,10 +299,13 @@ def cmd_sample(args) -> int:
     count = int(cfg["count"])
     if count < 1:
         raise ValueError("sample config needs 'count' >= 1, got %d" % count)
+    model_n = cfg.get("model_n")
+    if model_n is not None and type(model_n) not in (int, float):
+        raise ValueError("sample config 'model_n' must be a number, got %r" % (model_n,))
     sampler = args.sampler or cfg.get("sampler", "cholesky")
     key = RngKey(seed).child(length)
     files = []
-    blocks = iter_path_blocks(model, length, key, count, method=sampler, n=cfg.get("model_n"))
+    blocks = iter_path_blocks(model, length, key, count, method=sampler, n=model_n)
     for first, block in blocks:
         for row, values in enumerate(block):
             f = out_dir / ("path_%06d.bin" % (first + row))

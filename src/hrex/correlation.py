@@ -14,7 +14,9 @@ canonical correlation model rho_ij(k, n) = 1 - delta_ij(k) / log n.
 The module owns the lag table: lag_table(model, lags, n) is the only
 reader of model.rho across lags, the only place that cuts correlations to
 0 beyond model.max_lag, and the only (i, j) symmetry check.  The samplers
-and the diagnostics read correlations through it.
+and the diagnostics read correlations through it.  Its counterpart for
+coefficients is DeltaSpec.table(K), the (K+1, d, d) array of delta_ij(k)
+from which the extremal-coefficient constraint sets are built.
 
 The module also evaluates the three summability diagnostics that a model
 must satisfy for the limit theorem to apply: a long-range sum built from
@@ -134,6 +136,19 @@ class DeltaSpec:
             return _validate_value(a, b, k, self.func(a, b, k))
         return self.entries.get(_canonical(i, j, k), math.inf)
 
+    def table(self, max_lag: int) -> np.ndarray:
+        """table[k, i-1, j-1] = delta_ij(k) for lags k = 0..max_lag.
+
+        This is the only reader of delta across lags; each (i <= j, k) is
+        read once and mirrored into (j, i, k).
+        """
+        table = np.empty((max_lag + 1, self.d, self.d))
+        for k in range(max_lag + 1):
+            for i in range(self.d):
+                for j in range(i, self.d):
+                    table[k, i, j] = table[k, j, i] = self.delta(i + 1, j + 1, k)
+        return table
+
     def to_jsonable(self) -> dict:
         if self.func is not None:
             raise InvalidDeltaSpec("a spec built from a function has no JSON form")
@@ -147,17 +162,21 @@ class DeltaSpec:
     def from_jsonable(cls, obj: Mapping) -> "DeltaSpec":
         if obj.get("default", "inf") != "inf":
             raise InvalidDeltaSpec("only default 'inf' is supported")
-        if "d" not in obj or not isinstance(obj["d"], int):
-            raise InvalidDeltaSpec("need an integer field 'd'")
+        items = obj.get("entries", [])
+        if type(obj.get("d")) is not int or not isinstance(items, list):
+            raise InvalidDeltaSpec("need an integer field 'd' and a list field 'entries'")
         entries = {}
-        for item in obj.get("entries", []):
+        for item in items:
             try:
                 key = (item["i"], item["j"], item["k"])
                 raw = item["delta"]
             except (KeyError, TypeError):
                 raise InvalidDeltaSpec("each entry needs fields i, j, k, delta")
-            value = math.inf if raw == "inf" else float(raw)
-            entries[key] = value
+            if not all(type(v) is int for v in key):
+                raise InvalidDeltaSpec("entry %r: i, j and k must be integers" % (item,))
+            if raw != "inf" and type(raw) not in (int, float):
+                raise InvalidDeltaSpec("entry %r: delta must be a number or 'inf'" % (item,))
+            entries[key] = math.inf if raw == "inf" else float(raw)
         return cls.from_entries(obj["d"], entries)
 
 

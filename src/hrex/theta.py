@@ -8,8 +8,8 @@ where each coefficient is a Gaussian orthant-type probability
 
 with A ~ Exp(1) independent of a centred Gaussian vector W.
 
-One pass over the pairs (lag ell = 0..K, component t = 1..d) reads each
-coefficient delta = delta_ti(ell) once and decides two things:
+All of theta_i(x) is read from one table D = spec.table(K), with
+D[ell, t, j] = delta_tj(ell).  Its column delta_ti(ell) decides two things:
 
 - a finite positive delta is a W slot, indexed k = ell + 1 and t;
 - a finite delta is a constraint row when ell >= 1 or t < i.  At lag 0
@@ -18,12 +18,13 @@ coefficient delta = delta_ti(ell) once and decides two things:
   coefficient gives a pure-A row (the Gaussian part drops out); zero
   coefficients at positive lags are rejected upstream.
 
-Lag-0 slots with t > i carry no row but stay in W, so the validity check
-of the covariance sees every finite pair.  The W entries have unit
-variance and
+The rows form a record array with fields column (the W slot read, or -1
+for a pure-A row), scale = sqrt(delta) and bound.  Lag-0 slots with t > i
+carry no row but stay in W, so the validity check of the covariance sees
+every finite pair.  The W entries have unit variance and
 
     Cov(W_{k}^{(j)}, W_{l}^{(t)}) =
-        (delta_ji(k-1) + delta_ti(l-1) - delta_jt(|k-l|))
+        (delta_ji(k-1) + delta_ti(l-1) - D[|k-l|, j, t])
         / (2 sqrt(delta_ji(k-1) * delta_ti(l-1))).
 
 The covariance is filled and factored when the constraint set is built,
@@ -48,8 +49,6 @@ from .norming import std_normal_cdf
 from .rng import RngKey, standard_exponential, standard_normal
 
 __all__ = [
-    "WIndex",
-    "ConstraintRow",
     "ConstraintSet",
     "ThetaEstimate",
     "TruncationGap",
@@ -65,34 +64,23 @@ _PSD_TOL = 1e-10
 _BATCH = 1 << 16
 
 
-@dataclass(frozen=True, order=True)
-class WIndex:
-    """Gaussian constraint index: W slot k = lag + 1, component t."""
-
-    k: int
-    t: int
-
-
-@dataclass(frozen=True)
-class ConstraintRow:
-    w_index: WIndex | None  # None for pure-A rows (zero lag-0 coefficient)
-    scale: float
-    bound: float
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Constraint rows of theta_i(x) and the W vector they read.
 
-    indices lists the W slots in lag-then-component order, matrix is
+    rows is a record array with fields column, scale and bound, one record
+    per row in lag-then-component order: the row reads
+    A/2 + scale * W[column] <= bound, and column = -1 marks a pure-A row
+    (zero lag-0 coefficient, scale 0).  indices lists the W slots as
+    (k, t) pairs, k = lag + 1, in lag-then-component order; matrix is
     their covariance and factor satisfies factor @ factor.T == matrix.
     """
 
     target: int
     x: tuple[float, ...]
-    rows: tuple[ConstraintRow, ...]
+    rows: np.recarray
     truncation_lag: int
-    indices: tuple[WIndex, ...]
+    indices: tuple[tuple[int, int], ...]
     matrix: np.ndarray
     factor: np.ndarray
 
@@ -138,17 +126,12 @@ def _resolve_lag(spec: DeltaSpec, max_lag: int | None) -> int:
 def build_constraints(
     spec: DeltaSpec, x: Sequence[float], i: int, max_lag: int | None = None
 ) -> ConstraintSet:
-    """Constraint rows, W slots and W covariance defining theta_i(x).
-
-    One pass over lag = 0..max_lag and t = 1..d reads delta_ti(lag) once
-    per pair.  A finite positive value is the W slot (lag + 1, t).  A
-    finite value is a row when lag >= 1 or t < i, with scale
-    sqrt(delta) and bound delta + (x_t - x_i)/2; a zero lag-0 value makes
-    it a pure-A row with no slot and scale 0.  The slot covariance is
-    then filled and factored.  Coefficients that no Gaussian array
-    realises raise InvalidDeltaSpec: a cross coefficient that is
-    infinite between two slots, or a covariance whose smallest eigenvalue
-    is below -1e-10 * (number of slots).
+    """Constraint rows, W slots and W covariance defining theta_i(x), taken
+    from spec.table(max_lag) by array indexing as the module docstring
+    describes; the covariance is then factored.  Coefficients that no
+    Gaussian array realises raise InvalidDeltaSpec: a cross coefficient
+    that is infinite between two slots, or a covariance whose smallest
+    eigenvalue is below -1e-10 * (number of slots).
     """
     if len(x) != spec.d:
         raise ValueError("need one level per component")
@@ -157,59 +140,48 @@ def build_constraints(
     if not 1 <= i <= spec.d:
         raise ValueError("target component out of range")
     max_lag = _resolve_lag(spec, max_lag)
-    indices, deltas, rows = [], [], []
-    for lag in range(max_lag + 1):
-        for t in range(1, spec.d + 1):
-            value = spec.delta(t, i, lag)
-            if math.isinf(value):
-                continue
-            slot = WIndex(k=lag + 1, t=t) if value > 0.0 else None
-            if slot is not None:
-                indices.append(slot)
-                deltas.append(value)
-            if lag >= 1 or t < i:
-                rows.append(
-                    ConstraintRow(
-                        w_index=slot,
-                        scale=math.sqrt(value),
-                        bound=value + (x[t - 1] - x[i - 1]) / 2.0,
-                    )
-                )
-    matrix = _w_covariance(spec, i, indices, deltas)
+    table = spec.table(max_lag)
+    column = table[:, :, i - 1]
+    finite = np.isfinite(column)
+    lag, t = np.nonzero(finite & (column > 0.0))
+    slot = np.full(column.shape, -1)
+    slot[lag, t] = np.arange(len(lag))
+    finite[0, i - 1 :] = False
+    row_lag, row_t = np.nonzero(finite)
+    values = column[row_lag, row_t]
+    levels = np.asarray(x, dtype=float)
+    rows = np.rec.fromarrays(
+        [slot[row_lag, row_t], np.sqrt(values), values + (levels[row_t] - levels[i - 1]) / 2.0],
+        names="column,scale,bound",
+    )
+    # slot pairs a < b in row-major order; the first with an infinite cross
+    # coefficient or a zero denominator is rejected
+    deltas = column[lag, t]
+    a, b = np.triu_indices(len(deltas), 1)
+    gap = np.abs(lag[a] - lag[b])
+    cross = table[gap, t[a], t[b]]
+    denom = 2.0 * np.sqrt(deltas[a] * deltas[b])
+    bad = np.flatnonzero(np.isinf(cross) | (denom == 0.0))
+    if bad.size and math.isinf(cross[bad[0]]):
+        p = bad[0]
+        raise InvalidDeltaSpec(
+            "delta(%d,%d,%d) is infinite but both endpoints sit at finite"
+            " dependence distance from component %d; no Gaussian array"
+            " realises these coefficients" % (t[a[p]] + 1, t[b[p]] + 1, gap[p], i)
+        )
+    if bad.size:
+        raise DegenerateDelta("zero coefficient reached the W covariance")
+    matrix = np.eye(len(deltas))
+    matrix[a, b] = matrix[b, a] = (deltas[a] + deltas[b] - cross) / denom
     return ConstraintSet(
         target=i,
         x=tuple(x),
-        rows=tuple(rows),
+        rows=rows,
         truncation_lag=max_lag,
-        indices=tuple(indices),
+        indices=tuple(zip((lag + 1).tolist(), (t + 1).tolist())),
         matrix=matrix,
         factor=_factor(matrix, i),
     )
-
-
-def _w_covariance(
-    spec: DeltaSpec, i: int, indices: Sequence[WIndex], deltas: Sequence[float]
-) -> np.ndarray:
-    """Unit-diagonal covariance of the W slots; deltas[a] is the
-    coefficient of slot indices[a] against component i."""
-    q = len(indices)
-    matrix = np.eye(q)
-    for a in range(q):
-        ka, ta = indices[a].k, indices[a].t
-        for b in range(a + 1, q):
-            kb, tb = indices[b].k, indices[b].t
-            cross = spec.delta(ta, tb, abs(ka - kb))
-            if math.isinf(cross):
-                raise InvalidDeltaSpec(
-                    "delta(%d,%d,%d) is infinite but both endpoints sit at finite"
-                    " dependence distance from component %d; no Gaussian array"
-                    " realises these coefficients" % (ta, tb, abs(ka - kb), i)
-                )
-            denom = 2.0 * math.sqrt(deltas[a] * deltas[b])
-            if denom == 0.0:
-                raise DegenerateDelta("zero coefficient reached the W covariance")
-            matrix[a, b] = matrix[b, a] = (deltas[a] + deltas[b] - cross) / denom
-    return matrix
 
 
 def _factor(matrix: np.ndarray, i: int) -> np.ndarray:
@@ -233,16 +205,19 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     Each fixed-size batch b draws from substream key.child(b): first the
     exponential A, then the Gaussian block, so two estimators sharing a
     key and covariance see identical variates (common random numbers).
-    An empty constraint set short-circuits to the exact value 1.
-    The standard error is the binomial sqrt(p(1-p)/N).
+    Pure-A rows fold into one bound on A/2; the Gaussian rows are checked
+    at once on the gathered columns of W.  An empty constraint set is
+    exactly 1.  The standard error is the binomial sqrt(p(1-p)/N).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if not cs.rows:
+    if len(cs.rows) == 0:
         return ThetaEstimate(
             value=1.0, std_error=0.0, samples=samples, truncation_K=cs.truncation_lag
         )
-    columns = [None if r.w_index is None else cs.indices.index(r.w_index) for r in cs.rows]
+    pure = cs.rows.column < 0
+    a_bound = cs.rows.bound[pure].min(initial=np.inf)
+    gauss = cs.rows[~pure]
     factor_t = cs.factor.T.copy()
     q = len(cs.indices)
     hits = 0
@@ -252,11 +227,12 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
         b = min(_BATCH, samples - done)
         gen = key.child(batch_index).generator()
         a_half = 0.5 * standard_exponential(gen, b)
-        w = standard_normal(gen, (b, q)) @ factor_t if q else None
-        ok = np.ones(b, dtype=bool)
-        for row, column in zip(cs.rows, columns):
-            lhs = a_half if column is None else a_half + row.scale * w[:, column]
-            ok &= lhs <= row.bound
+        ok = a_half <= a_bound
+        if q:
+            lhs = (standard_normal(gen, (b, q)) @ factor_t)[:, gauss.column]
+            lhs *= gauss.scale
+            lhs += a_half[:, None]
+            ok &= (lhs <= gauss.bound).all(axis=1)
         hits += int(ok.sum())
         done += b
         batch_index += 1

@@ -128,6 +128,27 @@ def test_theta_inconsistent_spec_fails_cleanly(tmp_path, capsys):
     assert "PSD" in failure["message"] or "inconsistent" in failure["message"]
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "delta": None}]}, "'delta': None"),
+        ({"d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "delta": "1.0"}]}, "'delta': '1.0'"),
+        ({"d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "delta": True}]}, "'delta': True"),
+        ({"d": 2, "entries": [{"i": "1", "j": 2, "k": 0, "delta": 1.0}]}, "'i': '1'"),
+        ({"d": 2, "entries": [{"i": 1, "j": 2, "k": 0.0, "delta": 1.0}]}, "'k': 0.0"),
+        ({"d": 2, "entries": [{"i": 1, "j": True, "k": 0, "delta": 1.0}]}, "'j': True"),
+        ({"d": True, "entries": []}, "'d'"),
+        ({"d": 2, "entries": None}, "'entries'"),
+    ],
+)
+def test_theta_rejects_malformed_spec_entries(tmp_path, capsys, spec, named):
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run(["theta", "--spec-file", path, "--i", "1", "--x", "0"], capsys)
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "InvalidDeltaSpec" and named in failure["message"]
+
+
 # --- converge ----------------------------------------------------------------------
 
 
@@ -139,6 +160,16 @@ CONVERGE_CFG = {
     "theta": {"method": "ones"},
     "seed": 13,
 }
+
+
+def test_converge_rejects_malformed_spec_entries(tmp_path, capsys):
+    entry = {"i": "1", "j": 2, "k": 0, "delta": 1.0}
+    model = {"name": "hr", "delta_spec": {"d": 2, "entries": [entry], "default": "inf"}}
+    cfg = write_json(tmp_path / "cfg.json", {**CONVERGE_CFG, "model": model})
+    code, out, err = run(["converge", "--config", cfg, "--threads", "1"], capsys)
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "InvalidDeltaSpec" and "'i': '1'" in failure["message"]
 
 
 def test_converge_writes_report_and_manifest(tmp_path, capsys):
@@ -387,6 +418,21 @@ def test_sample_rejects_count_below_one(tmp_path, capsys):
         failure = json.loads(err)
         assert failure["error"] == "ValueError" and "count" in failure["message"]
         assert list(out_dir.iterdir()) == []
+
+
+def test_sample_rejects_non_numeric_model_n(tmp_path, capsys):
+    hr = {"name": "hr", "delta_spec": {"d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "delta": 5.0}]}}
+    for name, model, model_n in (("hr", hr, "1000"), ("geo", SAMPLE_CFG["model"], [5])):
+        out_dir = tmp_path / name
+        cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "model": model, "model_n": model_n})
+        code, out, err = run(["sample", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "ValueError" and "model_n" in failure["message"]
+        assert list(out_dir.iterdir()) == []
+    cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "model": hr, "model_n": 1000})
+    code, _, _ = run(["sample", "--config", cfg, "--out", str(tmp_path / "ok")], capsys)
+    assert code == 0
 
 
 # --- failure paths -------------------------------------------------------------------

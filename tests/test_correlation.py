@@ -472,22 +472,40 @@ def counting(model):
     return dataclasses.replace(model, rho=rho), calls
 
 
-def test_rho_read_only_through_lag_table():
-    # estimate_delta probes one (i, j, k) across n; every read across lags
-    # goes through lag_table
+def call_sites(attr):
+    """(file, dotted enclosing class and function names) of every call to
+    .<attr>( in src/hrex."""
     callers = set()
 
     def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = (where[0], node.name)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "rho":
-            callers.add(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = (where[0], where[1] + (node.name,))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr:
+            callers.add((where[0], ".".join(where[1]) or "<module>"))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in sorted((ROOT / "src" / "hrex").glob("*.py")):
-        visit(ast.parse(path.read_text()), (path.name, "<module>"))
-    assert callers == {("correlation.py", "lag_table"), ("correlation.py", "estimate_delta")}
+        visit(ast.parse(path.read_text()), (path.name, ()))
+    return callers
+
+
+def test_rho_read_only_through_lag_table():
+    # estimate_delta probes one (i, j, k) across n; every read across lags
+    # goes through lag_table
+    assert call_sites("rho") == {
+        ("correlation.py", "lag_table"),
+        ("correlation.py", "estimate_delta"),
+    }
+
+
+def test_delta_read_only_through_delta_table():
+    # hr_family's rho reads one (i, j, k) per correlation; every read across
+    # lags goes through DeltaSpec.table
+    assert call_sites("delta") == {
+        ("correlation.py", "DeltaSpec.table"),
+        ("correlation.py", "hr_family.rho"),
+    }
 
 
 def test_lag_table_cuts_beyond_max_lag_without_calling_rho():

@@ -23,12 +23,9 @@ from hypothesis import strategies as st
 from hrex.correlation import DeltaSpec
 from hrex.errors import DegenerateDelta, InvalidDeltaSpec
 from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf
-from hrex.rng import RngKey
+from hrex.rng import RngKey, standard_exponential, standard_normal
 from hrex.theta import (
-    ConstraintRow,
     ThetaEstimate,
-    WIndex,
-    _w_covariance,
     build_constraints,
     estimate_theta,
     theta_bivariate_closed_form,
@@ -76,7 +73,7 @@ def parallel_lines(a, b, k):
 
 def test_w_cov_single_index_is_unit():
     w = build_constraints(serial_spec(**{"1": 2.0}), [0.0], 1, 1)
-    assert w.indices == (WIndex(k=2, t=1),)
+    assert w.indices == ((2, 1),)
     assert np.array_equal(w.matrix, np.eye(1))
 
 
@@ -128,14 +125,14 @@ def test_w_cov_non_psd_rejected():
 
 
 def test_w_cov_degenerate_guard():
-    # the slot rule keeps zero coefficients out of the W vector; if one
-    # slips through, the fill must refuse rather than divide by zero
+    # the slot rule keeps zero coefficients out of the W vector, but two
+    # tiny positive ones underflow the denominator 2 sqrt(d_a d_b) to 0;
+    # the fill must refuse rather than divide by zero
     spec = DeltaSpec.from_entries(
-        2, {(1, 2, 0): 0.0, (1, 2, 1): 1.0, (1, 1, 1): 1.0}
+        3, {(1, 2, 0): 1e-200, (1, 3, 0): 1e-200, (2, 3, 0): 1e-200}
     )
-    slots = [WIndex(k=1, t=1), WIndex(k=2, t=1)]
     with pytest.raises(DegenerateDelta):
-        _w_covariance(spec, 2, slots, [spec.delta(s.t, 2, s.k - 1) for s in slots])
+        build_constraints(spec, [0.0, 0.0, 0.0], 3, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,14 +161,14 @@ def test_one_pass_slots_and_rows(lines, alpha, target, lag):
         spec, target = power_variogram(alpha, math.inf), 1
     cs = build_constraints(spec, [0.0] * spec.d, target, lag)
     expect = tuple(
-        WIndex(k=ell + 1, t=t)
+        (ell + 1, t)
         for ell in range(lag + 1)
         for t in range(1, spec.d + 1)
         if 0.0 < spec.delta(t, target, ell) < math.inf
     )
     assert cs.indices == expect
     for row in cs.rows:
-        assert row.w_index in cs.indices or (row.w_index is None and row.scale == 0.0)
+        assert 0 <= row.column < len(cs.indices) or (row.column == -1 and row.scale == 0.0)
 
 
 # --- constraint sets ----------------------------------------------------------
@@ -179,7 +176,7 @@ def test_one_pass_slots_and_rows(lines, alpha, target, lag):
 
 def test_constraints_all_infinite_empty():
     cs = build_constraints(DeltaSpec.from_entries(2, {}), [0.0, 0.0], 2, max_lag=3)
-    assert cs.rows == ()
+    assert len(cs.rows) == 0
 
 
 def test_constraints_bivariate_lag0_row():
@@ -188,7 +185,7 @@ def test_constraints_bivariate_lag0_row():
     cs = build_constraints(bivariate_spec(lam), list(x), 2, max_lag=0)
     assert len(cs.rows) == 1
     row = cs.rows[0]
-    assert row.w_index == WIndex(k=1, t=1)
+    assert cs.indices[row.column] == (1, 1)
     assert row.scale == pytest.approx(math.sqrt(lam))
     assert row.bound == pytest.approx(lam + (x[0] - x[1]) / 2.0)
     assert row.scale**2 == pytest.approx(lam, abs=1e-12)
@@ -196,13 +193,13 @@ def test_constraints_bivariate_lag0_row():
 
 def test_constraints_first_component_has_no_lag0_block():
     cs = build_constraints(bivariate_spec(1.0), [0.0, 0.0], 1, max_lag=0)
-    assert cs.rows == ()
+    assert len(cs.rows) == 0
 
 
 def test_constraints_zero_lag0_coefficient_is_pure_exponential():
     cs = build_constraints(bivariate_spec(0.0), [1.0, 0.2], 2, max_lag=0)
     assert len(cs.rows) == 1
-    assert cs.rows[0].w_index is None
+    assert cs.rows[0].column == -1
     assert cs.rows[0].scale == 0.0
     assert cs.rows[0].bound == pytest.approx((1.0 - 0.2) / 2.0)
 
@@ -220,7 +217,7 @@ def test_constraints_serial_rows():
     )
     for i in (1, 2):
         cs = build_constraints(spec, [0.0, 0.0], i, max_lag=2)
-        assert [r.w_index for r in cs.rows] == [WIndex(k=2, t=i), WIndex(k=3, t=i)]
+        assert [cs.indices[r.column] for r in cs.rows] == [(2, i), (3, i)]
 
 
 def test_constraints_validate_inputs():
@@ -258,7 +255,7 @@ def test_estimate_empty_is_exactly_one():
 def test_estimate_impossible_bound_is_zero():
     cs = dataclasses.replace(
         build_constraints(DeltaSpec.from_entries(1, {}), [0.0], 1, 0),
-        rows=(ConstraintRow(w_index=None, scale=0.0, bound=0.0),),
+        rows=np.rec.fromrecords([(-1, 0.0, 0.0)], names="column,scale,bound"),
     )
     est = estimate_theta(cs, samples=5000, key=RngKey(0).child(0))
     assert est.value == 0.0
@@ -303,6 +300,44 @@ def test_estimate_pathwise_monotone_in_bound(lam, widen):
     a = estimate_theta(tight, samples=20000, key=key)
     b = estimate_theta(loose, samples=20000, key=key)
     assert b.value >= a.value
+
+
+def per_row_estimate(cs, samples, key):
+    # reference: the per-row check, drawing A first and then the (b, q)
+    # normal block whenever the constraint set has W slots
+    hits, done, batch, q = 0, 0, 0, len(cs.indices)
+    while done < samples:
+        b = min(1 << 16, samples - done)
+        gen = key.child(batch).generator()
+        a_half = 0.5 * standard_exponential(gen, b)
+        w = standard_normal(gen, (b, q)) @ cs.factor.T.copy() if q else None
+        ok = np.ones(b, dtype=bool)
+        for row in cs.rows:
+            column, scale, bound = int(row.column), float(row.scale), float(row.bound)
+            lhs = a_half if column == -1 else a_half + scale * w[:, column]
+            ok &= lhs <= bound
+        hits += int(ok.sum())
+        done += b
+        batch += 1
+    return hits / samples
+
+
+@pytest.mark.parametrize(
+    "spec, x, i, lag",
+    [
+        (bivariate_spec(1.3), [0.3, -0.5], 2, 0),
+        (bivariate_spec(0.0), [1.0, 0.2], 2, 0),
+        (DeltaSpec.from_entries(3, {(1, 2, 0): 0.5, (1, 3, 0): 1.0, (2, 3, 0): 0.8}),
+         [0.3, -0.5, 1.1], 3, 0),
+        (DeltaSpec.from_entries(3, {(1, 2, 0): 0.0, (2, 3, 0): 1.0}), [0.4, 0.0, -0.2], 2, 0),
+        (DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf), [0.0], 1, 16),
+    ],
+    ids=["bivariate", "zero_lag0", "d3_lag0", "pure_a_with_slots", "brownian_K16"],
+)
+def test_estimate_matches_per_row_reference(spec, x, i, lag):
+    cs = build_constraints(spec, x, i, lag)
+    samples, key = (1 << 16) + 1000, RngKey(29).child(i)
+    assert estimate_theta(cs, samples=samples, key=key).value == per_row_estimate(cs, samples, key)
 
 
 def test_estimate_value_range_and_se_bound():
