@@ -59,25 +59,48 @@ from .theta import theta_for_spec
 LEMMA1_TOL = 1e-12
 
 
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          list: ((list,), "a list"), dict: ((dict,), "a JSON object")}
+
+
+def _typed(value, kind: type, name: str):
+    """A config value checked to be an int (a bool is not one), a number
+    (returned as float), a list or an object; else a ValueError naming it."""
+    allowed, what = _KINDS[kind]
+    if type(value) not in allowed:
+        raise ValueError("%s must be %s, got %r" % (name, what, value))
+    return float(value) if kind is float else value
+
+
+def _list_of(value, kind: type, name: str) -> list:
+    return [_typed(v, kind, "%s[%d]" % (name, a)) for a, v in enumerate(_typed(value, list, name))]
+
+
+def _rows(value, name: str) -> list[list[float]]:
+    return [_list_of(row, float, "%s[%d]" % (name, g)) for g, row in enumerate(_typed(value, list, name))]
+
+
 def model_from_jsonable(obj: dict) -> CorrelationModel:
-    name = obj.get("name")
+    name = _typed(obj, dict, "model").get("name")
     if name == "hr":
         return hr_family(DeltaSpec.from_jsonable(obj["delta_spec"]))
+    if name not in ("iid", "tabulated", "geometric", "constant"):
+        raise ValueError("unknown model name %r" % (name,))
+    d = _typed(obj["d"], int, "model.d")
     if name == "iid":
-        return iid_model(int(obj["d"]))
+        return iid_model(d)
     if name == "tabulated":
-        table = {
-            (item["i"], item["j"], item["k"]): float(item["rho"])
-            for item in obj.get("entries", [])
-        }
-        return tabulated_model(int(obj["d"]), table)
+        table = {}
+        for a, item in enumerate(_typed(obj.get("entries", []), list, "model.entries")):
+            where = "model.entries[%d]" % a
+            item = _typed(item, dict, where)
+            key = tuple(_typed(item[f], int, "%s.%s" % (where, f)) for f in "ijk")
+            table[key] = _typed(item["rho"], float, where + ".rho")
+        return tabulated_model(d, table)
     if name == "geometric":
-        return geometric_model(
-            int(obj["d"]), float(obj["rate"]), float(obj.get("cross", 0.0))
-        )
-    if name == "constant":
-        return constant_model(int(obj["d"]), float(obj["rho"]))
-    raise ValueError("unknown model name %r" % (name,))
+        cross = _typed(obj.get("cross", 0.0), float, "model.cross")
+        return geometric_model(d, _typed(obj["rate"], float, "model.rate"), cross)
+    return constant_model(d, _typed(obj["rho"], float, "model.rho"))
 
 
 def _resolve_out(args) -> Path | None:
@@ -111,7 +134,7 @@ def _write_manifest(
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _typed(json.load(fh), dict, "config")
 
 
 def _extended_float(text: str) -> float:
@@ -147,20 +170,21 @@ def cmd_theta(args) -> int:
 
 
 def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
-    theta_cfg = cfg.get("theta", {})
+    theta_cfg = _typed(cfg.get("theta", {}), dict, "theta")
     method = theta_cfg.get("method", "mc" if model.delta_spec is not None else "ones")
     if method == "ones":
         return [[1.0] * model.d for _ in x_grid]
     if method == "values":
-        values = theta_cfg["values"]
+        values = _rows(theta_cfg["values"], "theta.values")
         if len(values) != len(x_grid):
             raise ValueError("need one theta vector per grid point")
         return values
     if method == "mc":
         if model.delta_spec is None:
             raise ValueError("theta method 'mc' needs a model with a coefficient spec")
-        samples = int(theta_cfg.get("samples", 100_000))
+        samples = _typed(theta_cfg.get("samples", 100_000), int, "theta.samples")
         max_lag = theta_cfg.get("max_lag")
+        max_lag = None if max_lag is None else _typed(max_lag, int, "theta.max_lag")
         key = RngKey(seed)
         out = []
         for g, x in enumerate(x_grid):
@@ -178,13 +202,13 @@ def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
 def cmd_converge(args) -> int:
     started = time.time()
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
     model = model_from_jsonable(cfg["model"])
     experiment = ExperimentConfig(
         model=model,
-        n_list=tuple(cfg["n_list"]),
-        replicates=int(cfg["replicates"]),
-        x_grid=tuple(tuple(p) for p in cfg["x_grid"]),
+        n_list=tuple(_list_of(cfg["n_list"], int, "n_list")),
+        replicates=_typed(cfg["replicates"], int, "replicates"),
+        x_grid=_rows(cfg["x_grid"], "x_grid"),
         seed=seed,
         sampler=args.sampler or cfg.get("sampler", "cholesky"),
     )
@@ -223,10 +247,10 @@ def cmd_check(args) -> int:
     started = time.time()
     cfg = _load_config(args.config)
     model = model_from_jsonable(cfg["model"])
-    n_list = [int(n) for n in cfg["n_list"]]
-    l_exp = float(cfg.get("l_exponent", 0.4))
-    r_exp = float(cfg.get("r_exponent", 0.6))
-    m_list = [int(m) for m in cfg.get("m_list", [1])]
+    n_list = _list_of(cfg["n_list"], int, "n_list")
+    l_exp = _typed(cfg.get("l_exponent", 0.4), float, "l_exponent")
+    r_exp = _typed(cfg.get("r_exponent", 0.6), float, "r_exponent")
+    m_list = _list_of(cfg.get("m_list", [1]), int, "m_list")
     rows = [condition_row(model, n, l_exp, r_exp, m_list) for n in n_list]
 
     metrics = ["long_range", "simplified"] + ["short_range_m%d" % m for m in m_list]
@@ -261,12 +285,12 @@ def cmd_lemma1(args) -> int:
     started = time.time()
     cfg = _load_config(args.config)
     dist = DiscreteMatrixDistribution.iid_cells(
-        n=int(cfg["n"]),
-        d=int(cfg["d"]),
-        atoms=[float(a) for a in cfg["atoms"]],
-        probs=[float(p) for p in cfg["probs"]] if "probs" in cfg else None,
+        n=_typed(cfg["n"], int, "n"),
+        d=_typed(cfg["d"], int, "d"),
+        atoms=_list_of(cfg["atoms"], float, "atoms"),
+        probs=_list_of(cfg["probs"], float, "probs") if "probs" in cfg else None,
     )
-    report = lemma1_check(dist, [float(v) for v in cfg["thresholds"]])
+    report = lemma1_check(dist, _list_of(cfg["thresholds"], float, "thresholds"))
     payload = {
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -290,18 +314,18 @@ def cmd_sample(args) -> int:
     out_dir = _resolve_out(args)
     if out_dir is None:
         raise ValueError("sample needs an output directory (--out or HREX_OUT)")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
     model = model_from_jsonable(cfg["model"])
     length = cfg.get("length", cfg.get("n"))
     if length is None:
         raise ValueError("sample config needs a path 'length' (or 'n')")
-    length = int(length)
-    count = int(cfg["count"])
+    length = _typed(length, int, "length")
+    count = _typed(cfg["count"], int, "count")
     if count < 1:
         raise ValueError("sample config needs 'count' >= 1, got %d" % count)
     model_n = cfg.get("model_n")
-    if model_n is not None and type(model_n) not in (int, float):
-        raise ValueError("sample config 'model_n' must be a number, got %r" % (model_n,))
+    if model_n is not None:
+        _typed(model_n, float, "model_n")
     sampler = args.sampler or cfg.get("sampler", "cholesky")
     key = RngKey(seed).child(length)
     files = []

@@ -160,6 +160,8 @@ class DeltaSpec:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "DeltaSpec":
+        if not isinstance(obj, Mapping):
+            raise InvalidDeltaSpec("a coefficient spec must be a JSON object, got %r" % (obj,))
         if obj.get("default", "inf") != "inf":
             raise InvalidDeltaSpec("only default 'inf' is supported")
         items = obj.get("entries", [])

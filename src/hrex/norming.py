@@ -49,8 +49,8 @@ def norming_constants(n: int) -> NormingConstants:
     """Norming constants a_n, b_n of the standard normal maximum.
 
     Requires an integer sample size n >= 2 (log log n must be defined).
-    For every n >= 2 the constants satisfy 0 < b_n < a_n is false in
-    general; what always holds is a_n > 0, and b_n < a_n for n >= 3.
+    Every such n gives 0 < b_n < a_n: b_n < a_n reduces to
+    log log n > -log 4*pi, and b_n > 0 to 4 log n > log log n + log 4*pi.
     """
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise ValueError("need an integer sample size n")

@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .correlation import DeltaSpec
@@ -284,6 +283,8 @@ def theta_oracle_single(delta: float, shift: float) -> float:
 
     evaluated to absolute error below 1e-9.  Requires finite delta > 0.
     """
+    from scipy.integrate import quad  # only this oracle needs it; a run does not load it
+
     _check_oracle_args(delta, shift)
     b = delta + shift
     s = math.sqrt(delta)

@@ -7,6 +7,8 @@ import math
 import pytest
 
 from hrex.cli import main, model_from_jsonable
+from hrex.norming import limit_cdf
+from hrex.theta import theta_bivariate_closed_form
 
 PHI_1 = 0.84134474606854295
 
@@ -139,6 +141,7 @@ def test_theta_inconsistent_spec_fails_cleanly(tmp_path, capsys):
         ({"d": 2, "entries": [{"i": 1, "j": True, "k": 0, "delta": 1.0}]}, "'j': True"),
         ({"d": True, "entries": []}, "'d'"),
         ({"d": 2, "entries": None}, "'entries'"),
+        ([1, 2], "must be a JSON object, got [1, 2]"),
     ],
 )
 def test_theta_rejects_malformed_spec_entries(tmp_path, capsys, spec, named):
@@ -234,6 +237,24 @@ def test_converge_env_out_overrides_flag(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (env_dir / "report.csv").exists()
     assert not flag_dir.exists()
+
+
+def test_converge_closed_form_theta_values(tmp_path, capsys):
+    grid = [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.5]]
+    values = [list(theta_bivariate_closed_form(1.0, *x)) for x in grid]
+    model = {"name": "hr", "delta_spec": {"d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "delta": 1.0}]}}
+    cfg = {**CONVERGE_CFG, "model": model, "x_grid": grid, "theta": {"method": "values", "values": values}}
+    out_dir = tmp_path / "out"
+    argv = ["converge", "--config", write_json(tmp_path / "cfg.json", cfg), "--threads", "1"]
+    code, _, _ = run(argv + ["--out", str(out_dir)], capsys)
+    assert code in (0, 1)
+    report = json.loads((out_dir / "report.json").read_text())
+    limits = [limit_cdf(v, x) for v, x in zip(values, grid)]
+    assert [e["limit"] for e in report["entries"]] == [limits, limits]
+    write_json(tmp_path / "cfg.json", {**cfg, "theta": {"method": "values", "values": values[:2]}})
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "need one theta vector per grid point"}
 
 
 def test_converge_mc_thetas_on_dependent_model(tmp_path, capsys):
@@ -436,6 +457,54 @@ def test_sample_rejects_non_numeric_model_n(tmp_path, capsys):
 
 
 # --- failure paths -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        ({"name": "tabulated", "d": 2, "entries": [{"i": "1", "j": 2, "k": 0, "rho": 0.3}]},
+         "model.entries[0].i must be an integer, got '1'"),
+        ({"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 2, "k": 0.0, "rho": 0.3}]},
+         "model.entries[0].k must be an integer, got 0.0"),
+        ({"name": "tabulated", "d": 2, "entries": [[1, 2, 0, 0.3]]},
+         "model.entries[0] must be a JSON object, got [1, 2, 0, 0.3]"),
+        (3, "model must be a JSON object, got 3"),
+        ({"name": "geometric", "d": 2.7, "rate": 0.5}, "model.d must be an integer, got 2.7"),
+        ({"name": "iid", "d": True}, "model.d must be an integer, got True"),
+        ({"name": "constant", "d": 1, "rho": "0.3"}, "model.rho must be a number, got '0.3'"),
+    ],
+)
+def test_check_rejects_malformed_model(tmp_path, capsys, model, named):
+    cfg = write_json(tmp_path / "cfg.json", {"model": model, "n_list": [100, 1000]})
+    code, out, err = run(["check", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": named}
+
+
+HR_SERIAL = {"name": "hr", "delta_spec": {"d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "delta": 5.0}]}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, named",
+    [
+        ("converge", {**CONVERGE_CFG, "theta": 5}, "theta must be a JSON object, got 5"),
+        ("converge", {**CONVERGE_CFG, "model": HR_SERIAL, "theta": {"max_lag": "3"}},
+         "theta.max_lag must be an integer, got '3'"),
+        ("converge", {**CONVERGE_CFG, "n_list": 5}, "n_list must be a list, got 5"),
+        ("converge", {**CONVERGE_CFG, "n_list": [8, 64.0]}, "n_list[1] must be an integer, got 64.0"),
+        ("converge", {**CONVERGE_CFG, "x_grid": [0.0, 1.0]}, "x_grid[0] must be a list, got 0.0"),
+        ("check", {"model": {"name": "iid", "d": 1}, "n_list": [100], "m_list": 1},
+         "m_list must be a list, got 1"),
+        ("lemma1", [3, 2], "config must be a JSON object, got [3, 2]"),
+    ],
+)
+def test_rejects_mistyped_config_fields(tmp_path, capsys, command, cfg, named):
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out_dir)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": named}
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
 def test_check_rejects_flags_it_does_not_read(capsys):

@@ -5,7 +5,6 @@ the asymptotic condition checkers.
 import ast
 import collections
 import dataclasses
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -607,20 +606,3 @@ def test_checkers_name_a_non_finite_correlation():
     with pytest.raises(ValueError, match="non-finite"):
         lag_table(model, range(1, 7), 100)
 
-
-def test_condition_sweep_script_rows(capsys):
-    spec = importlib.util.spec_from_file_location("condition_sweep", ROOT / "scripts" / "condition_sweep.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--n-list", "100", "1000"]) == 0
-    lines = [line.split() for line in capsys.readouterr().out.splitlines()[2:] if line.strip()]
-    assert len(lines) == 2 * len(script.stock_models())
-    for fields in lines:
-        n = int(fields[-6])
-        model = script.stock_models()[" ".join(fields[:-6])]
-        row = condition_row(model, n, 0.4, 0.6, [1])
-        assert fields[-6:] == [str(n), str(row["l_n"]), str(row["r_n"])] + [
-            "%.4e" % row[key] for key in ("long_range", "simplified", "short_range_m1")
-        ]
-    iid = [fields for fields in lines if fields[0] == "iid"]
-    assert [float(fields[-3]) for fields in iid] == [0.0, 0.0]

@@ -1,4 +1,4 @@
-"""Every module-level import in the package and the scripts is used.
+"""Every module-level import in the package is used.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by a top-level import must be read somewhere in the module or be
@@ -6,12 +6,15 @@ re-exported through __all__.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "hrex").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "hrex").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +42,20 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loaded_after(statement: str) -> set[str]:
+    """Names in sys.modules after running statement in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = statement + "; import sys; print(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return set(done.stdout.split())
+
+
+def test_package_root_loads_only_what_a_run_calls():
+    # import hrex loads no submodule and no scipy; scipy.integrate serves
+    # only the quadrature oracle, so the CLI does not load it either
+    loaded = loaded_after("import hrex")
+    assert sorted(m for m in loaded if m.startswith("hrex.") or m.split(".")[0] == "scipy") == []
+    assert "scipy.integrate" not in loaded_after("import hrex.cli")

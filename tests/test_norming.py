@@ -44,9 +44,10 @@ def test_a_n_closed_form():
 
 
 def test_b_below_a():
-    for n in (3, 4, 10, 100, 10**5):
+    # 0 < b_n < a_n holds for every n >= 2
+    for n in [*range(2, 10**5 + 1), *(10**e for e in range(5, 300))]:
         c = norming_constants(n)
-        assert c.b_n < c.a_n
+        assert 0.0 < c.b_n < c.a_n, n
 
 
 def test_a_monotone_in_n():
