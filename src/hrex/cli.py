@@ -201,6 +201,8 @@ def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
 
 def cmd_converge(args) -> int:
     started = time.time()
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1, got %d" % args.threads)
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
     model = model_from_jsonable(cfg["model"])

@@ -29,6 +29,7 @@ block-decoupling step of the limit argument.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,12 +37,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri, ndtri_exp
 
-from .correlation import CorrelationModel
+from .correlation import CorrelationModel, lag_table
+from .errors import NotPositiveSemidefinite
 from .jsonio import to_jsonable, write_json
-from .norming import limit_cdf, norming_constants, threshold
-from .rng import RngKey
-from .sampler import iter_path_blocks, make_plan
+from .norming import limit_cdf, norming_constants, threshold, upper_orthant
+from .rng import RngKey, uniform_open
+from .sampler import is_lag0, iter_path_blocks, make_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -63,6 +66,8 @@ __all__ = [
     "write_convergence_csv",
     "write_convergence_json",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -129,28 +134,44 @@ def maxima_matrix(
     threads: int = 1,
 ) -> np.ndarray:
     """Componentwise maxima of `replicates` independent rows of size n,
-    streamed so that only the (replicates, d) result is ever held.
+    streamed so that only the (replicates, d) result is ever held.  Lag-0
+    rows (make_plan's lag-0 route) with d <= 2 take the exact route, 2d - 1
+    uniforms per replicate at a cost free of n; others take the path maxima.
 
     Replicate r always draws from substream key.child(r), so the result is
     byte-identical for every thread count; threads only split the replicate
     range into fixed chunks worked in parallel, on at most one worker per
-    CPU and per replicate.  The route is planned once and shared by every
-    chunk."""
+    CPU and per replicate.  The route is planned once, logged at DEBUG and
+    shared by every chunk."""
     out = np.empty((replicates, model.d))
+    exact = model.d <= 2 and is_lag0(model, n)
+
+    def planned():
+        if exact:
+            rho = float(lag_table(model, range(1), n)[0, 0, -1])
+            if abs(rho) > 1.0 + 1e-9:
+                raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
+        plan = min(max(rho, -1.0), 1.0) if exact else make_plan(model, n, sampler)
+        uniforms = 2 * model.d - 1 if exact else plan[0]
+        log.debug("maxima_matrix route=%s n=%d replicates=%d uniforms=%d",
+                  "lag0-exact" if exact else "path", n, replicates, uniforms * replicates)
+        return plan
 
     def worker(plan, start: int, count: int) -> None:
-        blocks = iter_path_blocks(model, n, key, count, start=start, plan=plan)
-        for first, block in blocks:
-            out[first : first + block.shape[0]] = block.max(axis=1)
+        if exact:
+            out[start : start + count] = _lag0_maxima(model.d, n, plan, key, start, count)
+        else:
+            for first, block in iter_path_blocks(model, n, key, count, start=start, plan=plan):
+                out[first : first + block.shape[0]] = block.max(axis=1)
 
     workers = min(threads, os.cpu_count() or 1, replicates)
     if workers <= 1:
         # only the worker holds the plan, so it is freed before the last
         # block; in the other order the freed heap of a large plan stayed
         # resident into the next call (+36 MB peak RSS in serial_maxima)
-        worker(make_plan(model, n, sampler), 0, replicates)
+        worker(planned(), 0, replicates)
         return out
-    plan = make_plan(model, n, sampler)
+    plan = planned()
     chunk = -(-replicates // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         starts = range(0, replicates, chunk)
@@ -158,6 +179,27 @@ def maxima_matrix(
         for f in futures:
             f.result()
     return out
+
+
+def _lag0_maxima(d: int, n: int, rho: float, key: RngKey, start: int, count: int) -> np.ndarray:
+    """Maxima of n independent rows from uniforms U1..U(2d-1) per replicate:
+    M1 = Phi^-1(U1^(1/n)), X2 at its argmax is rho M1 + sqrt(1 - rho^2) Phi^-1(U2),
+    and the max of X2 over the other n - 1 rows (X1 < M1) inverts at U3 the CDF
+    F(y) = (1 - P(X1 < M1, X2 > y) / Phi(M1))^(n-1) by bisection; M2 is the larger."""
+    draws = [uniform_open(key.child(r).generator(), 2 * d - 1) for r in range(start, start + count)]
+    u = np.array(draws).reshape(count, 2 * d - 1)
+    m1 = ndtri_exp(np.log(u[:, 0]) / n)
+    if d == 1:
+        return m1[:, None]
+    # F(y) < U3 iff P(X1 < M1, X2 > y) > (1 - U3^(1/(n-1))) Phi(M1); n = 1 has no other rows
+    level = -np.expm1(np.log(u[:, 2]) / max(n - 1, 1)) * ndtr(m1)
+    lo, hi = np.full(count, -40.0), np.full(count, 40.0)
+    for _ in range(60):  # halves [-40, 40] down to a width of 7e-17
+        mid = 0.5 * (lo + hi)
+        low = ndtr(-mid) - upper_orthant(m1, mid, rho) > level
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    at_argmax = rho * m1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * ndtri(u[:, 1])
+    return np.column_stack([m1, np.maximum(at_argmax, hi if n > 1 else -np.inf)])
 
 
 def empirical_cdf(

@@ -15,7 +15,8 @@ the form
 with dependence coefficients theta_i in [0, 1]; theta_i = 1 recovers the
 independent product of Gumbel margins.  The bivariate one-parameter
 family H_lambda below interpolates between full dependence (lambda = 0)
-and independence (lambda = infinity).
+and independence (lambda = infinity); lag0_max_cdf is the exact finite-n
+law of serially independent bivariate rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.special import ndtr
+import numpy as np
+from scipy.special import ndtr, owens_t
 
 __all__ = [
     "NormingConstants",
@@ -33,6 +35,8 @@ __all__ = [
     "std_normal_cdf",
     "hr_bivariate_cdf",
     "limit_cdf",
+    "upper_orthant",
+    "lag0_max_cdf",
 ]
 
 _LOG_4PI = math.log(4.0 * math.pi)
@@ -129,6 +133,31 @@ def limit_cdf(thetas: Sequence[float], x: Sequence[float]) -> float:
             raise ValueError("need non-NaN levels x")
         total += th * _exp_neg(xi)
     return math.exp(-total)
+
+
+def upper_orthant(h, k, rho: float) -> np.ndarray:
+    """P(X1 > h, X2 > k) elementwise for standard normals with correlation rho,
+    by Owen's T (Owen 1956): Q(h)/2 + Q(k)/2 - T(h, (k - rho h) / (h s)) -
+    T(k, (h - rho k) / (k s)) - beta, with Q(x) = Phi(-x), s = sqrt(1 - rho^2)
+    and beta = 1/2 when h, k differ in sign; rho = +-1 (X2 = +-X1) are closed forms."""
+    if rho == 1.0:
+        return ndtr(-np.maximum(h, k))
+    if rho == -1.0:
+        return np.maximum(ndtr(-k) - ndtr(h), 0.0)
+    # the terms divide by h and k; the orthant is continuous, so an exact 0 moves to 1e-200
+    h, k = np.where(h == 0.0, 1e-200, h), np.where(k == 0.0, 1e-200, k)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    t = owens_t(h, (k - rho * h) / (h * s)) + owens_t(k, (h - rho * k) / (k * s))
+    return 0.5 * (ndtr(-h) + ndtr(-k)) - t - 0.5 * ((h < 0) != (k < 0))
+
+
+def lag0_max_cdf(n: int, u, rho: float) -> np.ndarray:
+    """Exact P(M_n <= u), u = (..., 2), for n independent rows of a bivariate
+    normal with correlation rho: exp(n log1p(-p)), p the union exceedance."""
+    u = np.asarray(u, dtype=float)
+    p = ndtr(-u[..., 0]) + ndtr(-u[..., 1]) - upper_orthant(u[..., 0], u[..., 1], rho)
+    with np.errstate(divide="ignore"):  # p = 1: the CDF is 0
+        return np.exp(n * np.log1p(-p))
 
 
 def _exp_neg(x: float) -> float:

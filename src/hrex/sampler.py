@@ -23,13 +23,13 @@ sizes the band:
   blocks stay positive semidefinite; padding is doubled up to three times
   before falling back to dense Cholesky with a logged warning.
 
-`iter_path_blocks` is the one batching loop.  A caller that splits the
-replicates into chunks (`hrex.experiments.maxima_matrix`) makes the plan
-once per call and hands it to every chunk, so the covariance, factor or
-spectrum is built once however many threads work.  Replicate r draws its
-normals from its own substream key.child(r), so results are reproducible
-for a given (seed, model, length, count) no matter how replicates are
-batched or parallelised.
+`iter_path_blocks` is the one batching loop.  `maxima_matrix` (which
+draws lag-0 maxima with d <= 2 exactly instead) splits the replicates
+into chunks and hands the one plan to every chunk, so the covariance,
+factor or spectrum is built once however many threads work.  Replicate r
+draws its normals from its own substream key.child(r), so results are
+reproducible for a given (seed, model, length, count) no matter how
+replicates are batched or parallelised.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "SamplePath",
     "assemble_covariance",
     "validate_psd",
+    "is_lag0",
     "make_plan",
     "iter_path_blocks",
     "write_path",
@@ -210,6 +211,11 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
     return 2 * m * d, transform
 
 
+def is_lag0(model: CorrelationModel, length: int) -> bool:
+    """Whether a length-L path has no serial dependence: make_plan's lag-0 route."""
+    return model.max_lag == 0 or length == 1
+
+
 def make_plan(
     model: CorrelationModel, length: int, method: str, n: float | None = None
 ) -> Plan:
@@ -224,7 +230,7 @@ def make_plan(
         raise ValueError("need path length >= 1")
     if n is None:
         n = length
-    if model.max_lag == 0 or length == 1:
+    if is_lag0(model, length):
         return _lag0_plan(model, length, n)
     if method == "circulant":
         plan = _circulant_plan(model, length, n)

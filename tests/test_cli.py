@@ -175,6 +175,19 @@ def test_converge_rejects_malformed_spec_entries(tmp_path, capsys):
     assert failure["error"] == "InvalidDeltaSpec" and "'i': '1'" in failure["message"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_converge_rejects_threads_below_one(threads, tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", CONVERGE_CFG)
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        ["converge", "--config", cfg, "--out", str(out_dir), "--threads", threads], capsys
+    )
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "ValueError" and "--threads" in failure["message"]
+    assert not out_dir.exists()
+
+
 def test_converge_writes_report_and_manifest(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", CONVERGE_CFG)
     out_dir = tmp_path / "out"

@@ -4,6 +4,7 @@ matrices, and block self-consistency."""
 
 import csv
 import io
+import logging
 import math
 import sys
 
@@ -11,6 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import log_ndtr, ndtri
+from scipy.stats import kstest, multivariate_normal
 
 from hrex import sampler
 from hrex.correlation import DeltaSpec, geometric_model, hr_family, iid_model, tabulated_model
@@ -32,8 +36,8 @@ from hrex.experiments import (
     write_convergence_csv,
     write_convergence_json,
 )
-from hrex.norming import limit_cdf, norming_constants, std_normal_cdf, threshold
-from hrex.rng import RngKey
+from hrex.norming import lag0_max_cdf, limit_cdf, norming_constants, std_normal_cdf, threshold
+from hrex.rng import RngKey, uniform_open
 from hrex.sampler import iter_path_blocks
 
 
@@ -93,7 +97,7 @@ def test_config_coerces_types():
 
 
 def test_maxima_match_full_paths():
-    model = bivariate_hr(1.5)
+    model = geometric_model(2, 0.5, 0.3)
     key = RngKey(11).child(100)
     maxima = maxima_matrix(model, 12, key, 40, sampler="cholesky")
     stacked = np.concatenate([b for _, b in iter_path_blocks(model, 12, key, 40, method="cholesky")])
@@ -110,7 +114,8 @@ def test_maxima_thread_count_invariant():
 
 ROUTES = {
     # route: (model, length, replicates, sampler)
-    "lag0": (bivariate_hr(1.0), 16, 9, "cholesky"),
+    "lag0_exact": (bivariate_hr(1.0), 16, 9, "cholesky"),
+    "lag0_path": (iid_model(3), 16, 9, "cholesky"),
     "dense": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
     "banded": (tabulated_model(1, {(1, 1, 1): 0.3}), 8200, 5, "cholesky"),
     "circulant": (geometric_model(2, 0.5, 0.3), 256, 9, "circulant"),
@@ -197,6 +202,79 @@ def test_maxima_shape_and_samplers_agree_for_iid():
     b = maxima_matrix(model, 8, key, 25, sampler="circulant")
     assert a.shape == (25, 3)
     assert np.array_equal(a, b)
+
+
+# --- exact lag-0 route --------------------------------------------------------------
+
+GRID9 = [(x1, x2) for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.0, 1.0)]
+LAW_CASES = {
+    # case: (model, n, lag-0 correlation at n, seed)
+    "hr-1e3": (bivariate_hr(1.0), 10**3, 1.0 - 1.0 / math.log(10**3), 9101),
+    "hr-1e5": (bivariate_hr(1.0), 10**5, 1.0 - 1.0 / math.log(10**5), 9102),
+    "hr-1e8": (bivariate_hr(1.0), 10**8, 1.0 - 1.0 / math.log(10**8), 9103),
+    "geometric-rho+1": (geometric_model(2, 0.0, 1.0), 10**3, 1.0, 9104),
+    "tabulated-rho-1": (tabulated_model(2, {(1, 2, 0): -1.0}), 10**3, -1.0, 9105),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_lag0_exact_route_follows_the_finite_n_law(case):
+    # joint frequencies on the 9-point grid within 5 SE of the exact law,
+    # and each margin Phi^n by KS; n = 1e8 costs what n = 1e3 does
+    model, n, rho, seed = LAW_CASES[case]
+    replicates = 20_000
+    maxima = maxima_matrix(model, n, RngKey(seed).child(n), replicates)
+    emp = empirical_cdf(maxima, GRID9, n)
+    c = norming_constants(n)
+    u = np.array([[threshold(c, x1), threshold(c, x2)] for x1, x2 in GRID9])
+    exact = lag0_max_cdf(n, u, rho)
+    se = np.sqrt(exact * (1.0 - exact) / replicates)
+    assert np.all(np.abs(emp.counts / replicates - exact) <= 5.0 * se)
+    for i in range(2):
+        assert kstest(np.exp(n * log_ndtr(maxima[:, i])), "uniform").pvalue >= 1e-3
+    if rho == 1.0:
+        assert np.array_equal(maxima[:, 0], maxima[:, 1])
+
+
+@pytest.mark.parametrize("d, n", [(1, 10**3), (1, 10**8), (2, 10**3), (2, 10**4)])
+def test_lag0_exact_route_reproduced_by_root_finding(d, n):
+    # replicate r from its own key.child(r) uniforms: M1 solves
+    # Phi(x)^n = U1, and the other rows' max of X2 solves
+    # (Phi_2(M1, y) / Phi(M1))^(n-1) = U3 on the bivariate normal CDF
+    model = iid_model(1) if d == 1 else bivariate_hr(1.0)
+    rho = 1.0 - 1.0 / math.log(n)
+    mvn = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+    key = RngKey(9201).child(n)
+    got = maxima_matrix(model, n, key, 6)
+    for r in (0, 2, 5):
+        u = uniform_open(key.child(r).generator(), 2 * d - 1)
+        m1 = brentq(lambda x: n * log_ndtr(x) - math.log(u[0]), -10.0, 12.0, xtol=1e-14)
+        assert abs(got[r, 0] - m1) <= 1e-9
+        if d == 1:
+            continue
+
+        def others(y):
+            return (n - 1) * (math.log(mvn.cdf([m1, y])) - log_ndtr(m1)) - math.log(u[2])
+
+        y = brentq(others, -6.0, 12.0, xtol=1e-14)
+        m2 = max(rho * m1 + math.sqrt(1.0 - rho * rho) * ndtri(u[1]), y)
+        assert abs(got[r, 1] - m2) <= 1e-9
+
+
+@pytest.mark.parametrize("model", [bivariate_hr(1.0), iid_model(3)], ids=["lag0_exact", "lag0_path"])
+def test_maxima_without_replicates(model):
+    assert maxima_matrix(model, 50, RngKey(1).child(50), 0).shape == (0, model.d)
+
+
+def test_maxima_logs_route_once_per_call(caplog):
+    caplog.set_level(logging.DEBUG, logger="hrex.experiments")
+    maxima_matrix(bivariate_hr(1.0), 10**6, RngKey(1).child(0), 7)
+    maxima_matrix(iid_model(3), 10, RngKey(1).child(0), 7, threads=2)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hrex.experiments"]
+    assert messages == [
+        "maxima_matrix route=lag0-exact n=1000000 replicates=7 uniforms=21",
+        "maxima_matrix route=path n=10 replicates=7 uniforms=210",
+    ]
 
 
 # --- empirical CDF ----------------------------------------------------------------

@@ -7,16 +7,22 @@ here; tolerances are 1e-12 unless the quantity is exact in floats.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from hrex.norming import (
     hr_bivariate_cdf,
+    lag0_max_cdf,
     limit_cdf,
     norming_constants,
     std_normal_cdf,
     threshold,
+    upper_orthant,
 )
 
 # mpmath 40-digit evaluations of a_3 = sqrt(2 ln 3),
@@ -243,3 +249,70 @@ def test_limit_cdf_is_probability(thetas, data):
     )
     value = limit_cdf(thetas, xs)
     assert 0.0 <= value <= 1.0
+
+
+# --- exact finite-n law of lag-0 rows ------------------------------------------------
+
+# (n, u1, u2, rho): thresholds near u_n of the criterion-6 grid, signs and
+# zeros of both thresholds, and correlations of both signs up to 0.99
+LAG0_POINTS = [
+    (10**3, 2.80, 3.35, 0.8552),
+    (10**4, 3.72, 3.36, 0.8914),
+    (10**5, 4.21, 4.52, 0.9131),
+    (50, 0.0, 1.50, -0.40),
+    (7, -0.30, 0.0, 0.30),
+    (1, 0.0, 0.0, 0.99),
+    (200, 2.50, -1.00, -0.95),
+]
+
+
+def quad_union_exceedance(u1, u2, rho):
+    # P(X1 > u1 or X2 > u2) with the joint tail as the 1-D integral
+    # int_u1^inf phi(t) Phi((rho t - u2) / s) dt, independent of Owen's T
+    s = math.sqrt(1.0 - rho * rho)
+
+    def f(t):
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * float(ndtr((rho * t - u2) / s))
+
+    tail, _ = integrate.quad(f, u1, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return float(ndtr(-u1) + ndtr(-u2)) - tail
+
+
+@pytest.mark.parametrize("n, u1, u2, rho", LAG0_POINTS)
+def test_lag0_max_cdf_matches_orthant_quadrature(n, u1, u2, rho):
+    exact = math.exp(n * math.log1p(-quad_union_exceedance(u1, u2, rho)))
+    assert abs(float(lag0_max_cdf(n, (u1, u2), rho)) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n, u1, u2, rho", LAG0_POINTS)
+def test_lag0_max_cdf_matches_multivariate_normal(n, u1, u2, rho):
+    # the joint tail P(X1 > u1, X2 > u2) = Phi_2(-u1, -u2; rho) keeps its
+    # digits, where Phi_2(u1, u2) ** n would lose them to rounding near 1
+    cov = [[1.0, rho], [rho, 1.0]]
+    tail = multivariate_normal(mean=[0.0, 0.0], cov=cov).cdf([-u1, -u2])
+    exact = math.exp(n * math.log1p(-(float(ndtr(-u1) + ndtr(-u2)) - tail)))
+    assert abs(float(lag0_max_cdf(n, (u1, u2), rho)) - exact) <= 1e-12
+
+
+def test_lag0_max_cdf_closed_form_branches():
+    u = np.array([[2.0, 3.0], [3.0, 2.0], [-0.5, 0.5], [1.0, -1.5], [0.0, 0.0]])
+    n = 40
+    phi = ndtr(u)
+    # rho = 0: independent margins; rho = 1: X2 = X1; rho = -1: X2 = -X1,
+    # so both stay below (u1, u2) exactly when -u2 <= X1 <= u1
+    independent = (phi[:, 0] * phi[:, 1]) ** n
+    comonotone = ndtr(u.min(axis=1)) ** n
+    countermonotone = np.maximum(phi[:, 0] - ndtr(-u[:, 1]), 0.0) ** n
+    assert np.allclose(lag0_max_cdf(n, u, 0.0), independent, rtol=0.0, atol=1e-15)
+    assert np.allclose(lag0_max_cdf(n, u, 1.0), comonotone, rtol=0.0, atol=1e-15)
+    assert np.allclose(lag0_max_cdf(n, u, -1.0), countermonotone, rtol=0.0, atol=1e-15)
+
+
+def test_upper_orthant_at_zero_thresholds():
+    # P(X1 > 0, X2 > 0) = 1/4 + arcsin(rho) / (2 pi) (Sheppard), and with one
+    # threshold at 0 the orthant is continuous in the other
+    for rho in (-0.9, -0.3, 0.0, 0.5, 0.99):
+        assert abs(float(upper_orthant(0.0, 0.0, rho)) - (0.25 + math.asin(rho) / (2 * math.pi))) <= 1e-15
+        for k in (-1.0, 2.0):
+            near = upper_orthant(np.array([-1e-9, 0.0, 1e-9]), k, rho)
+            assert abs(near[1] - near[0]) <= 1e-9 and abs(near[2] - near[1]) <= 1e-9
