@@ -14,14 +14,14 @@ sizes the band:
 
 * lag-0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
-* dense Cholesky of the assembled matrix (desk scale, L*d <= 8192);
+* dense: Schur factor of the block-Toeplitz lag table, L*d <= 8192;
 * banded Cholesky for longer paths of models whose correlation vanishes
   beyond a finite max_lag (the band has width d*max_lag + d - 1);
 * circulant embedding (method "circulant"): the lag table is wrapped onto
   a cycle of length M >= 2(L-1), diagonalised by FFT, and sampled in the
   frequency domain.  The embedding is exact whenever the wrapped spectral
   blocks stay positive semidefinite; padding is doubled up to three times
-  before falling back to dense Cholesky with a logged warning.
+  before falling back to the dense route with a logged warning.
 
 `iter_path_blocks` is the one batching loop.  `maxima_matrix` (which
 draws lag-0 maxima with d <= 2 exactly instead) splits the replicates
@@ -50,7 +50,6 @@ from .rng import RngKey, standard_normal
 __all__ = [
     "SamplePath",
     "assemble_covariance",
-    "validate_psd",
     "is_lag0",
     "make_plan",
     "iter_path_blocks",
@@ -80,7 +79,8 @@ class SamplePath:
 def assemble_covariance(
     model: CorrelationModel, length: int, n: float | None = None
 ) -> np.ndarray:
-    """Dense block-Toeplitz covariance of a length-L path.
+    """Dense block-Toeplitz covariance of a length-L path: the reference that
+    tests and criterion 8 check against; no sampler route builds it.
 
     n is the array-row size fed to the correlation function; it defaults
     to the path length, which is the triangular-array reading where one
@@ -120,18 +120,38 @@ def _factor_or_jitter(factor, matrix: np.ndarray, diagonal, what: str) -> np.nda
     bumped[diagonal] += _DEFAULT_JITTER
     try:
         return factor(bumped)
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError as exc:
         msg = "%s is not positive semidefinite, even with jitter %g" % (what, _DEFAULT_JITTER)
-        raise NotPositiveSemidefinite(msg) from None
+        raise NotPositiveSemidefinite("%s; %s" % (msg, exc)) from None
 
 
-def validate_psd(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a covariance, retrying once with
-    _DEFAULT_JITTER * I added."""
-    size = matrix.shape[0]
-    return _factor_or_jitter(
-        np.linalg.cholesky, matrix, np.diag_indices(size), "covariance (size %d)" % size
-    )
+def _schur_factor(table: np.ndarray) -> np.ndarray:
+    """Upper factor R (R^T R = Sigma) of the block-Toeplitz covariance of a
+    lag table, by the generalized Schur algorithm in O(L^2 d^3): the
+    generator u = c^-T [T0 ... T_{L-1}] (c^T c = T0), v = u gives row block 0;
+    each later one is u shifted a block right after d^2 mixed-form hyperbolic
+    rotations zero v's leading block.  LinAlgError names the first time block
+    whose leading principal submatrix is not positive definite."""
+    length, d = table.shape[:2]
+    try:
+        c = np.linalg.cholesky(table[0]).T
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("first fails at time block 0") from None
+    r = np.zeros((length * d, length * d))
+    r[:d] = scipy.linalg.solve_triangular(c, table.transpose(1, 0, 2).reshape(d, -1), trans="T")
+    v = r[:d].copy()
+    for k in range(1, length):
+        u, v = r[k * d : (k + 1) * d, k * d :], v[:, d:]
+        u[:] = r[(k - 1) * d : k * d, (k - 1) * d : -d]
+        for j in range(d):
+            for i in range(d):
+                rho = v[i, j] / u[j, j]
+                if not abs(rho) < 1.0:
+                    raise np.linalg.LinAlgError("first fails at time block %d" % k)
+                cos = math.sqrt(1.0 - rho * rho)
+                u[j] = (u[j] - rho * v[i]) / cos
+                v[i] = cos * v[i] - rho * u[j]
+    return r
 
 
 def _factor_spectrum(lam: np.ndarray, tol: float) -> np.ndarray | None:
@@ -155,8 +175,12 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
 
 
 def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
-    factor_t = validate_psd(assemble_covariance(model, length, n)).T.copy()
-    return length * model.d, lambda z: (z @ factor_t).reshape(-1, length, model.d)
+    d = model.d
+    factor_t = _factor_or_jitter(
+        _schur_factor, lag_table(model, range(length), n), (0, np.arange(d), np.arange(d)),
+        "covariance (size %d)" % (length * d),
+    )
+    return length * d, lambda z: (z @ factor_t).reshape(-1, length, d)
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -220,10 +244,10 @@ def make_plan(
     model: CorrelationModel, length: int, method: str, n: float | None = None
 ) -> Plan:
     """Pick the sampling route: lag-0 whenever the path has no serial
-    dependence; otherwise circulant when asked for (dense Cholesky if the
-    embedding fails), else dense Cholesky up to DENSE_CAP and banded beyond.
-    n is the array-row size fed to the correlation function (default: the
-    path length)."""
+    dependence; otherwise circulant when asked for (dense if the embedding
+    fails), else dense (Schur factor of the block-Toeplitz lag table, L*d <=
+    DENSE_CAP) and banded Cholesky beyond.  n is the array-row size fed to
+    the correlation function (default: the path length)."""
     if method not in ("cholesky", "circulant"):
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:

@@ -141,10 +141,10 @@ def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("method, counted", [("cholesky", "assemble_covariance"), ("circulant", "lag_table")])
+@pytest.mark.parametrize("method, counted", [("cholesky", "lag_table"), ("circulant", "lag_table")])
 def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
-    # every worker chunk reuses the one plan: the dense covariance is
-    # assembled once, the circulant lag table built once
+    # every worker chunk reuses the one plan: the dense or circulant lag
+    # table is built, and factored, once
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     calls = []
     original = getattr(sampler, counted)

@@ -1,4 +1,4 @@
-"""Covariance assembly, PSD validation, the two exact sampling routes,
+"""Covariance assembly, the dense Schur factor, the two exact sampling routes,
 maxima extraction, and the binary path dump format.
 """
 
@@ -16,6 +16,7 @@ from hrex.correlation import (
     geometric_model,
     hr_family,
     iid_model,
+    lag_table,
     tabulated_model,
 )
 from hrex.errors import NotPositiveSemidefinite
@@ -26,10 +27,9 @@ from hrex.sampler import (
     assemble_covariance,
     iter_path_blocks,
     read_path,
-    validate_psd,
     write_path,
 )
-from hrex.sampler import _DEFAULT_JITTER, _banded_plan, _circulant_plan, _dense_plan
+from hrex.sampler import _DEFAULT_JITTER, _banded_plan, _circulant_plan, _dense_plan, _schur_factor
 
 
 def serial_spec(**lags):
@@ -76,23 +76,69 @@ def test_assemble_respects_size_cap():
         assemble_covariance(iid_model(1), 9000)
 
 
-def test_validate_psd_identity_no_jitter():
+def dense_factor(model, length):
+    """The dense plan's upper factor R (R^T R = Sigma), read off its
+    transform of the identity."""
+    size, transform = _dense_plan(model, length, n=length)
+    return transform(np.eye(size)).reshape(size, size)
+
+
+def test_dense_factor_identity_no_jitter():
     # the plain factor of I is I; a jittered one would have sqrt(1 + jitter)
-    assert np.array_equal(validate_psd(np.eye(3)), np.eye(3))
+    assert np.array_equal(dense_factor(iid_model(1), 3), np.eye(3))
 
 
-def test_validate_psd_rejects_invalid():
-    bad = np.array([[1.0, 1.5], [1.5, 1.0]])
-    with pytest.raises(NotPositiveSemidefinite, match=r"covariance \(size 2\)"):
-        validate_psd(bad)
+def test_dense_factor_rejects_invalid():
+    # |rho(1)| = 0.9 > 1/sqrt(2): the first three time points are indefinite
+    model = tabulated_model(1, {(1, 1, 1): 0.9})
+    with pytest.raises(NotPositiveSemidefinite, match=r"covariance \(size 3\).*time block 2$"):
+        dense_factor(model, 3)
+    # an indefinite lag-0 block fails before any rotation
+    model = tabulated_model(3, {(1, 2, 0): 0.9, (1, 3, 0): 0.9, (2, 3, 0): -0.9})
+    with pytest.raises(NotPositiveSemidefinite, match=r"covariance \(size 6\).*time block 0$"):
+        dense_factor(model, 2)
 
 
-def test_validate_psd_rank_deficient_needs_jitter():
-    # comonotone pair: eigenvalues {2, 0}; the jitter retry must engage
-    ones = np.ones((2, 2))
-    factor = validate_psd(ones)
+def test_dense_factor_rank_deficient_needs_jitter():
+    # rho(1) = 1: eigenvalues {2, 0}; the jitter retry must engage
+    factor = dense_factor(tabulated_model(1, {(1, 1, 1): 1.0}), 2)
     assert factor[0, 0] == math.sqrt(1.0 + _DEFAULT_JITTER)
-    assert np.allclose(factor @ factor.T, ones + _DEFAULT_JITTER * np.eye(2), rtol=0.0, atol=1e-15)
+    ones = np.ones((2, 2))
+    assert np.allclose(factor.T @ factor, ones + _DEFAULT_JITTER * np.eye(2), rtol=0.0, atol=1e-15)
+
+
+MA1 = tabulated_model(2, {(1, 1, 1): 0.3, (2, 2, 1): 0.2, (1, 2, 0): 0.4, (1, 2, 1): 0.1})
+
+
+@pytest.mark.parametrize(
+    "model, length",
+    [(geometric_model(d, 0.5, 0.3), 40) for d in (1, 2, 3, 4)]
+    + [(MA1, 50), (geometric_model(2, 0.99, 0.9), 2000)],
+    ids=["geometric_d%d" % d for d in (1, 2, 3, 4)] + ["ma1_d2", "geometric_near_unit"],
+)
+def test_dense_factor_matches_lapack_cholesky(model, length):
+    # the Schur factor of the lag table is the Cholesky factor of the
+    # assembled block-Toeplitz matrix, to rounding
+    cov = assemble_covariance(model, length)
+    factor = _schur_factor(lag_table(model, range(length), length))
+    assert np.abs(factor - np.linalg.cholesky(cov).T).max() <= 1e-12
+    assert np.abs(factor.T @ factor - cov).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, length",
+    [(hr_family(serial_spec(**{"1": 1.0})), 1000), (tabulated_model(1, {(1, 1, 1): 0.9}), 40)],
+    ids=["criterion7_n1e3", "ma1_rho09_L40"],
+)
+def test_dense_factor_raises_where_cholesky_does(model, length):
+    # both have lag-1 correlation above 1/sqrt(2), so the leading 3 x 3
+    # block (time blocks 0 to 2) is already indefinite
+    cov = assemble_covariance(model, length)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov + _DEFAULT_JITTER * np.eye(len(cov)))
+    match = r"covariance \(size %d\).*first fails at time block 2$" % len(cov)
+    with pytest.raises(NotPositiveSemidefinite, match=match):
+        dense_factor(model, length)
 
 
 def test_banded_failure_names_length_and_bandwidth():
@@ -196,7 +242,7 @@ def test_circulant_single_point_paths():
 def test_circulant_embedding_failure_falls_back_to_dense(caplog):
     # the left-over serial family is not PSD at realistic n, so every
     # padded spectrum stays negative: the circulant plan gives up, the
-    # sampler logs the fallback, and the dense validator throws
+    # sampler logs the fallback, and the dense factor throws
     model = hr_family(serial_spec(**{"1": 1.0}))
     assert _circulant_plan(model, 64, n=10**4) is None
     with pytest.raises(NotPositiveSemidefinite):
