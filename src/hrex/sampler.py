@@ -6,11 +6,12 @@ rho_ij(k, n) has the block-Toeplitz covariance
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
-method) into the number of standard normals a replicate consumes and a
-transform from those normals to paths.  It has four routes, all reading
-the lag table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes
-the cut to 0 beyond model.max_lag.  Here max_lag only picks routes and
-sizes the band:
+method) into the number of standard normals a replicate consumes, a
+transform from those normals to paths, and the floats that transform
+holds per replicate, by which `iter_path_blocks` sizes its batches.  It
+has four routes, all reading the lag table rho_ij(k, n) of
+`hrex.correlation.lag_table`, which makes the cut to 0 beyond
+model.max_lag.  Here max_lag only picks routes and sizes the band:
 
 * lag-0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -18,10 +19,13 @@ sizes the band:
 * banded Cholesky for longer paths of models whose correlation vanishes
   beyond a finite max_lag (the band has width d*max_lag + d - 1);
 * circulant embedding (method "circulant"): the lag table is wrapped onto
-  a cycle of length M >= 2(L-1), diagonalised by FFT, and sampled in the
-  frequency domain.  The embedding is exact whenever the wrapped spectral
-  blocks stay positive semidefinite; padding is doubled up to three times
-  before falling back to the dense route with a logged warning.
+  a cycle of length m >= 2(L-1) whose d x d spectral blocks are factored on
+  the m/2 + 1 non-negative frequencies; a replicate's m*d real normals go
+  through rfft, that factor and irfft.  The embedding is exact whenever the
+  wrapped spectral blocks stay positive semidefinite; padding is doubled up
+  to three times before falling back to the dense route with a logged
+  warning.  Each plan logs its embedding size, doublings, smallest spectral
+  eigenvalue and clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one batching loop.  `maxima_matrix` (which
 draws lag-0 maxima with d <= 2 exactly instead) splits the replicates
@@ -67,8 +71,9 @@ _BLOCK_VALUES = 4_000_000  # target floats per replicate batch
 _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
-# (normals per replicate, transform from (b, normals) to (b, L, d) paths)
-Plan = tuple[int, Callable[[np.ndarray], np.ndarray]]
+# (normals per replicate, transform from (b, normals) to (b, L, d) paths,
+# floats the transform holds per replicate, which sizes the batches)
+Plan = tuple[int, Callable[[np.ndarray], np.ndarray], int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,24 +159,26 @@ def _schur_factor(table: np.ndarray) -> np.ndarray:
     return r
 
 
-def _factor_spectrum(lam: np.ndarray, tol: float) -> np.ndarray | None:
-    """Factor real-symmetric spectral blocks; None when materially indefinite."""
+def _factor_spectrum(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues of real-symmetric spectral blocks and their factors
+    (negative eigenvalues clipped to 0); factors is None when materially
+    indefinite."""
     lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))
     w, v = np.linalg.eigh(lam)
     if w.min() < -tol:
-        return None
-    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+        return w, None
+    return w, v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     """Serially independent time points: one d x d factor per point."""
     d = model.d
     lag0 = lag_table(model, range(1), n)[0]
-    factor = _factor_spectrum(lag0[None], tol=1e-9 * max(1.0, float(np.abs(lag0).max())))
+    _, factor = _factor_spectrum(lag0[None], tol=1e-9 * max(1.0, float(np.abs(lag0).max())))
     if factor is None:
         raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
     factor_t = factor[0].T.copy()
-    return length * d, lambda z: z.reshape(-1, length, d) @ factor_t
+    return length * d, lambda z: z.reshape(-1, length, d) @ factor_t, length * d
 
 
 def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -180,7 +187,7 @@ def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         _schur_factor, lag_table(model, range(length), n), (0, np.arange(d), np.arange(d)),
         "covariance (size %d)" % (length * d),
     )
-    return length * d, lambda z: (z @ factor_t).reshape(-1, length, d)
+    return length * d, lambda z: (z @ factor_t).reshape(-1, length, d), length * d
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -207,32 +214,47 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
             x[:, o:] += band[o, : size - o] * z[:, : size - o]
         return x.reshape(-1, length, d)
 
-    return size, transform
+    return size, transform, size
 
 
 def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
-    """Circulant embedding; None when every padding stays indefinite."""
+    """Circulant embedding from real noise (Davies-Harte; Chan & Wood 1999
+    give the vector case); None when every padding stays indefinite.
+
+    The wrapped lag table c_k = T_min(k, m-k) has real symmetric spectral
+    blocks Lambda_f = Lambda_(m-f) = A_f A_f^T, so x = irfft(A_f rfft(z)),
+    z of m real normals per component, is B z for the real circulant B with
+    B B^T = C; its first L time points have covariance Sigma."""
     d = model.d
-    m = 1 << max(1, int(math.ceil(math.log2(max(2 * (length - 1), 2)))))
-    for _ in range(_MAX_DOUBLINGS + 1):
+    first = 1 << max(1, int(math.ceil(math.log2(max(2 * (length - 1), 2)))))
+    for doublings in range(_MAX_DOUBLINGS + 1):
+        m = first << doublings
         table = lag_table(model, range(m // 2 + 1), n)
-        spectrum = np.fft.fft(table[np.minimum(np.arange(m), m - np.arange(m))], axis=0).real
+        spectrum = np.fft.rfft(table[np.minimum(np.arange(m), m - np.arange(m))], axis=0).real
         tol = 1e-9 * max(1.0, float(np.abs(spectrum).max()))
-        factors = _factor_spectrum(spectrum, tol)
+        eigenvalues, factors = _factor_spectrum(spectrum, tol)
         if factors is not None:
             break
-        m *= 2
     else:
         return None
+    log.debug(
+        "circulant plan: embedding m=%d, doublings=%d, min eigenvalue %.3g, clipped %d",
+        m, doublings, eigenvalues.min(), np.count_nonzero(eigenvalues < 0.0),
+    )
+    # columns[i, j] = A_ij over the frequencies, contiguous per (i, j)
+    columns = np.ascontiguousarray(factors.transpose(1, 2, 0))
 
     def transform(z: np.ndarray) -> np.ndarray:
-        eps = np.empty((z.shape[0], m, d), dtype=complex)
-        eps.real = z[:, : m * d].reshape(-1, m, d)
-        eps.imag = z[:, m * d :].reshape(-1, m, d)
-        spectral = np.einsum("fij,bfj->bfi", factors, eps)
-        return math.sqrt(m) * np.fft.ifft(spectral, axis=1)[:, :length, :].real
+        noise = np.fft.rfft(z.reshape(-1, d, m), axis=-1)
+        spectral = np.empty_like(noise)
+        for i in range(d):
+            np.multiply(columns[i, 0], noise[:, 0], out=spectral[:, i])
+            for j in range(1, d):
+                spectral[:, i] += columns[i, j] * noise[:, j]
+        paths = np.fft.irfft(spectral, n=m, axis=-1)[:, :, :length]
+        return np.ascontiguousarray(paths.transpose(0, 2, 1))
 
-    return 2 * m * d, transform
+    return m * d, transform, 2 * m * d
 
 
 def is_lag0(model: CorrelationModel, length: int) -> bool:
@@ -262,7 +284,7 @@ def make_plan(
             return plan
         log.warning(
             "circulant embedding indefinite after %d doublings; falling back to"
-            " dense Cholesky", _MAX_DOUBLINGS,
+            " the dense route", _MAX_DOUBLINGS,
         )
     elif length * model.d > DENSE_CAP:
         if not math.isfinite(model.max_lag):
@@ -289,8 +311,8 @@ def iter_path_blocks(
     holding all paths in memory.  Values are independent of the batching.
     plan, when given, is make_plan(model, length, method, n), made once by
     a caller that works one call's replicates in chunks."""
-    size, transform = make_plan(model, length, method, n) if plan is None else plan
-    batch = max(1, _BLOCK_VALUES // size)
+    size, transform, footprint = make_plan(model, length, method, n) if plan is None else plan
+    batch = max(1, _BLOCK_VALUES // footprint)
     r = start
     while r < start + count:
         b = min(batch, start + count - r)

@@ -140,6 +140,24 @@ def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
     assert one.tobytes() == four.tobytes()
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_path_blocks_batch_invariant_on_every_route(route, monkeypatch):
+    # replicate r draws only from key.child(r), so cutting the replicates
+    # into three or more batches gives the bytes of one batch
+    model, length, replicates, method = ROUTES[route]
+    key = RngKey(31).child(length)
+    footprint = sampler.make_plan(model, length, method)[2]
+
+    def blocks(per_batch):
+        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * footprint)
+        return [b for _, b in iter_path_blocks(model, length, key, replicates, method)]
+
+    (whole,) = blocks(replicates)
+    split = blocks(-(-replicates // 3))
+    assert len(split) >= 3
+    assert np.concatenate(split).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method, counted", [("cholesky", "lag_table"), ("circulant", "lag_table")])
 def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):

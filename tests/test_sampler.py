@@ -3,7 +3,9 @@ maxima extraction, and the binary path dump format.
 """
 
 import io
+import logging
 import math
+import re
 import struct
 
 import numpy as np
@@ -29,7 +31,14 @@ from hrex.sampler import (
     read_path,
     write_path,
 )
-from hrex.sampler import _DEFAULT_JITTER, _banded_plan, _circulant_plan, _dense_plan, _schur_factor
+from hrex.sampler import (
+    _DEFAULT_JITTER,
+    _banded_plan,
+    _circulant_plan,
+    _dense_plan,
+    _lag0_plan,
+    _schur_factor,
+)
 
 
 def serial_spec(**lags):
@@ -79,7 +88,7 @@ def test_assemble_respects_size_cap():
 def dense_factor(model, length):
     """The dense plan's upper factor R (R^T R = Sigma), read off its
     transform of the identity."""
-    size, transform = _dense_plan(model, length, n=length)
+    size, transform, _ = _dense_plan(model, length, n=length)
     return transform(np.eye(size)).reshape(size, size)
 
 
@@ -146,6 +155,46 @@ def test_banded_failure_names_length_and_bandwidth():
     model = tabulated_model(1, {(1, 1, 1): 0.9})
     with pytest.raises(NotPositiveSemidefinite, match=r"length 10, bandwidth 1\)"):
         _banded_plan(model, 10, n=10)
+
+
+# --- every route: exact covariance of the transform ----------------------------
+
+
+def equicorrelated_lag0(d):
+    return tabulated_model(d, {(i, j, 0): 0.4 for i in range(1, d + 1) for j in range(i + 1, d + 1)})
+
+
+def ma1_model(d):
+    """Lag-1 autocorrelation 0.3, cross correlation 0.2 at lag 0 and 0.1 at
+    lag 1: T0 - 2 T1 = 0.4 I, so the spectrum stays positive definite."""
+    table = {(i, i, 1): 0.3 for i in range(1, d + 1)}
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            table.update({(i, j, 0): 0.2, (i, j, 1): 0.1})
+    return tabulated_model(d, table)
+
+
+ROUTE_PLANS = {
+    # route: (plan function, model for dimension d)
+    "lag0": (_lag0_plan, equicorrelated_lag0),
+    "dense": (_dense_plan, lambda d: geometric_model(d, 0.5, 0.3)),
+    "banded": (_banded_plan, ma1_model),
+    "circulant_geometric": (_circulant_plan, lambda d: geometric_model(d, 0.5, 0.3)),
+    "circulant_ma1": (_circulant_plan, ma1_model),
+}
+
+
+@pytest.mark.parametrize("length", [2, 37, 65])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("route", sorted(ROUTE_PLANS))
+def test_plan_transform_has_exact_covariance(route, d, length):
+    # paths are z A for standard normals z, where A is the transform of the
+    # identity, so A^T A is the covariance of the route's paths
+    plan, model_of = ROUTE_PLANS[route]
+    model = model_of(d)
+    size, transform, _ = plan(model, length, n=length)
+    a = transform(np.eye(size)).reshape(size, length * d)
+    assert np.abs(a.T @ a - assemble_covariance(model, length)).max() <= 1e-12
 
 
 # --- cholesky route ----------------------------------------------------------
@@ -247,7 +296,45 @@ def test_circulant_embedding_failure_falls_back_to_dense(caplog):
     assert _circulant_plan(model, 64, n=10**4) is None
     with pytest.raises(NotPositiveSemidefinite):
         list(iter_path_blocks(model, 64, RngKey(0).child(0), 1, method="circulant", n=10**4))
-    assert "falling back to dense Cholesky" in caplog.text
+    assert "falling back to the dense route" in caplog.text
+
+
+def gaussian_correlation(scale):
+    # rho(k) = exp(-(k/scale)^2): smooth enough that short embeddings fail
+    lags = range(1, 10 * scale)
+    return tabulated_model(1, {(1, 1, k): math.exp(-((k / scale) ** 2)) for k in lags})
+
+
+def circulant_record(caplog, model, length):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hrex.sampler"):
+        assert _circulant_plan(model, length, n=length) is not None
+    (record,) = [r for r in caplog.records if r.name == "hrex.sampler"]
+    assert record.levelno == logging.DEBUG
+    found = re.fullmatch(
+        r"circulant plan: embedding m=(\d+), doublings=(\d+), min eigenvalue (\S+), clipped (\d+)",
+        record.getMessage(),
+    )
+    assert found is not None, record.getMessage()
+    m, doublings, smallest, clipped = found.groups()
+    return int(m), int(doublings), float(smallest), int(clipped)
+
+
+def test_circulant_plan_logs_embedding(caplog):
+    # minimal embedding of L = 65 is m = 128; the geometric spectrum is
+    # bounded away from 0, so nothing is clipped
+    m, doublings, smallest, clipped = circulant_record(caplog, geometric_model(2, 0.5, 0.3), 65)
+    assert (m, doublings, clipped) == (128, 0, 0)
+    assert smallest > 0.1
+    # a smooth correlation needs padding: at L = 5, m = 8 is indefinite
+    m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(2), 5)
+    assert (m, doublings, clipped) == (16, 1, 0)
+    # a wider one needs m = 64 at L = 9, where its spectrum is 0 up to
+    # rounding at high frequencies: the rounding-level negative eigenvalues
+    # are clipped
+    m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(6), 9)
+    assert (m, doublings) == (64, 2)
+    assert -1e-9 < smallest < 0.0 and clipped >= 1
 
 
 # --- banded route ------------------------------------------------------------
