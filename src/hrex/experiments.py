@@ -23,7 +23,7 @@ implementation can get wrong.
 block_consistency_check compares P(joint maxima below u_n) computed on
 whole rows against the q_n-th power of the probability on one block of
 length r_n, the quantity whose asymptotic equality underpins the
-block-decoupling step of the limit argument.
+block-decoupling step of the limit argument.  Both draw maxima_plan's plans.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, ndtri_exp
 
-from .correlation import CorrelationModel, lag_table
-from .errors import NotPositiveSemidefinite
+from .correlation import CorrelationModel
 from .jsonio import to_jsonable, write_json
-from .norming import limit_cdf, norming_constants, threshold, upper_orthant
-from .rng import RngKey, uniform_open
-from .sampler import is_lag0, iter_path_blocks, make_plan
+from .norming import limit_cdf, norming_constants, threshold
+from .rng import RngKey
+from .sampler import iter_path_blocks, maxima_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -134,9 +132,9 @@ def maxima_matrix(
     threads: int = 1,
 ) -> np.ndarray:
     """Componentwise maxima of `replicates` independent rows of size n,
-    streamed so that only the (replicates, d) result is ever held.  Lag-0
-    rows (make_plan's lag-0 route) with d <= 2 take the exact route, 2d - 1
-    uniforms per replicate at a cost free of n; others take the path maxima.
+    streamed so that only the (replicates, d) result is ever held, on
+    hrex.sampler.maxima_plan's route: lag-0 rows with d <= 2 take the exact
+    plan, 2d - 1 uniforms per replicate at a cost free of n.
 
     Replicate r always draws from substream key.child(r), so the result is
     byte-identical for every thread count; threads only split the replicate
@@ -144,25 +142,18 @@ def maxima_matrix(
     CPU and per replicate.  The route is planned once, logged at DEBUG and
     shared by every chunk."""
     out = np.empty((replicates, model.d))
-    exact = model.d <= 2 and is_lag0(model, n)
 
     def planned():
-        if exact:
-            rho = float(lag_table(model, range(1), n)[0, 0, -1])
-            if abs(rho) > 1.0 + 1e-9:
-                raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
-        plan = min(max(rho, -1.0), 1.0) if exact else make_plan(model, n, sampler)
-        uniforms = 2 * model.d - 1 if exact else plan[0]
+        plan = maxima_plan(model, n, sampler)
+        # a path plan draws L*d or m*d > 2d - 1 uniforms, bar L = d = 1 (exact)
+        route = "lag0-exact" if plan[0] == 2 * model.d - 1 else "path"
         log.debug("maxima_matrix route=%s n=%d replicates=%d uniforms=%d",
-                  "lag0-exact" if exact else "path", n, replicates, uniforms * replicates)
+                  route, n, replicates, plan[0] * replicates)
         return plan
 
     def worker(plan, start: int, count: int) -> None:
-        if exact:
-            out[start : start + count] = _lag0_maxima(model.d, n, plan, key, start, count)
-        else:
-            for first, block in iter_path_blocks(model, n, key, count, start=start, plan=plan):
-                out[first : first + block.shape[0]] = block.max(axis=1)
+        for first, block in iter_path_blocks(model, n, key, count, start=start, plan=plan):
+            out[first : first + block.shape[0]] = block.max(axis=1)
 
     workers = min(threads, os.cpu_count() or 1, replicates)
     if workers <= 1:
@@ -179,27 +170,6 @@ def maxima_matrix(
         for f in futures:
             f.result()
     return out
-
-
-def _lag0_maxima(d: int, n: int, rho: float, key: RngKey, start: int, count: int) -> np.ndarray:
-    """Maxima of n independent rows from uniforms U1..U(2d-1) per replicate:
-    M1 = Phi^-1(U1^(1/n)), X2 at its argmax is rho M1 + sqrt(1 - rho^2) Phi^-1(U2),
-    and the max of X2 over the other n - 1 rows (X1 < M1) inverts at U3 the CDF
-    F(y) = (1 - P(X1 < M1, X2 > y) / Phi(M1))^(n-1) by bisection; M2 is the larger."""
-    draws = [uniform_open(key.child(r).generator(), 2 * d - 1) for r in range(start, start + count)]
-    u = np.array(draws).reshape(count, 2 * d - 1)
-    m1 = ndtri_exp(np.log(u[:, 0]) / n)
-    if d == 1:
-        return m1[:, None]
-    # F(y) < U3 iff P(X1 < M1, X2 > y) > (1 - U3^(1/(n-1))) Phi(M1); n = 1 has no other rows
-    level = -np.expm1(np.log(u[:, 2]) / max(n - 1, 1)) * ndtr(m1)
-    lo, hi = np.full(count, -40.0), np.full(count, 40.0)
-    for _ in range(60):  # halves [-40, 40] down to a width of 7e-17
-        mid = 0.5 * (lo + hi)
-        low = ndtr(-mid) - upper_orthant(m1, mid, rho) > level
-        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
-    at_argmax = rho * m1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * ndtri(u[:, 1])
-    return np.column_stack([m1, np.maximum(at_argmax, hi if n > 1 else -np.inf)])
 
 
 def empirical_cdf(
@@ -427,20 +397,23 @@ def block_consistency_check(
 
     Both runs use the row-n thresholds, the row-n correlation model, and
     the same replicate substreams (common random numbers); only the path
-    length differs.  With r_n = n the two computations coincide and the
-    gap is exactly zero.
+    length differs, so lag-0 rows with d <= 2 take the exact route at both.
+    With r_n = n the two computations coincide and the gap is exactly zero.
     """
     if not 1 <= r_n <= n:
         raise ValueError("need 1 <= r_n <= n")
+    if len(x) != model.d:
+        raise ValueError("x needs one level per component: got %d for d = %d" % (len(x), model.d))
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1, got %d" % replicates)
     q_n = n // r_n
     constants = norming_constants(n)
     u = np.array([threshold(constants, v) for v in x])
 
     def below(length: int) -> float:
         hits = 0
-        for start, block in iter_path_blocks(
-            model, length, key, replicates, method=sampler, n=n
-        ):
+        plan = maxima_plan(model, length, sampler, n)
+        for _, block in iter_path_blocks(model, length, key, replicates, plan=plan):
             hits += int((block.max(axis=1) <= u).all(axis=1).sum())
         return hits / replicates
 

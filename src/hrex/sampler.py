@@ -6,10 +6,10 @@ rho_ij(k, n) has the block-Toeplitz covariance
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
-method) into the number of standard normals a replicate consumes, a
-transform from those normals to paths, and the floats that transform
-holds per replicate, by which `iter_path_blocks` sizes its batches.  It
-has four routes, all reading the lag table rho_ij(k, n) of
+method) into the number of uniforms a replicate consumes, a transform
+from those uniforms (through ndtri) to paths, and the floats that
+transform holds per replicate, by which `iter_path_blocks` sizes its
+batches.  It has four routes, all reading the lag table rho_ij(k, n) of
 `hrex.correlation.lag_table`, which makes the cut to 0 beyond
 model.max_lag.  Here max_lag only picks routes and sizes the band:
 
@@ -27,11 +27,11 @@ model.max_lag.  Here max_lag only picks routes and sizes the band:
   warning.  Each plan logs its embedding size, doublings, smallest spectral
   eigenvalue and clipped eigenvalues at DEBUG.
 
-`iter_path_blocks` is the one batching loop.  `maxima_matrix` (which
-draws lag-0 maxima with d <= 2 exactly instead) splits the replicates
+`iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
+maxima of lag-0 rows with d <= 2.  `maxima_matrix` splits the replicates
 into chunks and hands the one plan to every chunk, so the covariance,
 factor or spectrum is built once however many threads work.  Replicate r
-draws its normals from its own substream key.child(r), so results are
+draws its uniforms from its own substream key.child(r), so results are
 reproducible for a given (seed, model, length, count) no matter how
 replicates are batched or parallelised.
 """
@@ -46,16 +46,18 @@ from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
+from scipy.special import ndtr, ndtri, ndtri_exp
 
 from .correlation import CorrelationModel, lag_table
 from .errors import NotPositiveSemidefinite
-from .rng import RngKey, standard_normal
+from .norming import upper_orthant
+from .rng import RngKey, uniform_open
 
 __all__ = [
     "SamplePath",
     "assemble_covariance",
-    "is_lag0",
     "make_plan",
+    "maxima_plan",
     "iter_path_blocks",
     "write_path",
     "read_path",
@@ -71,8 +73,8 @@ _BLOCK_VALUES = 4_000_000  # target floats per replicate batch
 _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
-# (normals per replicate, transform from (b, normals) to (b, L, d) paths,
-# floats the transform holds per replicate, which sizes the batches)
+# (draws per replicate, transform from (b, draws) to (b, L, d) blocks, floats it
+# holds per replicate, which size the batches); a route's own plan takes normals
 Plan = tuple[int, Callable[[np.ndarray], np.ndarray], int]
 
 
@@ -257,11 +259,6 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
     return m * d, transform, 2 * m * d
 
 
-def is_lag0(model: CorrelationModel, length: int) -> bool:
-    """Whether a length-L path has no serial dependence: make_plan's lag-0 route."""
-    return model.max_lag == 0 or length == 1
-
-
 def make_plan(
     model: CorrelationModel, length: int, method: str, n: float | None = None
 ) -> Plan:
@@ -276,24 +273,58 @@ def make_plan(
         raise ValueError("need path length >= 1")
     if n is None:
         n = length
-    if is_lag0(model, length):
-        return _lag0_plan(model, length, n)
-    if method == "circulant":
+    plan = None
+    if model.max_lag == 0 or length == 1:
+        plan = _lag0_plan(model, length, n)
+    elif method == "circulant":
         plan = _circulant_plan(model, length, n)
-        if plan is not None:
-            return plan
-        log.warning(
-            "circulant embedding indefinite after %d doublings; falling back to"
-            " the dense route", _MAX_DOUBLINGS,
-        )
+        if plan is None:
+            log.warning(
+                "circulant embedding indefinite after %d doublings; falling back to"
+                " the dense route", _MAX_DOUBLINGS,
+            )
     elif length * model.d > DENSE_CAP:
         if not math.isfinite(model.max_lag):
             raise ValueError(
                 "path of size %d exceeds the dense cap and the model has no"
                 " finite band; use the circulant sampler" % (length * model.d)
             )
-        return _banded_plan(model, length, n)
-    return _dense_plan(model, length, n)
+        plan = _banded_plan(model, length, n)
+    size, transform, footprint = plan or _dense_plan(model, length, n)
+    return size, lambda u: transform(ndtri(u, out=u)), footprint
+
+
+def maxima_plan(
+    model: CorrelationModel, length: int, method: str, n: float | None = None
+) -> Plan:
+    """make_plan's plan, but lag-0 rows with d <= 2 take the exact plan: 2d - 1
+    uniforms per replicate map to the row maxima, as (b, 1, d) blocks."""
+    plan = make_plan(model, length, method, n)
+    if model.d > 2 or not (model.max_lag == 0 or length == 1):
+        return plan
+    # make_plan's lag-0 route has checked that |rho| <= 1 up to rounding
+    rho = float(lag_table(model, range(1), length if n is None else n)[0, 0, -1])
+    d, rho = model.d, min(max(rho, -1.0), 1.0)
+
+    def transform(u: np.ndarray) -> np.ndarray:
+        """Maxima of L independent rows from U1..U(2d-1), a row of u each: M1 =
+        Phi^-1(U1^(1/L)), X2 at its argmax is rho M1 + sqrt(1 - rho^2) Phi^-1(U2),
+        and the max of X2 over the other L - 1 rows (X1 < M1) inverts at U3 the
+        CDF F(y) = (1 - P(X1 < M1, X2 > y) / Phi(M1))^(L-1) by bisection; M2 is the larger."""
+        m1 = ndtri_exp(np.log(u[:, 0]) / length)
+        if d == 1:
+            return m1[:, None, None]
+        # F(y) < U3 iff P(X1 < M1, X2 > y) > (1 - U3^(1/(L-1))) Phi(M1); L = 1 has no other rows
+        level = -np.expm1(np.log(u[:, 2]) / max(length - 1, 1)) * ndtr(m1)
+        lo, hi = np.full(len(u), -40.0), np.full(len(u), 40.0)
+        for _ in range(60):  # halves [-40, 40] down to a width of 7e-17
+            mid = 0.5 * (lo + hi)
+            low = ndtr(-mid) - upper_orthant(m1, mid, rho) > level
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        at_argmax = rho * m1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * ndtri(u[:, 1])
+        return np.column_stack([m1, np.maximum(at_argmax, hi if length > 1 else -np.inf)])[:, None]
+
+    return 2 * d - 1, transform, 2 * d - 1
 
 
 def iter_path_blocks(
@@ -309,17 +340,17 @@ def iter_path_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
     holding all paths in memory.  Values are independent of the batching.
-    plan, when given, is make_plan(model, length, method, n), made once by
-    a caller that works one call's replicates in chunks."""
+    plan, when given, is make_plan's or maxima_plan's plan for (model,
+    length, method, n), made once by a caller that works in chunks."""
     size, transform, footprint = make_plan(model, length, method, n) if plan is None else plan
     batch = max(1, _BLOCK_VALUES // footprint)
     r = start
     while r < start + count:
         b = min(batch, start + count - r)
-        z = np.empty((b, size))
+        u = np.empty((b, size))
         for row in range(b):
-            z[row] = standard_normal(key.child(r + row).generator(), size)
-        yield r, transform(z)
+            u[row] = uniform_open(key.child(r + row).generator(), size)
+        yield r, transform(u)
         r += b
 
 

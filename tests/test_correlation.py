@@ -498,6 +498,15 @@ def test_rho_read_only_through_lag_table():
     }
 
 
+def test_substreams_opened_only_by_the_draw_loops():
+    # every sampler route, the exact lag-0 maxima included, draws its
+    # uniforms in iter_path_blocks; theta's Monte Carlo has its own batches
+    assert call_sites("generator") == {
+        ("sampler.py", "iter_path_blocks"),
+        ("theta.py", "estimate_theta"),
+    }
+
+
 def test_delta_read_only_through_delta_table():
     # hr_family's rho reads one (i, j, k) per correlation; every read across
     # lags goes through DeltaSpec.table

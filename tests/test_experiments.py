@@ -143,19 +143,20 @@ def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_path_blocks_batch_invariant_on_every_route(route, monkeypatch):
     # replicate r draws only from key.child(r), so cutting the replicates
-    # into three or more batches gives the bytes of one batch
+    # into three or more batches gives the bytes of one batch, for the path
+    # plans and for the plans whose blocks maxima_matrix reduces
     model, length, replicates, method = ROUTES[route]
     key = RngKey(31).child(length)
-    footprint = sampler.make_plan(model, length, method)[2]
 
-    def blocks(per_batch):
-        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * footprint)
-        return [b for _, b in iter_path_blocks(model, length, key, replicates, method)]
+    def blocks(plan, per_batch):
+        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * plan[2])
+        return [b for _, b in iter_path_blocks(model, length, key, replicates, plan=plan)]
 
-    (whole,) = blocks(replicates)
-    split = blocks(-(-replicates // 3))
-    assert len(split) >= 3
-    assert np.concatenate(split).tobytes() == whole.tobytes()
+    for plan in (sampler.make_plan(model, length, method), sampler.maxima_plan(model, length, method)):
+        (whole,) = blocks(plan, replicates)
+        split = blocks(plan, -(-replicates // 3))
+        assert len(split) >= 3
+        assert np.concatenate(split).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -509,6 +510,29 @@ def test_block_consistency_validates_block_length():
         block_consistency_check(model, 10, 0, [0.0], 500, RngKey(1).child(0))
     with pytest.raises(ValueError):
         block_consistency_check(model, 10, 11, [0.0], 500, RngKey(1).child(0))
+
+
+def test_block_consistency_rejects_a_level_per_component_mismatch():
+    # one level for a bivariate model used to apply to both components
+    with pytest.raises(ValueError, match="x needs one level per component"):
+        block_consistency_check(bivariate_hr(1.0), 10, 5, [0.5], 500, RngKey(1).child(0))
+
+
+def test_block_consistency_rejects_no_replicates():
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        block_consistency_check(iid_model(1), 10, 5, [0.5], 0, RngKey(1).child(0))
+
+
+def test_block_consistency_lag0_rows_follow_the_exact_law():
+    # lag-0 bivariate rows take the exact plan at both lengths, so each
+    # probability lies within 5 SE of the finite-n law at the row-n correlation
+    n, r_n, replicates, x = 10**5, 10**3, 20_000, (0.0, 0.0)
+    out = block_consistency_check(bivariate_hr(1.0), n, r_n, x, replicates, RngKey(9301).child(0))
+    u = [threshold(norming_constants(n), v) for v in x]
+    rho = 1.0 - 1.0 / math.log(n)
+    for got, rows in ((out.full_prob, n), (out.block_prob, r_n)):
+        exact = float(lag0_max_cdf(rows, u, rho))
+        assert abs(got - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / replicates)
 
 
 def test_block_consistency_dependent_rows():
