@@ -263,23 +263,17 @@ def cmd_check(args) -> int:
         verdicts[metric] = "pass" if weakly_decreasing(values, slacks) else "fail"
 
     out_dir = _resolve_out(args)
+    payload = {"rows": rows, "verdicts": verdicts}
     if out_dir is not None:
-        files = []
-        if args.format == "json":
-            path = out_dir / "conditions.json"
-            write_json(path, {"rows": rows, "verdicts": verdicts})
-            files.append(path)
-        else:
-            path = out_dir / "conditions.csv"
-            with open(path, "w") as fh:
-                header = ["n", "l_n", "r_n"] + metrics
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header) + "\n")
-            files.append(path)
-        _write_manifest(out_dir, "check", args.config, cfg.get("seed"), files, started)
+        csv_path = out_dir / "conditions.csv"
+        json_path = out_dir / "conditions.json"
+        header = ["n", "l_n", "r_n"] + metrics
+        lines = [header] + [[repr(row[h]) for h in header] for row in rows]
+        csv_path.write_text("".join(",".join(line) + "\n" for line in lines))
+        write_json(json_path, payload)
+        _write_manifest(out_dir, "check", args.config, cfg.get("seed"), [csv_path, json_path], started)
 
-    print(json.dumps(to_jsonable({"rows": rows, "verdicts": verdicts}), sort_keys=True))
+    print(json.dumps(to_jsonable(payload), sort_keys=True))
     return 0 if all(v == "pass" for v in verdicts.values()) else 1
 
 
@@ -354,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads": dict(type=int, default=os.cpu_count() or 1),
         "--out": dict(default=None, help="output directory (HREX_OUT overrides)"),
         "--sampler": dict(choices=["cholesky", "circulant"], default=None),
-        "--format": dict(choices=["csv", "json"], default="csv"),
     }
 
     p = sub.add_parser("hlambda", help="bivariate limit CDF")
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext, func, names in (
         ("converge", "maxima vs. limit across n", cmd_converge,
          ("--config", "--seed", "--threads", "--out", "--sampler")),
-        ("check", "asymptotic-condition diagnostics", cmd_check, ("--config", "--out", "--format")),
+        ("check", "asymptotic-condition diagnostics", cmd_check, ("--config", "--out")),
         ("lemma1", "exceedance-decomposition identity", cmd_lemma1, ("--config", "--out")),
         ("sample", "write Gaussian path replicates", cmd_sample,
          ("--config", "--seed", "--out", "--sampler")),

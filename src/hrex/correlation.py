@@ -12,7 +12,7 @@ A DeltaSpec records these limits; hr_family turns one back into the
 canonical correlation model rho_ij(k, n) = 1 - delta_ij(k) / log n.
 
 The module owns the lag table: lag_table(model, lags, n) is the only
-reader of model.rho across lags, the only place that cuts correlations to
+reader of model.rho, the only place that cuts correlations to
 0 beyond model.max_lag, and the only (i, j) symmetry check.  The samplers
 and the diagnostics read correlations through it.  Its counterpart for
 coefficients is DeltaSpec.table(K), the (K+1, d, d) array of delta_ij(k)
@@ -29,7 +29,7 @@ per n and reads all three (for every short-range start m) from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "iid_model",
     "tabulated_model",
     "geometric_model",
+    "constant_model",
     "estimate_delta",
     "berman_term",
     "check_long_range",
@@ -139,8 +140,8 @@ class DeltaSpec:
     def table(self, max_lag: int) -> np.ndarray:
         """table[k, i-1, j-1] = delta_ij(k) for lags k = 0..max_lag.
 
-        This is the only reader of delta across lags; each (i <= j, k) is
-        read once and mirrored into (j, i, k).
+        This is the only reader of delta; each (i <= j, k) is read once and
+        mirrored into (j, i, k).
         """
         table = np.empty((max_lag + 1, self.d, self.d))
         for k in range(max_lag + 1):
@@ -186,13 +187,13 @@ class DeltaSpec:
 class CorrelationModel:
     """Stationary cross-correlation function of one array row.
 
-    rho(i, j, k, n) gives Corr(X_s^(i), X_{s+k}^(j)) in the row of size n;
-    it is symmetric in (i, j), equals 1 at (i, i, 0), and vanishes for
-    lags beyond max_lag (which may be math.inf for decaying tails).
+    rho(lags, n)[a, i-1, j-1] gives Corr(X_s^(i), X_{s+k}^(j)), k = lags[a],
+    in the row of size n; it is symmetric in (i, j), equals 1 at (i, i, 0),
+    and vanishes for lags beyond max_lag (which may be math.inf).
     """
 
     d: int
-    rho: Callable[[int, int, int, float], float] = field(repr=False)
+    rho: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
     max_lag: float
     name: str = "custom"
     delta_spec: DeltaSpec | None = field(default=None, repr=False)
@@ -207,14 +208,11 @@ def hr_family(spec: DeltaSpec) -> CorrelationModel:
     clamp does not affect any limit.
     """
 
-    def rho(i: int, j: int, k: int, n: float) -> float:
+    def rho(lags: np.ndarray, n: float) -> np.ndarray:
         if n < 2:
             raise ValueError("need sample size n >= 2")
-        value = spec.delta(i, j, k)
-        if math.isinf(value):
-            return 0.0
-        r = 1.0 - value / math.log(n)
-        return max(r, -1.0 + 1e-9)
+        delta = spec.table(int(lags.max(initial=0)))[lags]
+        return np.where(np.isinf(delta), 0.0, np.maximum(1.0 - delta / math.log(n), -1.0 + 1e-9))
 
     return CorrelationModel(
         d=spec.d, rho=rho, max_lag=spec.finite_horizon, name="hr", delta_spec=spec
@@ -222,10 +220,7 @@ def hr_family(spec: DeltaSpec) -> CorrelationModel:
 
 
 def iid_model(d: int) -> CorrelationModel:
-    def rho(i: int, j: int, k: int, n: float) -> float:
-        return 1.0 if (i == j and k == 0) else 0.0
-
-    return CorrelationModel(d=d, rho=rho, max_lag=0, name="iid")
+    return replace(constant_model(d, 0.0), max_lag=0, name="iid")
 
 
 def tabulated_model(d: int, table: Mapping[tuple[int, int, int], float]) -> CorrelationModel:
@@ -234,7 +229,7 @@ def tabulated_model(d: int, table: Mapping[tuple[int, int, int], float]) -> Corr
     Missing entries are 0; (i, i, 0) is fixed at 1 and must not be
     overridden with anything else.
     """
-    canon = {}
+    canon = {(i, i, 0): 1.0 for i in range(1, d + 1)}
     for (i, j, k), value in table.items():
         _validate_index(d, i, j, k)
         value = float(value)
@@ -244,11 +239,14 @@ def tabulated_model(d: int, table: Mapping[tuple[int, int, int], float]) -> Corr
             raise ValueError("rho(i,i,0) is 1 by definition")
         canon[_canonical(i, j, k)] = value
     max_lag = max((k for (_, _, k), v in canon.items() if v != 0.0), default=0)
+    # dense[k] for k <= max_lag, and the zero block dense[max_lag + 1] for the rest
+    dense = np.zeros((max_lag + 2, d, d))
+    for (i, j, k), value in canon.items():
+        if k <= max_lag:
+            dense[k, i - 1, j - 1] = dense[k, j - 1, i - 1] = value
 
-    def rho(i: int, j: int, k: int, n: float) -> float:
-        if i == j and k == 0:
-            return 1.0
-        return canon.get(_canonical(i, j, k), 0.0)
+    def rho(lags: np.ndarray, n: float) -> np.ndarray:
+        return dense[np.minimum(lags, max_lag + 1)]
 
     return CorrelationModel(d=d, rho=rho, max_lag=max_lag, name="tabulated")
 
@@ -267,9 +265,12 @@ def geometric_model(d: int, rate: float, cross: float = 0.0) -> CorrelationModel
     if d > 1 and not (-1.0 / (d - 1) < cross <= 1.0):
         raise ValueError("need cross-correlation in (-1/(d-1), 1]")
 
-    def rho(i: int, j: int, k: int, n: float) -> float:
-        base = 1.0 if i == j else cross
-        return base * rate**k
+    base = np.where(np.eye(d, dtype=bool), 1.0, cross)
+
+    def rho(lags: np.ndarray, n: float) -> np.ndarray:
+        # Python's pow: numpy's SIMD power can differ in the last bit, by CPU
+        powers = np.fromiter((rate**k for k in lags.tolist()), float, count=len(lags))
+        return base * powers[:, None, None]
 
     return CorrelationModel(d=d, rho=rho, max_lag=(0 if rate == 0.0 else math.inf), name="geometric")
 
@@ -284,8 +285,8 @@ def constant_model(d: int, rho_value: float) -> CorrelationModel:
     if not 0.0 <= rho_value < 1.0:
         raise ValueError("need constant correlation in [0, 1)")
 
-    def rho(i: int, j: int, k: int, n: float) -> float:
-        return 1.0 if (i == j and k == 0) else rho_value
+    def rho(lags: np.ndarray, n: float) -> np.ndarray:
+        return np.where((lags[:, None, None] == 0) & np.eye(d, dtype=bool), 1.0, rho_value)
 
     return CorrelationModel(d=d, rho=rho, max_lag=math.inf, name="constant")
 
@@ -321,7 +322,9 @@ def estimate_delta(
         raise ValueError("need a strictly increasing n grid")
     if grid[0] <= 1.0:
         raise ValueError("need sample sizes > 1")
-    seq = [(1.0 - model.rho(i, j, k, n)) * math.log(n) for n in grid]
+    _validate_index(model.d, i, j, k)
+    rho = [lag_table(model, range(k, k + 1), n)[0, i - 1, j - 1] for n in grid]
+    seq = [float((1.0 - r) * math.log(n)) for r, n in zip(rho, grid)]
     diffs = [abs(b - a) for a, b in zip(seq, seq[1:])]
     diverged = seq[-1] > divergence_threshold and seq[-3] < seq[-2] < seq[-1]
     return DeltaEstimate(
@@ -374,16 +377,16 @@ def lag_table(model: CorrelationModel, lags: range, n: float) -> np.ndarray:
     """table[a, i, j] = rho_{i+1, j+1}(lags[a], n) over an increasing range
     of lags.
 
-    This is the only reader of model.rho across lags.  Lags beyond
-    model.max_lag read 0 without a call to rho; a model with a non-finite
-    correlation or one that is not symmetric in (i, j) is rejected.
+    This is the only reader of model.rho, which it calls once, on the lags
+    up to model.max_lag; the others read 0 without a call.  A model with a
+    non-finite correlation or one that is not symmetric in (i, j) is
+    rejected.
     """
-    d = model.d
     top = lags.stop if math.isinf(model.max_lag) else min(lags.stop, int(model.max_lag) + 1)
-    called = range(lags.start, top, lags.step)
-    values = (model.rho(i + 1, j + 1, k, n) for k in called for i in range(d) for j in range(d))
-    table = np.zeros((len(lags), d, d))
-    table[: len(called)] = np.fromiter(values, float, count=len(called) * d * d).reshape(-1, d, d)
+    called = np.arange(lags.start, top, lags.step)
+    table = np.zeros((len(lags), model.d, model.d))
+    if len(called):
+        table[: len(called)] = model.rho(called, n)
     if not np.isfinite(table).all():
         a, i, j = np.argwhere(~np.isfinite(table))[0]
         raise ValueError(

@@ -62,6 +62,7 @@ __all__ = [
     "random_matrix_distribution",
     "block_consistency_check",
     "write_convergence_csv",
+    "report_jsonable",
     "write_convergence_json",
 ]
 
@@ -137,7 +138,8 @@ def maxima_matrix(
     plan, 2d - 1 uniforms per replicate at a cost free of n.
 
     Replicate r always draws from substream key.child(r), so the result is
-    byte-identical for every thread count; threads only split the replicate
+    byte-identical for every thread count (bar the dense route's last bit,
+    see hrex.sampler.iter_path_blocks); threads only split the replicate
     range into fixed chunks worked in parallel, on at most one worker per
     CPU and per replicate.  The route is planned once, logged at DEBUG and
     shared by every chunk."""
@@ -188,7 +190,7 @@ def empirical_cdf(
 def run_maxima_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[EmpiricalCdf]:
     """One EmpiricalCdf per n.  Replicate r of the run at size n draws from
     substream (seed, n, r), so results do not depend on which other sizes
-    are in the sweep, on batching, or on the thread count."""
+    are in the sweep, nor (bar the dense route) on batching or threads."""
     root = RngKey(cfg.seed)
     out = []
     for n in cfg.n_list:

@@ -23,8 +23,8 @@ model.max_lag.  Here max_lag only picks routes and sizes the band:
   the m/2 + 1 non-negative frequencies; a replicate's m*d real normals go
   through rfft, that factor and irfft.  The embedding is exact whenever the
   wrapped spectral blocks stay positive semidefinite; padding is doubled up
-  to three times before falling back to the dense route with a logged
-  warning.  Each plan logs its embedding size, doublings, smallest spectral
+  to three times before a logged fallback to the dense or banded route.
+  Each plan logs its embedding size, doublings, smallest spectral
   eigenvalue and clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
@@ -32,8 +32,8 @@ maxima of lag-0 rows with d <= 2.  `maxima_matrix` splits the replicates
 into chunks and hands the one plan to every chunk, so the covariance,
 factor or spectrum is built once however many threads work.  Replicate r
 draws its uniforms from its own substream key.child(r), so results are
-reproducible for a given (seed, model, length, count) no matter how
-replicates are batched or parallelised.
+reproducible for a given (seed, model, length, count), and off the dense
+route (see `iter_path_blocks`) however replicates are batched or parallelised.
 """
 
 from __future__ import annotations
@@ -263,10 +263,10 @@ def make_plan(
     model: CorrelationModel, length: int, method: str, n: float | None = None
 ) -> Plan:
     """Pick the sampling route: lag-0 whenever the path has no serial
-    dependence; otherwise circulant when asked for (dense if the embedding
-    fails), else dense (Schur factor of the block-Toeplitz lag table, L*d <=
-    DENSE_CAP) and banded Cholesky beyond.  n is the array-row size fed to
-    the correlation function (default: the path length)."""
+    dependence; otherwise circulant when asked for.  Without it, or when the
+    embedding fails, dense (Schur factor of the block-Toeplitz lag table,
+    L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the array-row size
+    fed to the correlation function (default: the path length)."""
     if method not in ("cholesky", "circulant"):
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:
@@ -278,19 +278,17 @@ def make_plan(
         plan = _lag0_plan(model, length, n)
     elif method == "circulant":
         plan = _circulant_plan(model, length, n)
-        if plan is None:
-            log.warning(
-                "circulant embedding indefinite after %d doublings; falling back to"
-                " the dense route", _MAX_DOUBLINGS,
-            )
-    elif length * model.d > DENSE_CAP:
-        if not math.isfinite(model.max_lag):
-            raise ValueError(
-                "path of size %d exceeds the dense cap and the model has no"
-                " finite band; use the circulant sampler" % (length * model.d)
-            )
-        plan = _banded_plan(model, length, n)
-    size, transform, footprint = plan or _dense_plan(model, length, n)
+    if plan is None:  # the size rule, also where the circulant embedding failed
+        failed = "circulant embedding indefinite after %d doublings" % _MAX_DOUBLINGS
+        banded = length * model.d > DENSE_CAP
+        if banded and not math.isfinite(model.max_lag):
+            why = "path of size %d exceeds the dense cap and the model has no finite band"
+            raise ValueError((failed + ", and the " + why if method == "circulant"
+                              else why + "; use the circulant sampler") % (length * model.d))
+        if method == "circulant":
+            log.warning("%s; falling back to the %s route", failed, "banded" if banded else "dense")
+        plan = (_banded_plan if banded else _dense_plan)(model, length, n)
+    size, transform, footprint = plan
     return size, lambda u: transform(ndtri(u, out=u)), footprint
 
 
@@ -339,7 +337,9 @@ def iter_path_blocks(
     plan: Plan | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
-    holding all paths in memory.  Values are independent of the batching.
+    holding all paths in memory.  Values are independent of the batching,
+    except on the dense route: BLAS picks the kernel of its z @ factor_t by
+    the batch's row count, so a replicate's last bit can move with count.
     plan, when given, is make_plan's or maxima_plan's plan for (model,
     length, method, n), made once by a caller that works in chunks."""
     size, transform, footprint = make_plan(model, length, method, n) if plan is None else plan

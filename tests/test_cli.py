@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hrex.cli import main, model_from_jsonable
@@ -305,9 +306,7 @@ def test_check_iid_passes(tmp_path, capsys):
         {"model": {"name": "iid", "d": 1}, "n_list": [100, 1000], "m_list": [1, 2]},
     )
     out_dir = tmp_path / "out"
-    code, out, _ = run(
-        ["check", "--config", cfg, "--out", str(out_dir), "--format", "csv"], capsys
-    )
+    code, out, _ = run(["check", "--config", cfg, "--out", str(out_dir)], capsys)
     assert code == 0
     payload = json.loads(out)
     assert all(v == "pass" for v in payload["verdicts"].values())
@@ -324,7 +323,7 @@ def test_check_constant_correlation_flagged(tmp_path, capsys):
             "n_list": [100, 400, 1600],
         },
     )
-    code, out, _ = run(["check", "--config", cfg, "--format", "json"], capsys)
+    code, out, _ = run(["check", "--config", cfg], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["verdicts"]["simplified"] == "fail"
@@ -338,14 +337,14 @@ def test_check_json_output_file(tmp_path, capsys):
         {"model": {"name": "iid", "d": 2}, "n_list": [50, 200]},
     )
     out_dir = tmp_path / "out"
-    code, _, _ = run(
-        ["check", "--config", cfg, "--out", str(out_dir), "--format", "json"], capsys
-    )
+    code, _, _ = run(["check", "--config", cfg, "--out", str(out_dir)], capsys)
     assert code == 0
     obj = json.loads((out_dir / "conditions.json").read_text())
     assert {"rows", "verdicts"} <= set(obj)
+    # the same rows go to the csv beside it, and the manifest lists both
+    assert len((out_dir / "conditions.csv").read_text().splitlines()) == 1 + len(obj["rows"])
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert [f["name"] for f in manifest["files"]] == ["conditions.json"]
+    assert [f["name"] for f in manifest["files"]] == ["conditions.csv", "conditions.json"]
 
 
 # --- lemma1 ------------------------------------------------------------------------
@@ -544,7 +543,7 @@ def test_missing_config_file(tmp_path, capsys):
 def test_model_from_jsonable_roundtrip():
     model = model_from_jsonable({"name": "iid", "d": 3})
     assert model.d == 3
-    assert model.rho(1, 2, 0, 100.0) == 0.0
+    assert model.rho(np.array([0]), 100.0)[0, 0, 1] == 0.0
     tab = model_from_jsonable(
         {
             "name": "tabulated",
@@ -552,4 +551,4 @@ def test_model_from_jsonable_roundtrip():
             "entries": [{"i": 1, "j": 2, "k": 0, "rho": 0.25}],
         }
     )
-    assert tab.rho(1, 2, 0, 50.0) == 0.25
+    assert tab.rho(np.array([0]), 50.0)[0, 0, 1] == 0.25

@@ -3,12 +3,12 @@ the asymptotic condition checkers.
 """
 
 import ast
-import collections
 import dataclasses
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +40,11 @@ BERMAN_HALF_EE = 0.025968882486522786
 def serial_spec(**lags):
     entries = {(1, 1, int(k)): v for k, v in lags.items()}
     return DeltaSpec.from_entries(1, entries)
+
+
+def rho_at(model, i, j, k, n):
+    """rho_ij(k, n), read off the model's one-lag table."""
+    return model.rho(np.array([k]), n)[0, i - 1, j - 1]
 
 
 # --- DeltaSpec --------------------------------------------------------------
@@ -137,31 +142,31 @@ def test_spec_from_function_infinite_horizon():
 def test_hr_rho_arithmetic_pin():
     # delta = 2 at n = e^10 gives 1 - 2/10 exactly
     model = hr_family(serial_spec(**{"1": 2.0}))
-    assert model.rho(1, 1, 1, math.exp(10)) == pytest.approx(0.8, abs=1e-12)
+    assert rho_at(model, 1, 1, 1, math.exp(10)) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_hr_infinite_delta_gives_zero():
     model = hr_family(serial_spec(**{"1": 2.0}))
-    assert model.rho(1, 1, 2, 1000) == 0.0
-    assert model.rho(1, 1, 7, 1000) == 0.0
+    assert rho_at(model, 1, 1, 2, 1000) == 0.0
+    assert rho_at(model, 1, 1, 7, 1000) == 0.0
 
 
 def test_hr_lag0_diagonal_is_one():
     model = hr_family(serial_spec(**{"1": 2.0}))
-    assert model.rho(1, 1, 0, 50) == 1.0
+    assert rho_at(model, 1, 1, 0, 50) == 1.0
 
 
 def test_hr_clamps_at_small_n():
     # 1 - delta/ln n dives below -1 for tiny n; the family clamps
     model = hr_family(serial_spec(**{"1": 50.0}))
-    r = model.rho(1, 1, 1, 2)
+    r = rho_at(model, 1, 1, 1, 2)
     assert -1.0 < r < 0.0
 
 
 def test_hr_requires_n_at_least_2():
     model = hr_family(serial_spec(**{"1": 1.0}))
     with pytest.raises(ValueError):
-        model.rho(1, 1, 1, 1)
+        rho_at(model, 1, 1, 1, 1)
 
 
 def test_hr_carries_spec_and_horizon():
@@ -207,7 +212,7 @@ def test_estimate_delta_log_divergence_reported_infinite():
     # infinity; with a threshold inside the grid's reach it is flagged
     model = CorrelationModel(
         d=1,
-        rho=lambda i, j, k, n: 1.0 / math.log(n) if k == 1 else float(k == 0),
+        rho=lambda lags, n: np.where(lags == 1, 1.0 / math.log(n), lags == 0)[:, None, None],
         max_lag=1,
         name="log-decay",
     )
@@ -225,6 +230,12 @@ def test_estimate_delta_constant_rho_reported_infinite():
     )
     assert math.isinf(est.value)
     assert est.diverged
+
+
+def test_estimate_delta_rejects_a_component_outside_the_model():
+    # index 0 would wrap to the last component of the lag table
+    with pytest.raises(InvalidDeltaSpec, match="component indices"):
+        estimate_delta(geometric_model(2, 0.5, 0.3), 0, 1, 1, GRID)
 
 
 def test_estimate_delta_needs_increasing_grid():
@@ -302,7 +313,7 @@ def test_long_range_log_decay_flagged_as_failing():
     # at exactly ln n * (1/ln n) = 1 instead of tending to 0.
     model = CorrelationModel(
         d=1,
-        rho=lambda i, j, k, n: 1.0 / math.log(n) if k >= 1 else 1.0,
+        rho=lambda lags, n: np.where(lags >= 1, 1.0 / math.log(n), 1.0)[:, None, None],
         max_lag=math.inf,
         name="log-decay",
     )
@@ -343,7 +354,7 @@ def test_short_range_rejects_unit_rho_in_window():
     model = constant_model(1, 0.0)  # fine
     check_short_range(model, 100, 1, 5)
     bad = CorrelationModel(
-        d=1, rho=lambda i, j, k, n: 1.0, max_lag=math.inf, name="unit"
+        d=1, rho=lambda lags, n: np.ones((len(lags), 1, 1)), max_lag=math.inf, name="unit"
     )
     with pytest.raises(ValueError):
         check_short_range(bad, 100, 1, 5)
@@ -356,7 +367,7 @@ def test_simplified_iid_zero():
 def test_simplified_inverse_log_squared():
     model = CorrelationModel(
         d=1,
-        rho=lambda i, j, k, n: 1.0 / math.log(n) ** 2 if k >= 1 else 1.0,
+        rho=lambda lags, n: np.where(lags >= 1, 1.0 / math.log(n) ** 2, 1.0)[:, None, None],
         max_lag=math.inf,
         name="slow",
     )
@@ -369,7 +380,7 @@ def test_simplified_inverse_log_squared():
 def test_simplified_harmonic_decay_sweeps_downward():
     model = CorrelationModel(
         d=1,
-        rho=lambda i, j, k, n: 1.0 / k if k >= 1 else 1.0,
+        rho=lambda lags, n: 1.0 / np.maximum(lags, 1)[:, None, None],
         max_lag=math.inf,
         name="harmonic",
     )
@@ -409,10 +420,10 @@ def test_long_range_monotone_in_window():
 
 def test_tabulated_model_lookup_and_symmetry():
     model = tabulated_model(2, {(1, 2, 1): 0.25})
-    assert model.rho(1, 2, 1, 99) == 0.25
-    assert model.rho(2, 1, 1, 99) == 0.25
-    assert model.rho(1, 1, 0, 99) == 1.0
-    assert model.rho(1, 2, 3, 99) == 0.0
+    assert rho_at(model, 1, 2, 1, 99) == 0.25
+    assert rho_at(model, 2, 1, 1, 99) == 0.25
+    assert rho_at(model, 1, 1, 0, 99) == 1.0
+    assert rho_at(model, 1, 2, 3, 99) == 0.0
 
 
 def test_tabulated_model_validates():
@@ -424,9 +435,9 @@ def test_tabulated_model_validates():
 
 def test_geometric_model_values():
     model = geometric_model(2, 0.5, 0.3)
-    assert model.rho(1, 1, 3, 7) == 0.5**3
-    assert model.rho(1, 2, 0, 7) == 0.3
-    assert model.rho(1, 2, 2, 7) == pytest.approx(0.3 * 0.25)
+    assert rho_at(model, 1, 1, 3, 7) == 0.5**3
+    assert rho_at(model, 1, 2, 0, 7) == 0.3
+    assert rho_at(model, 1, 2, 2, 7) == pytest.approx(0.3 * 0.25)
 
 
 def test_geometric_model_validates():
@@ -438,9 +449,9 @@ def test_geometric_model_validates():
 
 def test_constant_model_values_and_validation():
     model = constant_model(2, 0.4)
-    assert model.rho(1, 1, 0, 10) == 1.0
-    assert model.rho(1, 1, 5, 10) == 0.4
-    assert model.rho(1, 2, 0, 10) == 0.4
+    assert rho_at(model, 1, 1, 0, 10) == 1.0
+    assert rho_at(model, 1, 1, 5, 10) == 0.4
+    assert rho_at(model, 1, 2, 0, 10) == 0.4
     with pytest.raises(ValueError):
         constant_model(1, 1.0)
     with pytest.raises(ValueError):
@@ -449,9 +460,9 @@ def test_constant_model_values_and_validation():
 
 def test_iid_model_is_identity_correlation():
     model = iid_model(2)
-    assert model.rho(1, 1, 0, 5) == 1.0
-    assert model.rho(1, 2, 0, 5) == 0.0
-    assert model.rho(1, 1, 1, 5) == 0.0
+    assert rho_at(model, 1, 1, 0, 5) == 1.0
+    assert rho_at(model, 1, 2, 0, 5) == 0.0
+    assert rho_at(model, 1, 1, 1, 5) == 0.0
     assert model.max_lag == 0
 
 
@@ -461,12 +472,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def counting(model):
-    """The model with a rho that records every (i, j, k) it is asked for."""
-    calls = collections.Counter()
+    """The model with a rho that records the lags of every call."""
+    calls = []
 
-    def rho(i, j, k, n):
-        calls[(i, j, k)] += 1
-        return model.rho(i, j, k, n)
+    def rho(lags, n):
+        calls.append(lags.tolist())
+        return model.rho(lags, n)
 
     return dataclasses.replace(model, rho=rho), calls
 
@@ -490,12 +501,8 @@ def call_sites(attr):
 
 
 def test_rho_read_only_through_lag_table():
-    # estimate_delta probes one (i, j, k) across n; every read across lags
-    # goes through lag_table
-    assert call_sites("rho") == {
-        ("correlation.py", "lag_table"),
-        ("correlation.py", "estimate_delta"),
-    }
+    # estimate_delta probes one (i, j, k) across n through one-lag tables
+    assert call_sites("rho") == {("correlation.py", "lag_table")}
 
 
 def test_substreams_opened_only_by_the_draw_loops():
@@ -508,12 +515,8 @@ def test_substreams_opened_only_by_the_draw_loops():
 
 
 def test_delta_read_only_through_delta_table():
-    # hr_family's rho reads one (i, j, k) per correlation; every read across
-    # lags goes through DeltaSpec.table
-    assert call_sites("delta") == {
-        ("correlation.py", "DeltaSpec.table"),
-        ("correlation.py", "hr_family.rho"),
-    }
+    # hr_family's rho maps DeltaSpec.table to 1 - delta / log n
+    assert call_sites("delta") == {("correlation.py", "DeltaSpec.table")}
 
 
 def test_lag_table_cuts_beyond_max_lag_without_calling_rho():
@@ -522,15 +525,17 @@ def test_lag_table_cuts_beyond_max_lag_without_calling_rho():
     assert table.shape == (5, 2, 2)
     assert table[0, 0, 1] == table[0, 1, 0] == 0.25 and table[1, 0, 0] == -0.5
     assert not table[2:].any()
-    assert set(calls) == {(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)}
+    assert calls == [[1, 2]]
+    # no lag up to max_lag: no call at all
+    assert not lag_table(model, range(3, 9), 50).any()
+    assert calls == [[1, 2]]
 
 
 def test_condition_row_reads_rho_once_per_lag_and_pair():
     n = 10**4
     model, calls = counting(geometric_model(2, 0.5, 0.3))
     row = condition_row(model, n, 0.4, 0.6, [1, 3])
-    assert max(calls.values()) == 1
-    assert {k for _, _, k in calls} == set(range(1, n + 1))
+    assert calls == [list(range(1, n + 1))]
     plain = geometric_model(2, 0.5, 0.3)
     params = BlockParameters.from_exponents(n, 0.4, 0.6)
     assert row == {
@@ -545,20 +550,21 @@ def test_condition_row_reads_rho_once_per_lag_and_pair():
 
 
 def loop_reference(model, n, l_n, r_n, m):
-    """The three diagnostics as plain loops over (i, j, s) calling rho."""
+    """The three diagnostics as plain loops over (i, j, s) calling rho on one
+    lag at a time."""
     d, log_n = model.d, math.log(n)
     long_terms, short_terms, simplified = [], [], 0.0
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             peak = 0.0
             for s in range(l_n, n + 1):
-                r = model.rho(i, j, s, n) if s <= model.max_lag else 0.0
+                r = float(model.rho(np.array([s]), n)[0, i - 1, j - 1]) if s <= model.max_lag else 0.0
                 if r != 0.0:
                     long_terms.append(berman_term(r, n))
                 peak = max(peak, abs(r))
             simplified += peak
             for s in range(m, r_n + 1):
-                r = model.rho(i, j, s, n) if s <= model.max_lag else 0.0
+                r = float(model.rho(np.array([s]), n)[0, i - 1, j - 1]) if s <= model.max_lag else 0.0
                 short_terms.append(
                     n ** (-(1.0 - r) / (1.0 + r)) * log_n ** (-r / (1.0 + r)) / math.sqrt(1.0 - r * r)
                 )
@@ -572,7 +578,9 @@ def test_checkers_equal_loop_reference(name):
         "hr": hr_family(DeltaSpec.from_entries(2, {(1, 2, 0): 1.0, (1, 1, 1): 3.0, (1, 2, 2): 4.0})),
         "tabulated": tabulated_model(2, {(1, 1, 1): 0.4, (1, 2, 2): -0.3}),
         "log-decay": CorrelationModel(
-            d=1, rho=lambda i, j, k, n: 1.0 / math.log(n) if k >= 1 else 1.0, max_lag=math.inf
+            d=1,
+            rho=lambda lags, n: np.where(lags >= 1, 1.0 / math.log(n), 1.0)[:, None, None],
+            max_lag=math.inf,
         ),
     }[name]
     for n in (100, 3000):
@@ -591,7 +599,11 @@ def test_checkers_reject_asymmetric_model():
     # rho_12 != rho_21: no covariance has these correlations
     model = CorrelationModel(
         d=2,
-        rho=lambda i, j, k, n: 1.0 if i == j and k == 0 else (0.1 if i < j else 0.2) * 0.5**k,
+        rho=lambda lags, n: np.where(
+            (lags[:, None, None] == 0) & np.eye(2, dtype=bool),
+            1.0,
+            np.array([[0.2, 0.1], [0.2, 0.2]]) * 0.5 ** lags[:, None, None],
+        ),
         max_lag=6,
     )
     p = BlockParameters(n=100, l_n=2, r_n=10)
@@ -608,7 +620,7 @@ def test_checkers_reject_asymmetric_model():
 def test_checkers_name_a_non_finite_correlation():
     # NaN is unequal to itself, so a symmetry test alone would blame (i, j)
     model = CorrelationModel(
-        d=1, rho=lambda i, j, k, n: math.nan if k == 3 else 0.5**k, max_lag=6
+        d=1, rho=lambda lags, n: np.where(lags == 3, math.nan, 0.5**lags)[:, None, None], max_lag=6
     )
     with pytest.raises(ValueError, match=r"non-finite rho at \(i, j, k\) = \(1, 1, 3\)"):
         check_simplified(model, 100, 2)

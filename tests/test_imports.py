@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every __all__
+lists exactly its module's public names.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by a top-level import must be read somewhere in the module or be
@@ -17,19 +18,25 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "hrex").glob("*.py"))
 
 
+def listed_in_all(tree: ast.Module) -> list[str] | None:
+    """The names of the module's __all__, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = []
-    exported = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names]
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
+    exported = listed_in_all(tree) or []
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in bound if name not in used and name not in exported]
 
@@ -42,6 +49,29 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def all_mismatch(source: str) -> tuple[list[str], list[str]] | None:
+    """(public top-level defs missing from __all__, names in __all__ that are
+    not one), or None for a module without __all__."""
+    tree = ast.parse(source)
+    listed = listed_in_all(tree)
+    if listed is None:
+        return None
+    public = [n.name for n in tree.body
+              if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
+    return [n for n in public if n not in listed], [n for n in listed if n not in public]
+
+
+def test_all_checker_flags_both_directions():
+    source = "__all__ = ['f', 'gone']\ndef f(): pass\ndef g(): pass\ndef _h(): pass\n"
+    assert all_mismatch(source) == (["g"], ["gone"])
+    assert all_mismatch("def f(): pass\n") is None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_all_lists_exactly_the_public_defs(path):
+    assert all_mismatch(path.read_text()) in (None, ([], []))
 
 
 def loaded_after(statement: str) -> set[str]:

@@ -28,6 +28,7 @@ from hrex.sampler import (
     SamplePath,
     assemble_covariance,
     iter_path_blocks,
+    make_plan,
     read_path,
     write_path,
 )
@@ -76,7 +77,7 @@ def test_assemble_block_toeplitz_structure():
         for t2 in range(length):
             for i in range(2):
                 for j in range(2):
-                    expect = model.rho(i + 1, j + 1, abs(t1 - t2), length)
+                    expect = model.rho(np.array([abs(t1 - t2)]), length)[0, i, j]
                     assert m[t1 * 2 + i, t2 * 2 + j] == expect
 
 
@@ -297,6 +298,27 @@ def test_circulant_embedding_failure_falls_back_to_dense(caplog):
     with pytest.raises(NotPositiveSemidefinite):
         list(iter_path_blocks(model, 64, RngKey(0).child(0), 1, method="circulant", n=10**4))
     assert "falling back to the dense route" in caplog.text
+
+
+def test_circulant_fallback_takes_the_banded_route_beyond_the_cap(caplog, monkeypatch):
+    # beyond the dense cap a failed embedding falls back by the same size
+    # rule as the cholesky method: the serial family has a band of width 1
+    monkeypatch.setattr("hrex.sampler.DENSE_CAP", 64)
+    model = hr_family(serial_spec(**{"1": 1.0}))
+    with pytest.raises(NotPositiveSemidefinite, match=r"banded covariance \(length 100"):
+        make_plan(model, 100, "circulant", n=10**4)
+    assert "falling back to the banded route" in caplog.text
+
+
+def test_circulant_fallback_respects_the_dense_cap(monkeypatch):
+    # Brownian lags delta(k) = k have no finite band, so beyond the cap there
+    # is no route left: the error names the embedding and the cap
+    monkeypatch.setattr("hrex.sampler.DENSE_CAP", 64)
+    model = hr_family(DeltaSpec.from_function(1, lambda i, j, k: float(k), math.inf))
+    with pytest.raises(ValueError, match="circulant embedding indefinite.*exceeds the dense cap"):
+        make_plan(model, 100, "circulant", n=10**4)
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
+        make_plan(model, 100, "cholesky", n=10**4)
 
 
 def gaussian_correlation(scale):
