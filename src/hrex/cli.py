@@ -49,6 +49,7 @@ from .experiments import (
     weakly_decreasing,
     write_convergence_csv,
     write_convergence_json,
+    write_csv,
 )
 from .jsonio import to_jsonable, write_json
 from .norming import hr_bivariate_cdf
@@ -268,8 +269,7 @@ def cmd_check(args) -> int:
         csv_path = out_dir / "conditions.csv"
         json_path = out_dir / "conditions.json"
         header = ["n", "l_n", "r_n"] + metrics
-        lines = [header] + [[repr(row[h]) for h in header] for row in rows]
-        csv_path.write_text("".join(",".join(line) + "\n" for line in lines))
+        write_csv(csv_path, header, [[row[h] for h in header] for row in rows])
         write_json(json_path, payload)
         _write_manifest(out_dir, "check", args.config, cfg.get("seed"), [csv_path, json_path], started)
 

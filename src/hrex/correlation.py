@@ -409,9 +409,11 @@ def _short_range(window: np.ndarray, n: int) -> float:
     for r in window.ravel().tolist():
         if not abs(r) < 1.0:
             raise ValueError("need |rho| < 1 in the short-range sum")
-        terms.append(
-            n ** (-(1.0 - r) / (1.0 + r)) * log_n ** (-r / (1.0 + r)) / math.sqrt(1.0 - r * r)
-        )
+        try:
+            term = n ** (-(1.0 - r) / (1.0 + r)) * log_n ** (-r / (1.0 + r)) / math.sqrt(1.0 - r * r)
+        except OverflowError:  # r near -1: the power overflows, the term underflows
+            term = math.exp(-((1.0 - r) * log_n + r * math.log(log_n)) / (1.0 + r) - 0.5 * math.log1p(-r * r))
+        terms.append(term)
     return math.fsum(terms)
 
 

@@ -28,7 +28,6 @@ block-decoupling step of the limit argument.  Both draw maxima_plan's plans.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -62,6 +61,7 @@ __all__ = [
     "random_matrix_distribution",
     "block_consistency_check",
     "write_convergence_csv",
+    "write_csv",
     "report_jsonable",
     "write_convergence_json",
 ]
@@ -442,27 +442,24 @@ def block_consistency_check(
 # report files
 
 
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Comma-separated header and rows, each cell written by repr, every line
+    ending in a bare newline."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def write_convergence_csv(report: ConvergenceReport, path) -> None:
     """Rows n, x1..xd, empirical, limit, deviation, std_error."""
     d = len(report.entries[0].x_grid[0]) if report.entries else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n"] + ["x%d" % (i + 1) for i in range(d)]
-            + ["empirical", "limit", "deviation", "std_error"]
-        )
-        for entry in report.entries:
-            for g, point in enumerate(entry.x_grid):
-                writer.writerow(
-                    [entry.n]
-                    + [repr(v) for v in point]
-                    + [
-                        repr(float(entry.empirical[g])),
-                        repr(float(entry.limits[g])),
-                        repr(float(entry.deviations[g])),
-                        repr(float(entry.std_errors[g])),
-                    ]
-                )
+    header = ["n"] + ["x%d" % (i + 1) for i in range(d)] + ["empirical", "limit", "deviation", "std_error"]
+    write_csv(path, header, [
+        [entry.n, *point, float(entry.empirical[g]), float(entry.limits[g]),
+         float(entry.deviations[g]), float(entry.std_errors[g])]
+        for entry in report.entries
+        for g, point in enumerate(entry.x_grid)
+    ])
 
 
 def report_jsonable(report: ConvergenceReport) -> dict:

@@ -7,8 +7,8 @@ on (root, path), never on how many other substreams were consumed first.
 That is what makes replicate-level parallelism and common-random-number
 reuse reproducible: replicate r always sees the same bytes.
 
-Gaussian and exponential variates are produced by inverting the uniform
-CDF rather than by rejection, so two estimators fed the same substream
+Gaussian variates are produced by inverting the normal CDF of a uniform
+stream rather than by rejection, so two estimators fed the same substream
 consume identical uniforms and stay pathwise coupled.
 """
 
@@ -51,7 +51,3 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """N(0,1) variates via the inverse normal CDF of a uniform stream."""
     return ndtri(uniform_open(gen, size))
 
-
-def standard_exponential(gen: np.random.Generator, size) -> np.ndarray:
-    """Exp(1) variates via inversion: -log(U) with U in (0,1)."""
-    return -np.log(uniform_open(gen, size))

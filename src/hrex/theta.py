@@ -27,10 +27,15 @@ every finite pair.  The W entries have unit variance and
         (delta_ji(k-1) + delta_ti(l-1) - D[|k-l|, j, t])
         / (2 sqrt(delta_ji(k-1) * delta_ti(l-1))).
 
-The covariance is filled and factored when the constraint set is built,
-and the Monte Carlo estimate draws W through that factor.  When no
-constraint is active the coefficient is exactly 1 and the corresponding
-margin is pure Gumbel.
+The covariance is filled and factored when the constraint set is built.
+Given W, every row holds exactly when A <= 2 m(W), m(W) the least
+bound - sqrt(delta) W over the rows, so the exponential integrates out:
+
+    theta_i(x) = E[ 1 - exp(-2 max(m(W), 0)) ],
+
+and the Monte Carlo estimate draws only W, through the factor.  When no
+row reads W, m is the least bound and the coefficient is exact; with no
+row at all it is 1 and the corresponding margin is pure Gumbel.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from scipy.special import ndtr
 from .correlation import DeltaSpec
 from .errors import DegenerateDelta, InvalidDeltaSpec
 from .norming import std_normal_cdf
-from .rng import RngKey, standard_exponential, standard_normal
+from .rng import RngKey, standard_normal
 
 __all__ = [
     "ConstraintSet",
@@ -86,6 +91,10 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class ThetaEstimate:
+    """A coefficient and its Monte Carlo standard error: the standard
+    deviation of the per-sample conditional probabilities over sqrt(samples),
+    0 for an exact value.  It never exceeds the binomial bound 0.5/sqrt(N)."""
+
     value: float
     std_error: float
     samples: int
@@ -199,49 +208,40 @@ def _factor(matrix: np.ndarray, i: int) -> np.ndarray:
 
 
 def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEstimate:
-    """Monte Carlo estimate of P(all constraint rows hold).
+    """Estimate of P(A/2 + scale * W[column] <= bound for every row) as the
+    mean of 1 - exp(-2 max(m(W), 0)) (see the module docstring).
 
-    Each fixed-size batch b draws from substream key.child(b): first the
-    exponential A, then the Gaussian block, so two estimators sharing a
-    key and covariance see identical variates (common random numbers).
-    Pure-A rows fold into one bound on A/2; the Gaussian rows are checked
-    at once on the gathered columns of W.  An empty constraint set is
-    exactly 1.  The standard error is the binomial sqrt(p(1-p)/N).
+    When no row reads W the value is exact and the standard error 0.
+    Otherwise each row's slack bound - scale * W[column] is bound +
+    loading @ z, with z standard normal and a zero loading for a pure-A row;
+    batch b draws its (b, q) block of z from substream key.child(b), so two
+    estimators sharing a key and covariance see the same z (common random
+    numbers).  The standard error is the standard deviation of the
+    per-sample conditional probabilities over sqrt(samples).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if len(cs.rows) == 0:
-        return ThetaEstimate(
-            value=1.0, std_error=0.0, samples=samples, truncation_K=cs.truncation_lag
-        )
-    pure = cs.rows.column < 0
-    a_bound = cs.rows.bound[pure].min(initial=np.inf)
-    gauss = cs.rows[~pure]
-    factor_t = cs.factor.T.copy()
-    q = len(cs.indices)
-    hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
+    rows = cs.rows
+    if (rows.column < 0).all():
+        value = -math.expm1(-2.0 * max(rows.bound.min(initial=math.inf), 0.0))
+        return ThetaEstimate(value, 0.0, samples, cs.truncation_lag)
+    loading = -rows.scale[:, None] * cs.factor[rows.column]
+    # squared deviations: from each batch's mean here, of the batch means below
+    counts, means, squares = [], [], 0.0
+    for batch_index, start in enumerate(range(0, samples, _BATCH)):
+        b = min(_BATCH, samples - start)
         gen = key.child(batch_index).generator()
-        a_half = 0.5 * standard_exponential(gen, b)
-        ok = a_half <= a_bound
-        if q:
-            lhs = (standard_normal(gen, (b, q)) @ factor_t)[:, gauss.column]
-            lhs *= gauss.scale
-            lhs += a_half[:, None]
-            ok &= (lhs <= gauss.bound).all(axis=1)
-        hits += int(ok.sum())
-        done += b
-        batch_index += 1
-    p = hits / samples
-    return ThetaEstimate(
-        value=p,
-        std_error=math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
-        truncation_K=cs.truncation_lag,
-    )
+        slack = loading @ standard_normal(gen, (b, len(cs.indices))).T
+        slack += rows.bound[:, None]
+        p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
+        del slack  # free the (rows, b) block before the next batch draws
+        counts.append(b)
+        means.append(p.mean())
+        squares += float(np.square(p - means[-1]).sum())
+    counts, means = np.array(counts), np.array(means)
+    value = float(counts @ means) / samples
+    squares += float(counts @ np.square(means - value))
+    return ThetaEstimate(value, math.sqrt(squares) / samples, samples, cs.truncation_lag)
 
 
 def theta_for_spec(

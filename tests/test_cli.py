@@ -347,6 +347,33 @@ def test_check_json_output_file(tmp_path, capsys):
     assert [f["name"] for f in manifest["files"]] == ["conditions.csv", "conditions.json"]
 
 
+def test_check_survives_a_correlation_at_the_clamp(tmp_path, capsys):
+    # delta(1) = 40 maps to rho = 1 - 40 / ln n < -1 at these n, which hr_family
+    # clamps to -1 + 1e-9; the short-range term there underflows to 0
+    entry = {"i": 1, "j": 1, "k": 1, "delta": 40.0}
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"model": {"name": "hr", "delta_spec": {"d": 1, "entries": [entry]}}, "n_list": [1000, 10000]},
+    )
+    code, out, err = run(["check", "--config", cfg], capsys)
+    payload = json.loads(out)
+    assert err == ""
+    assert code == (0 if all(v == "pass" for v in payload["verdicts"].values()) else 1)
+    assert all(math.isfinite(v) for row in payload["rows"] for v in row.values())
+    # lags 2..l_n have zero correlation, 1/n each; the clamped lag 1 adds nothing
+    assert payload["rows"][0]["short_range_m1"] == pytest.approx(0.062, rel=1e-12)
+
+
+def test_report_csv_files_end_lines_with_bare_newlines(tmp_path, capsys):
+    converge = write_json(tmp_path / "converge.json", CONVERGE_CFG)
+    check = write_json(tmp_path / "check.json", {"model": {"name": "iid", "d": 1}, "n_list": [50, 200]})
+    assert run(["converge", "--config", converge, "--out", str(tmp_path / "a"), "--threads", "1"], capsys)[0] == 0
+    assert run(["check", "--config", check, "--out", str(tmp_path / "b")], capsys)[0] == 0
+    for path in (tmp_path / "a" / "report.csv", tmp_path / "b" / "conditions.csv"):
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+
+
 # --- lemma1 ------------------------------------------------------------------------
 
 

@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from hrex.correlation import DeltaSpec
 from hrex.errors import DegenerateDelta, InvalidDeltaSpec
-from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf
-from hrex.rng import RngKey, standard_exponential, standard_normal
+from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf, upper_orthant
+from hrex.rng import RngKey, standard_normal
 from hrex.theta import (
     ThetaEstimate,
     build_constraints,
@@ -303,23 +305,21 @@ def test_estimate_pathwise_monotone_in_bound(lam, widen):
 
 
 def per_row_estimate(cs, samples, key):
-    # reference: the per-row check, drawing A first and then the (b, q)
-    # normal block whenever the constraint set has W slots
-    hits, done, batch, q = 0, 0, 0, len(cs.indices)
+    # reference: the conditional probability 1 - exp(-2 max(m, 0)), with m the
+    # least bound - scale * W[column] taken one row at a time, on W drawn as the
+    # (b, q) normal block of each batch through the factor
+    total, done, batch, q = 0.0, 0, 0, len(cs.indices)
     while done < samples:
         b = min(1 << 16, samples - done)
-        gen = key.child(batch).generator()
-        a_half = 0.5 * standard_exponential(gen, b)
-        w = standard_normal(gen, (b, q)) @ cs.factor.T.copy() if q else None
-        ok = np.ones(b, dtype=bool)
+        w = standard_normal(key.child(batch).generator(), (b, q)) @ cs.factor.T
+        m = np.full(b, np.inf)
         for row in cs.rows:
             column, scale, bound = int(row.column), float(row.scale), float(row.bound)
-            lhs = a_half if column == -1 else a_half + scale * w[:, column]
-            ok &= lhs <= bound
-        hits += int(ok.sum())
+            m = np.minimum(m, bound if column == -1 else bound - scale * w[:, column])
+        total += float(np.sum(1.0 - np.exp(-2.0 * np.maximum(m, 0.0))))
         done += b
         batch += 1
-    return hits / samples
+    return total / samples
 
 
 @pytest.mark.parametrize(
@@ -337,7 +337,55 @@ def per_row_estimate(cs, samples, key):
 def test_estimate_matches_per_row_reference(spec, x, i, lag):
     cs = build_constraints(spec, x, i, lag)
     samples, key = (1 << 16) + 1000, RngKey(29).child(i)
-    assert estimate_theta(cs, samples=samples, key=key).value == per_row_estimate(cs, samples, key)
+    value = estimate_theta(cs, samples=samples, key=key).value
+    assert value == pytest.approx(per_row_estimate(cs, samples, key), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (bivariate_spec(0.0), [1.0, 0.2]),
+        (DeltaSpec.from_entries(3, {(1, 2, 0): 0.0, (2, 3, 0): 1.0}), [0.4, 0.0, -0.2]),
+    ],
+    ids=["zero_lag0", "pure_a_with_slots"],
+)
+def test_estimate_is_exact_where_no_row_reads_w(spec, x):
+    # delta_12(0) = 0 makes components 1 and 2 comonotone: theta_2 is
+    # 1 - e^{-(x1 - x2)}, exactly, whatever W slots sit beside the row
+    cs = build_constraints(spec, x, 2, 0)
+    assert all(cs.rows.column == -1)
+    est = estimate_theta(cs, samples=1000, key=RngKey(0).child(0))
+    assert est.value == -math.expm1(-(x[0] - x[1]))
+    assert est.std_error == 0.0
+    assert abs(limit_cdf([1.0, est.value], x[:2]) - hr_bivariate_cdf(0.0, x[0], x[1])) <= 1e-15
+
+
+def two_row_quadrature(s1, b1, s2, b2, r):
+    # integral_0^inf e^-a Phi_2((b1 - a/2)/s1, (b2 - a/2)/s2; r) da, with
+    # Phi_2(h, k; r) = Phi(h) + Phi(k) - 1 + P(X1 > h, X2 > k)
+    def f(a):
+        h, k = (b1 - 0.5 * a) / s1, (b2 - 0.5 * a) / s2
+        return math.exp(-a) * float(ndtr(h) + ndtr(k) - 1.0 + upper_orthant(h, k, r))
+
+    return quad(f, 0.0, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+
+
+def test_estimate_d3_lag0_against_two_row_quadrature():
+    d12, d13, d23, x = 1.0, 1.0, 0.5, [0.5, -0.5, 0.0]
+    spec = DeltaSpec.from_entries(3, {(1, 2, 0): d12, (1, 3, 0): d13, (2, 3, 0): d23})
+    est = estimate_theta(build_constraints(spec, x, 3, 0), samples=10**6, key=RngKey(1409).child(0))
+    r = (d13 + d23 - d12) / (2.0 * math.sqrt(d13 * d23))
+    ref = two_row_quadrature(math.sqrt(d13), d13 + (x[0] - x[2]) / 2.0,
+                             math.sqrt(d23), d23 + (x[1] - x[2]) / 2.0, r)
+    assert abs(est.value - ref) <= 4.0 * est.std_error
+
+
+def test_estimate_se_below_the_binomial_se():
+    # conditioning on W removes the exponential's share of the variance
+    samples = 10**5
+    est = estimate_theta(build_constraints(bivariate_spec(1.0), [0.0, 0.0], 2, 0),
+                         samples=samples, key=RngKey(1411).child(0))
+    assert est.std_error < math.sqrt(est.value * (1.0 - est.value) / samples)
 
 
 def test_estimate_value_range_and_se_bound():
