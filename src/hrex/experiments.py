@@ -23,7 +23,7 @@ implementation can get wrong.
 block_consistency_check compares P(joint maxima below u_n) computed on
 whole rows against the q_n-th power of the probability on one block of
 length r_n, the quantity whose asymptotic equality underpins the
-block-decoupling step of the limit argument.  Both draw maxima_plan's plans.
+block-decoupling step of the limit argument.  Both reduce through _fill_maxima.
 """
 
 from __future__ import annotations
@@ -124,6 +124,12 @@ class ConvergenceReport:
     failed_steps: tuple[int, ...]  # step i compares entries i and i + 1
 
 
+def _fill_maxima(out, model, length, key, plan, start: int, count: int) -> None:
+    """out[r] = the componentwise maxima of plan's replicate r, start <= r < start + count."""
+    for first, block in iter_path_blocks(model, length, key, count, start=start, plan=plan):
+        out[first : first + block.shape[0]] = block.max(axis=1)
+
+
 def maxima_matrix(
     model: CorrelationModel,
     n: int,
@@ -141,34 +147,28 @@ def maxima_matrix(
     byte-identical for every thread count (bar the dense route's last bit,
     see hrex.sampler.iter_path_blocks); threads only split the replicate
     range into fixed chunks worked in parallel, on at most one worker per
-    CPU and per replicate.  The route is planned once, logged at DEBUG and
-    shared by every chunk."""
+    CPU and per replicate.  The route is planned once, logged at DEBUG by
+    the name the plan carries, and shared by every chunk's _fill_maxima."""
     out = np.empty((replicates, model.d))
 
     def planned():
         plan = maxima_plan(model, n, sampler)
-        # a path plan draws L*d or m*d > 2d - 1 uniforms, bar L = d = 1 (exact)
-        route = "lag0-exact" if plan[0] == 2 * model.d - 1 else "path"
         log.debug("maxima_matrix route=%s n=%d replicates=%d uniforms=%d",
-                  route, n, replicates, plan[0] * replicates)
+                  plan.route, n, replicates, plan.size * replicates)
         return plan
-
-    def worker(plan, start: int, count: int) -> None:
-        for first, block in iter_path_blocks(model, n, key, count, start=start, plan=plan):
-            out[first : first + block.shape[0]] = block.max(axis=1)
 
     workers = min(threads, os.cpu_count() or 1, replicates)
     if workers <= 1:
-        # only the worker holds the plan, so it is freed before the last
+        # only the reducer holds the plan, so it is freed before the last
         # block; in the other order the freed heap of a large plan stayed
         # resident into the next call (+36 MB peak RSS in serial_maxima)
-        worker(planned(), 0, replicates)
+        _fill_maxima(out, model, n, key, planned(), 0, replicates)
         return out
     plan = planned()
     chunk = -(-replicates // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        starts = range(0, replicates, chunk)
-        futures = [pool.submit(worker, plan, s, min(chunk, replicates - s)) for s in starts]
+        futures = [pool.submit(_fill_maxima, out, model, n, key, plan, s, min(chunk, replicates - s))
+                   for s in range(0, replicates, chunk)]
         for f in futures:
             f.result()
     return out
@@ -413,11 +413,9 @@ def block_consistency_check(
     u = np.array([threshold(constants, v) for v in x])
 
     def below(length: int) -> float:
-        hits = 0
-        plan = maxima_plan(model, length, sampler, n)
-        for _, block in iter_path_blocks(model, length, key, replicates, plan=plan):
-            hits += int((block.max(axis=1) <= u).all(axis=1).sum())
-        return hits / replicates
+        maxima = np.empty((replicates, model.d))
+        _fill_maxima(maxima, model, length, key, maxima_plan(model, length, sampler, n), 0, replicates)
+        return int((maxima <= u).all(axis=1).sum()) / replicates
 
     p_full = below(n)
     p_block = below(r_n)

@@ -6,31 +6,31 @@ rho_ij(k, n) has the block-Toeplitz covariance
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
-method) into the number of uniforms a replicate consumes, a transform
-from those uniforms (through ndtri) to paths, and the floats that
-transform holds per replicate, by which `iter_path_blocks` sizes its
-batches.  It has four routes, all reading the lag table rho_ij(k, n) of
+method) into a Plan: the uniforms a replicate consumes, a transform from
+them (through ndtri) to paths, the floats that transform holds per
+replicate, by which `iter_path_blocks` sizes its batches, and the route
+it took.  Its four routes all read the lag table rho_ij(k, n) of
 `hrex.correlation.lag_table`, which makes the cut to 0 beyond
 model.max_lag.  Here max_lag only picks routes and sizes the band:
 
-* lag-0: models with max_lag = 0 (or length-1 paths) multiply each time
+* lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
 * dense: Schur factor of the block-Toeplitz lag table, L*d <= 8192;
-* banded Cholesky for longer paths of models whose correlation vanishes
+* banded: Cholesky for longer paths of models whose correlation vanishes
   beyond a finite max_lag (the band has width d*max_lag + d - 1);
-* circulant embedding (method "circulant"): the lag table is wrapped onto
-  a cycle of length m >= 2(L-1) whose d x d spectral blocks are factored on
-  the m/2 + 1 non-negative frequencies; a replicate's m*d real normals go
+* circulant (method "circulant"): the lag table is wrapped onto a cycle
+  of length m >= 2(L-1) whose d x d spectral blocks are factored on the
+  m/2 + 1 non-negative frequencies; a replicate's m*d real normals go
   through rfft, that factor and irfft.  The embedding is exact whenever the
   wrapped spectral blocks stay positive semidefinite; padding is doubled up
-  to three times before a logged fallback to the dense or banded route.
-  Each plan logs its embedding size, doublings, smallest spectral
-  eigenvalue and clipped eigenvalues at DEBUG.
+  to three times before a logged fallback, whose plan names the dense or
+  banded route.  Each plan logs its embedding size, doublings, smallest
+  spectral eigenvalue and clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
-maxima of lag-0 rows with d <= 2.  `maxima_matrix` splits the replicates
-into chunks and hands the one plan to every chunk, so the covariance,
-factor or spectrum is built once however many threads work.  Replicate r
+maxima of lag-0 rows with d <= 2 (route lag0-exact).  `maxima_matrix`
+hands one plan to every chunk of replicates, so the covariance, factor
+or spectrum is built once however many threads work.  Replicate r
 draws its uniforms from its own substream key.child(r), so results are
 reproducible for a given (seed, model, length, count), and off the dense
 route (see `iter_path_blocks`) however replicates are batched or parallelised.
@@ -41,8 +41,9 @@ from __future__ import annotations
 import logging
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -73,9 +74,10 @@ _BLOCK_VALUES = 4_000_000  # target floats per replicate batch
 _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
-# (draws per replicate, transform from (b, draws) to (b, L, d) blocks, floats it
-# holds per replicate, which size the batches); a route's own plan takes normals
-Plan = tuple[int, Callable[[np.ndarray], np.ndarray], int]
+# (draws per replicate, transform from (b, size) draws to (b, L, d) blocks, floats
+# it holds per replicate, which size the batches, and the route that built it:
+# lag0, dense, banded, circulant or lag0-exact); a route's own plan takes normals
+Plan = namedtuple("Plan", "size transform footprint route")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +182,7 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     if factor is None:
         raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
     factor_t = factor[0].T.copy()
-    return length * d, lambda z: z.reshape(-1, length, d) @ factor_t, length * d
+    return Plan(length * d, lambda z: z.reshape(-1, length, d) @ factor_t, length * d, "lag0")
 
 
 def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -189,7 +191,7 @@ def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         _schur_factor, lag_table(model, range(length), n), (0, np.arange(d), np.arange(d)),
         "covariance (size %d)" % (length * d),
     )
-    return length * d, lambda z: (z @ factor_t).reshape(-1, length, d), length * d
+    return Plan(length * d, lambda z: (z @ factor_t).reshape(-1, length, d), length * d, "dense")
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -216,7 +218,7 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
             x[:, o:] += band[o, : size - o] * z[:, : size - o]
         return x.reshape(-1, length, d)
 
-    return size, transform, size
+    return Plan(size, transform, size, "banded")
 
 
 def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
@@ -256,17 +258,17 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
         paths = np.fft.irfft(spectral, n=m, axis=-1)[:, :, :length]
         return np.ascontiguousarray(paths.transpose(0, 2, 1))
 
-    return m * d, transform, 2 * m * d
+    return Plan(m * d, transform, 2 * m * d, "circulant")
 
 
 def make_plan(
     model: CorrelationModel, length: int, method: str, n: float | None = None
 ) -> Plan:
-    """Pick the sampling route: lag-0 whenever the path has no serial
-    dependence; otherwise circulant when asked for.  Without it, or when the
-    embedding fails, dense (Schur factor of the block-Toeplitz lag table,
-    L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the array-row size
-    fed to the correlation function (default: the path length)."""
+    """Pick the sampling route, which the plan names: lag0 whenever the path
+    has no serial dependence; otherwise circulant when asked for.  Without
+    it, or when the embedding fails, dense (Schur factor of the block-Toeplitz
+    lag table, L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the
+    array-row size fed to the correlation function (default: the path length)."""
     if method not in ("cholesky", "circulant"):
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:
@@ -288,17 +290,16 @@ def make_plan(
         if method == "circulant":
             log.warning("%s; falling back to the %s route", failed, "banded" if banded else "dense")
         plan = (_banded_plan if banded else _dense_plan)(model, length, n)
-    size, transform, footprint = plan
-    return size, lambda u: transform(ndtri(u, out=u)), footprint
+    return plan._replace(transform=lambda u: plan.transform(ndtri(u, out=u)))
 
 
 def maxima_plan(
     model: CorrelationModel, length: int, method: str, n: float | None = None
 ) -> Plan:
-    """make_plan's plan, but lag-0 rows with d <= 2 take the exact plan: 2d - 1
-    uniforms per replicate map to the row maxima, as (b, 1, d) blocks."""
+    """make_plan's plan, but where it takes the lag0 route with d <= 2, the
+    lag0-exact plan: 2d - 1 uniforms per replicate map to (b, 1, d) row maxima."""
     plan = make_plan(model, length, method, n)
-    if model.d > 2 or not (model.max_lag == 0 or length == 1):
+    if model.d > 2 or plan.route != "lag0":
         return plan
     # make_plan's lag-0 route has checked that |rho| <= 1 up to rounding
     rho = float(lag_table(model, range(1), length if n is None else n)[0, 0, -1])
@@ -322,7 +323,7 @@ def maxima_plan(
         at_argmax = rho * m1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * ndtri(u[:, 1])
         return np.column_stack([m1, np.maximum(at_argmax, hi if length > 1 else -np.inf)])[:, None]
 
-    return 2 * d - 1, transform, 2 * d - 1
+    return Plan(2 * d - 1, transform, 2 * d - 1, "lag0-exact")
 
 
 def iter_path_blocks(
@@ -342,7 +343,7 @@ def iter_path_blocks(
     the batch's row count, so a replicate's last bit can move with count.
     plan, when given, is make_plan's or maxima_plan's plan for (model,
     length, method, n), made once by a caller that works in chunks."""
-    size, transform, footprint = make_plan(model, length, method, n) if plan is None else plan
+    size, transform, footprint, _ = make_plan(model, length, method, n) if plan is None else plan
     batch = max(1, _BLOCK_VALUES // footprint)
     r = start
     while r < start + count:

@@ -214,10 +214,11 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     When no row reads W the value is exact and the standard error 0.
     Otherwise each row's slack bound - scale * W[column] is bound +
     loading @ z, with z standard normal and a zero loading for a pure-A row;
-    batch b draws its (b, q) block of z from substream key.child(b), so two
-    estimators sharing a key and covariance see the same z (common random
-    numbers).  The standard error is the standard deviation of the
-    per-sample conditional probabilities over sqrt(samples).
+    batch b draws its (q, b) block of z, a row per W slot, from substream
+    key.child(b), so estimators sharing a key see the same z on their leading
+    slots (common random numbers): theta_for_spec's doubled lag reads the
+    shorter lag's slots, and factor block, on the same draws.  The standard
+    error is the per-sample probabilities' standard deviation over sqrt(samples).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -231,7 +232,7 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     for batch_index, start in enumerate(range(0, samples, _BATCH)):
         b = min(_BATCH, samples - start)
         gen = key.child(batch_index).generator()
-        slack = loading @ standard_normal(gen, (b, len(cs.indices))).T
+        slack = loading @ standard_normal(gen, (len(cs.indices), b))
         slack += rows.bound[:, None]
         p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
         del slack  # free the (rows, b) block before the next batch draws

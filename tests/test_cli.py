@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hrex import jsonio
 from hrex.cli import main, model_from_jsonable
 from hrex.norming import limit_cdf
 from hrex.theta import theta_bivariate_closed_form
@@ -297,6 +298,21 @@ def test_converge_mc_thetas_on_dependent_model(tmp_path, capsys):
     assert code == (0 if summary["verdict"] == "decreasing" else 1)
 
 
+def test_converge_reports_a_rising_deviation_as_a_failure(tmp_path, capsys):
+    # theta = 0 makes the limit 1 at x = -1, and the exact deviation
+    # 1 - Phi(u_n(-1))^n rises from 0.871 at n = 10 to 0.898 at n = 1e4,
+    # far beyond the two-SE slack of about 0.006
+    cfg = {"model": {"name": "iid", "d": 1}, "n_list": [10, 10000], "replicates": 20_000,
+           "x_grid": [[-1.0]], "theta": {"method": "values", "values": [[0.0]]}, "seed": 13}
+    argv = ["converge", "--config", write_json(tmp_path / "cfg.json", cfg), "--threads", "1"]
+    code, out, _ = run(argv, capsys)
+    summary = json.loads(out)
+    assert code == 1 and summary["verdict"] == "not-decreasing"
+    (failure,) = summary["failures"]
+    assert (failure["from_n"], failure["to_n"]) == (10, 10000)
+    assert failure["increase"] > failure["slack"]
+
+
 # --- check -------------------------------------------------------------------------
 
 
@@ -535,6 +551,9 @@ HR_SERIAL = {"name": "hr", "delta_spec": {"d": 1, "entries": [{"i": 1, "j": 1, "
         ("check", {"model": {"name": "iid", "d": 1}, "n_list": [100], "m_list": 1},
          "m_list must be a list, got 1"),
         ("lemma1", [3, 2], "config must be a JSON object, got [3, 2]"),
+        ("converge", {**CONVERGE_CFG, "theta": {"method": "mc"}},
+         "theta method 'mc' needs a model with a coefficient spec"),
+        ("converge", {**CONVERGE_CFG, "theta": {"method": "exact"}}, "unknown theta method 'exact'"),
     ],
 )
 def test_rejects_mistyped_config_fields(tmp_path, capsys, command, cfg, named):
@@ -579,3 +598,14 @@ def test_model_from_jsonable_roundtrip():
         }
     )
     assert tab.rho(np.array([0]), 50.0)[0, 0, 1] == 0.25
+
+
+# --- JSON encoding -----------------------------------------------------------------
+
+
+def test_json_encodes_both_infinities_and_rejects_nan(tmp_path):
+    path = tmp_path / "out.json"
+    jsonio.write_json(path, {"limits": [math.inf, -math.inf, 0.5], "pair": (1.0, -math.inf)})
+    assert json.loads(path.read_text()) == {"limits": ["inf", "-inf", 0.5], "pair": [1.0, "-inf"]}
+    with pytest.raises(ValueError, match="NaN has no JSON encoding"):
+        jsonio.to_jsonable({"value": [math.nan]})

@@ -123,6 +123,14 @@ ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_entry_takes_the_route_it_names(route):
+    # a banded entry that quietly planned dense would test dense twice
+    model, length, _, method = ROUTES[route]
+    named = {"lag0_exact": "lag0-exact", "lag0_path": "lag0"}.get(route, route)
+    assert sampler.maxima_plan(model, length, method).route == named
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
     # four real worker threads share one plan, switching often; each
     # replicate keeps its own substream, so the bytes cannot depend on the
@@ -292,7 +300,7 @@ def test_maxima_logs_route_once_per_call(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "hrex.experiments"]
     assert messages == [
         "maxima_matrix route=lag0-exact n=1000000 replicates=7 uniforms=21",
-        "maxima_matrix route=path n=10 replicates=7 uniforms=210",
+        "maxima_matrix route=lag0 n=10 replicates=7 uniforms=210",
     ]
 
 

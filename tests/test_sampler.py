@@ -89,7 +89,7 @@ def test_assemble_respects_size_cap():
 def dense_factor(model, length):
     """The dense plan's upper factor R (R^T R = Sigma), read off its
     transform of the identity."""
-    size, transform, _ = _dense_plan(model, length, n=length)
+    size, transform, _, _ = _dense_plan(model, length, n=length)
     return transform(np.eye(size)).reshape(size, size)
 
 
@@ -193,7 +193,7 @@ def test_plan_transform_has_exact_covariance(route, d, length):
     # identity, so A^T A is the covariance of the route's paths
     plan, model_of = ROUTE_PLANS[route]
     model = model_of(d)
-    size, transform, _ = plan(model, length, n=length)
+    size, transform, _, _ = plan(model, length, n=length)
     a = transform(np.eye(size)).reshape(size, length * d)
     assert np.abs(a.T @ a - assemble_covariance(model, length)).max() <= 1e-12
 
@@ -357,6 +357,34 @@ def test_circulant_plan_logs_embedding(caplog):
     m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(6), 9)
     assert (m, doublings) == (64, 2)
     assert -1e-9 < smallest < 0.0 and clipped >= 1
+
+
+@pytest.mark.parametrize(
+    "route, model, length, method",
+    [
+        ("lag0", equicorrelated_lag0(3), 40, "circulant"),
+        ("lag0", geometric_model(2, 0.5, 0.3), 1, "circulant"),
+        ("dense", geometric_model(2, 0.5, 0.3), 40, "cholesky"),
+        ("banded", ma1_model(2), 4100, "cholesky"),
+        ("circulant", geometric_model(2, 0.5, 0.3), 40, "circulant"),
+    ],
+    ids=["lag0_max_lag_0", "lag0_length_1", "dense", "banded", "circulant"],
+)
+def test_make_plan_names_the_route_it_takes(route, model, length, method):
+    # max_lag 0 or a single time point is lag0 whatever the method; a
+    # serially dependent 2 x 4100 path exceeds the dense cap of 8192
+    assert make_plan(model, length, method).route == route
+
+
+@pytest.mark.parametrize("cap, route", [(8192, "dense"), (4, "banded")])
+def test_circulant_fallback_plan_names_the_route_it_takes(cap, route, caplog, monkeypatch):
+    # this smooth correlation stays indefinite at L = 5 up to m = 64, so the
+    # plan falls back by the size rule and carries that route's name
+    monkeypatch.setattr("hrex.sampler.DENSE_CAP", cap)
+    model = gaussian_correlation(8)
+    assert _circulant_plan(model, 5, n=5) is None
+    assert make_plan(model, 5, "circulant").route == route
+    assert "falling back to the %s route" % route in caplog.text
 
 
 # --- banded route ------------------------------------------------------------

@@ -307,11 +307,11 @@ def test_estimate_pathwise_monotone_in_bound(lam, widen):
 def per_row_estimate(cs, samples, key):
     # reference: the conditional probability 1 - exp(-2 max(m, 0)), with m the
     # least bound - scale * W[column] taken one row at a time, on W drawn as the
-    # (b, q) normal block of each batch through the factor
+    # (q, b) normal block of each batch through the factor
     total, done, batch, q = 0.0, 0, 0, len(cs.indices)
     while done < samples:
         b = min(1 << 16, samples - done)
-        w = standard_normal(key.child(batch).generator(), (b, q)) @ cs.factor.T
+        w = standard_normal(key.child(batch).generator(), (q, b)).T @ cs.factor.T
         m = np.full(b, np.inf)
         for row in cs.rows:
             column, scale, bound = int(row.column), float(row.scale), float(row.bound)
@@ -435,6 +435,17 @@ def test_for_spec_truncation_gap_reported():
     # more constraints can only shrink the event
     assert gap.value_doubled <= gap.value
     assert gap.gap == pytest.approx(abs(gap.value - gap.value_doubled))
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_for_spec_doubled_lag_reads_the_same_draws(seed):
+    # the doubled lag's leading W slots, and their factor block, are the
+    # lag-16 ones on the same normals, so each sample's event only shrinks:
+    # the gap is the truncation's, not Monte Carlo noise, and never negative
+    spec = DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf)
+    _, gap = theta_for_spec(spec, [0.0], 1, 100_000, RngKey(seed).child(1), max_lag=16)
+    assert gap.lag_doubled == 32
+    assert gap.value_doubled <= gap.value + 1e-12
 
 
 def test_for_spec_no_gap_at_full_horizon():
