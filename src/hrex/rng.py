@@ -1,11 +1,21 @@
 """Counter-based random streams with named substreams.
 
 Every stochastic routine in the toolkit draws from a Philox generator
-addressed by a root seed plus a path of non-negative integers.  Substreams
-with distinct paths are statistically independent, and a draw depends only
-on (root, path), never on how many other substreams were consumed first.
-That is what makes replicate-level parallelism and common-random-number
-reuse reproducible: replicate r always sees the same bytes.
+addressed by a root seed plus a path of non-negative integers, an RngKey.
+Substreams with distinct paths are statistically independent, and a draw
+depends only on (root, path), never on how many other substreams were
+consumed first.  That is what makes replicate-level parallelism and
+common-random-number reuse reproducible: replicate r always sees the same
+bytes.
+
+The draws are key-addressed: `uniform_open(key, size)` and
+`standard_normal(key, size)` read the first `size` values of key's
+substream.  Philox is counter-based (Salmon et al., SC 2011), and each
+counter step gives 4 words, one per value, so value s of a substream is
+the word at counter step s // 4.  A large fill is split into parts whose
+starts are multiples of 4; each part opens the substream, advances its
+counter to the part's start and fills its slice, and the parts run on
+threads.  Any split gives the same bits as one sequential fill.
 
 Gaussian variates are produced by inverting the normal CDF of a uniform
 stream rather than by rejection, so two estimators fed the same substream
@@ -14,12 +24,18 @@ consume identical uniforms and stay pathwise coupled.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-_U53 = 1 << 53
+_HALF_STEP = 2.0**-54  # half the 2^-53 lattice spacing of Generator.random
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
+_WORDS_PER_STEP = 4  # Philox4x64 gives 4 words, so 4 values, per counter step
+# smallest part of a split fill: on 2 cores, alternated in one process,
+# halves of 2^18 values ran slower than one fill and halves of 2^20 faster
+_PART_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -39,15 +55,60 @@ class RngKey:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniforms on the open interval (0, 1), safe to pass to inverse CDFs.
+def uniform_open(key: RngKey, size, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms on the open interval (0, 1), safe to pass to inverse CDFs:
+    the first values of key's substream, of shape size, or written into
+    out (a C-contiguous float64 array of that shape) and returned as out.
 
-    Values are midpoints of a 2^53 lattice, so neither endpoint can occur.
+    Values are midpoints of a 2^53 lattice, (k + 1/2) / 2^53 for the top 53
+    bits k of a Philox word.  The top midpoint rounds to 1.0 in float64 and
+    is clamped to the largest double below 1, so neither endpoint can occur.
     """
-    return (gen.integers(0, _U53, size=size).astype(np.float64) + 0.5) / _U53
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (tuple(size) if np.iterable(size) else (size,)) or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of shape size")
+    _fill(key, out.reshape(-1), False)
+    return out
 
 
-def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """N(0,1) variates via the inverse normal CDF of a uniform stream."""
-    return ndtri(uniform_open(gen, size))
+def standard_normal(key: RngKey, size) -> np.ndarray:
+    """N(0,1) variates via the inverse normal CDF of uniform_open's values."""
+    out = np.empty(size)
+    _fill(key, out.reshape(-1), True)
+    return out
 
+
+def _fill(key: RngKey, flat: np.ndarray, normal: bool) -> None:
+    """Fill flat with the first flat.size uniforms (normals when normal is
+    true) of key's substream, in parts of at least _PART_VALUES values on
+    at most one thread per CPU; the bits do not depend on the split."""
+    parts = flat.size // _PART_VALUES
+    if parts > 1:  # os.cpu_count costs a system call: ask only for a split
+        parts = min(parts, os.cpu_count() or 1)
+    if parts <= 1:
+        _fill_part(key, flat, 0, normal)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a split needs it; set-up does not load it
+
+    step = -(-flat.size // parts)
+    step += -step % _WORDS_PER_STEP  # parts start on a counter step
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        futures = [pool.submit(_fill_part, key, flat[s : s + step], s, normal)
+                   for s in range(0, flat.size, step)]
+        for f in futures:
+            f.result()
+
+
+def _fill_part(key: RngKey, chunk: np.ndarray, start: int, normal: bool) -> None:
+    """Values start, start + 1, ... of key's substream into chunk; start is a
+    multiple of _WORDS_PER_STEP.  Generator.random gives k / 2^53, and the
+    half step rounds to the same double as (k + 1/2) / 2^53."""
+    gen = key.generator()
+    if start:
+        gen.bit_generator.advance(start // _WORDS_PER_STEP)
+    gen.random(out=chunk)
+    chunk += _HALF_STEP
+    np.minimum(chunk, _BELOW_ONE, out=chunk)
+    if normal:
+        ndtri(chunk, out=chunk)

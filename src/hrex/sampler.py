@@ -350,7 +350,7 @@ def iter_path_blocks(
         b = min(batch, start + count - r)
         u = np.empty((b, size))
         for row in range(b):
-            u[row] = uniform_open(key.child(r + row).generator(), size)
+            uniform_open(key.child(r + row), size, out=u[row])
         yield r, transform(u)
         r += b
 

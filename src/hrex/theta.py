@@ -27,7 +27,9 @@ every finite pair.  The W entries have unit variance and
         (delta_ji(k-1) + delta_ti(l-1) - D[|k-l|, j, t])
         / (2 sqrt(delta_ji(k-1) * delta_ti(l-1))).
 
-The covariance is filled and factored when the constraint set is built.
+The covariance is filled and factored when the constraint set is built,
+by a Cholesky that keeps the slot order also when the covariance is
+singular.
 Given W, every row holds exactly when A <= 2 m(W), m(W) the least
 bound - sqrt(delta) W over the rows, so the exponential integrates out:
 
@@ -138,8 +140,8 @@ def build_constraints(
     from spec.table(max_lag) by array indexing as the module docstring
     describes; the covariance is then factored.  Coefficients that no
     Gaussian array realises raise InvalidDeltaSpec: a cross coefficient
-    that is infinite between two slots, or a covariance whose smallest
-    eigenvalue is below -1e-10 * (number of slots).
+    that is infinite between two slots, or a covariance that _factor
+    finds is not PSD.
     """
     if len(x) != spec.d:
         raise ValueError("need one level per component")
@@ -193,18 +195,32 @@ def build_constraints(
 
 
 def _factor(matrix: np.ndarray, i: int) -> np.ndarray:
-    """Cholesky factor, or for a singular matrix the eigen-factor with
-    clipped eigenvalues; rejects a materially indefinite matrix."""
+    """Lower Cholesky factor of the W covariance.  When LAPACK finds a
+    singular matrix, the same factorisation runs without pivoting, in slot
+    order: a zero pivot leaves a zero column, so the factor of a leading
+    block is the leading block of the factor, as for a nonsingular matrix.
+    A pivot below -1e-10 * (number of slots), or an entry beside a zero
+    pivot above the square root of that (a PSD matrix with unit diagonal
+    keeps it below), rejects the matrix as not PSD."""
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(matrix)
-    if w.min() < -_PSD_TOL * len(w):
-        raise InvalidDeltaSpec(
-            "constraint covariance for component %d is not PSD (min eigenvalue"
-            " %.3e); the coefficient spec is inconsistent" % (i, w.min())
-        )
-    return v * np.sqrt(np.clip(w, 0.0, None))[None, :]
+        pass
+    tol = _PSD_TOL * len(matrix)
+    factor = np.zeros_like(matrix)
+    for r in range(len(matrix)):
+        for c in range(r + 1):
+            residual = matrix[r, c] - factor[r, :c] @ factor[c, :c]
+            if c < r and factor[c, c] > 0.0:
+                factor[r, c] = residual / factor[c, c]
+            elif c == r and residual > tol:
+                factor[r, r] = math.sqrt(residual)
+            elif residual < -tol if c == r else abs(residual) > math.sqrt(tol):
+                raise InvalidDeltaSpec(
+                    "constraint covariance for component %d is not PSD (residual %.3e at W slots"
+                    " %d, %d); the coefficient spec is inconsistent" % (i, residual, r + 1, c + 1)
+                )
+    return factor
 
 
 def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEstimate:
@@ -215,34 +231,52 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     Otherwise each row's slack bound - scale * W[column] is bound +
     loading @ z, with z standard normal and a zero loading for a pure-A row;
     batch b draws its (q, b) block of z, a row per W slot, from substream
-    key.child(b), so estimators sharing a key see the same z on their leading
-    slots (common random numbers): theta_for_spec's doubled lag reads the
-    shorter lag's slots, and factor block, on the same draws.  The standard
-    error is the per-sample probabilities' standard deviation over sqrt(samples).
+    key.child(b).  The standard error is the per-sample probabilities'
+    standard deviation over sqrt(samples).  This is the one-set case of
+    theta_for_spec's estimate of two sets on the same draws.
     """
+    return _estimate((cs,), samples, key)[0]
+
+
+def _estimate(sets: Sequence[ConstraintSet], samples: int, key: RngKey) -> list[ThetaEstimate]:
+    """estimate_theta of each set, all read from one draw per batch: batch b
+    draws a (q, b) block of z from key.child(b), q the most W slots of any
+    set that reads W, and each set reads its leading len(cs.indices) rows.
+    A set's estimate is the one it gets alone on the same key."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rows = cs.rows
-    if (rows.column < 0).all():
-        value = -math.expm1(-2.0 * max(rows.bound.min(initial=math.inf), 0.0))
-        return ThetaEstimate(value, 0.0, samples, cs.truncation_lag)
-    loading = -rows.scale[:, None] * cs.factor[rows.column]
-    # squared deviations: from each batch's mean here, of the batch means below
-    counts, means, squares = [], [], 0.0
-    for batch_index, start in enumerate(range(0, samples, _BATCH)):
+    loadings = [None if (cs.rows.column < 0).all() else -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
+                for cs in sets]
+    q = max((len(cs.indices) for cs, loading in zip(sets, loadings) if loading is not None), default=0)
+    # per set: batch means, and squared deviations from each batch's mean
+    # here, of the batch means below
+    counts, means, squares = [], [[] for _ in sets], [0.0] * len(sets)
+    for batch_index, start in enumerate(range(0, samples if q else 0, _BATCH)):
         b = min(_BATCH, samples - start)
-        gen = key.child(batch_index).generator()
-        slack = loading @ standard_normal(gen, (len(cs.indices), b))
-        slack += rows.bound[:, None]
-        p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
-        del slack  # free the (rows, b) block before the next batch draws
+        z = standard_normal(key.child(batch_index), (q, b))
         counts.append(b)
-        means.append(p.mean())
-        squares += float(np.square(p - means[-1]).sum())
-    counts, means = np.array(counts), np.array(means)
-    value = float(counts @ means) / samples
-    squares += float(counts @ np.square(means - value))
-    return ThetaEstimate(value, math.sqrt(squares) / samples, samples, cs.truncation_lag)
+        for n, (cs, loading) in enumerate(zip(sets, loadings)):
+            if loading is None:
+                continue
+            slack = loading @ z[: len(cs.indices)]
+            slack += cs.rows.bound[:, None]
+            p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
+            del slack  # free the (rows, b) block before the next set or batch
+            means[n].append(p.mean())
+            squares[n] += float(np.square(p - means[n][-1]).sum())
+        del z  # and the (q, b) draw before the next batch draws
+    out = []
+    counts = np.array(counts)
+    for cs, loading, batch_means, square in zip(sets, loadings, means, squares):
+        if loading is None:
+            value = -math.expm1(-2.0 * max(cs.rows.bound.min(initial=math.inf), 0.0))
+            out.append(ThetaEstimate(value, 0.0, samples, cs.truncation_lag))
+            continue
+        batch_means = np.array(batch_means)
+        value = float(counts @ batch_means) / samples
+        square += float(counts @ np.square(batch_means - value))
+        out.append(ThetaEstimate(value, math.sqrt(square) / samples, samples, cs.truncation_lag))
+    return out
 
 
 def theta_for_spec(
@@ -258,14 +292,19 @@ def theta_for_spec(
     When the supplied truncation lag cuts finite coefficients off (always
     the case for infinite-horizon specs), the estimate is repeated at
     twice the lag and the gap between the two is reported so the caller
-    can judge the truncation error.
+    can judge the truncation error.  Both constraint sets are estimated
+    from one draw per batch: the doubled lag's leading W slots are the
+    shorter lag's, on the same normals and with the same factor block, so
+    each sample's event can only shrink and the gap measures the
+    truncation, not Monte Carlo noise.  Each estimate is byte-identical to
+    estimate_theta of its set on the same key.
     """
     lag = _resolve_lag(spec, max_lag)
-    estimate = estimate_theta(build_constraints(spec, x, i, lag), samples=samples, key=key)
+    cs = build_constraints(spec, x, i, lag)
     if lag >= spec.finite_horizon:
-        return estimate, None
+        return estimate_theta(cs, samples=samples, key=key), None
     doubled = max(2 * lag, 1)
-    second = estimate_theta(build_constraints(spec, x, i, doubled), samples=samples, key=key)
+    estimate, second = _estimate((cs, build_constraints(spec, x, i, doubled)), samples, key)
     gap = TruncationGap(
         lag=lag,
         lag_doubled=doubled,

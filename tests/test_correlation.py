@@ -506,12 +506,10 @@ def test_rho_read_only_through_lag_table():
 
 
 def test_substreams_opened_only_by_the_draw_loops():
-    # every sampler route, the exact lag-0 maxima included, draws its
-    # uniforms in iter_path_blocks; theta's Monte Carlo has its own batches
-    assert call_sites("generator") == {
-        ("sampler.py", "iter_path_blocks"),
-        ("theta.py", "estimate_theta"),
-    }
+    # every draw is key-addressed: the sampler routes (in iter_path_blocks)
+    # and theta's Monte Carlo batches hand an RngKey to hrex.rng, whose fill
+    # opens the substream once per part
+    assert call_sites("generator") == {("rng.py", "_fill_part")}
 
 
 def test_delta_read_only_through_delta_table():

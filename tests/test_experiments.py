@@ -274,7 +274,7 @@ def test_lag0_exact_route_reproduced_by_root_finding(d, n):
     key = RngKey(9201).child(n)
     got = maxima_matrix(model, n, key, 6)
     for r in (0, 2, 5):
-        u = uniform_open(key.child(r).generator(), 2 * d - 1)
+        u = uniform_open(key.child(r), 2 * d - 1)
         m1 = brentq(lambda x: n * log_ndtr(x) - math.log(u[0]), -10.0, 12.0, xtol=1e-14)
         assert abs(got[r, 0] - m1) <= 1e-9
         if d == 1:

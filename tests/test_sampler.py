@@ -396,7 +396,7 @@ def test_banded_matches_dense_exactly():
     model = tabulated_model(1, {(1, 1, 1): 0.3})
     length, count = 60, 5
     key = RngKey(21).child(length)
-    z = np.stack([standard_normal(key.child(r).generator(), length) for r in range(count)])
+    z = np.stack([standard_normal(key.child(r), length) for r in range(count)])
     dense = _dense_plan(model, length, n=length)[1](z)
     banded = _banded_plan(model, length, n=length)[1](z)
     assert np.allclose(dense, banded, rtol=0.0, atol=1e-12)

@@ -126,6 +126,17 @@ def test_w_cov_non_psd_rejected():
         build_constraints(spec, [0.0, 0.0, 0.0], 3, 0)
 
 
+def test_w_cov_singular_factor_and_inconsistent_rejection():
+    # sqrt(delta) = 1, 2, 3 at lags 1, 2, 3 puts the slots on a line: one
+    # variable, a zero-column factor; at delta(3) = 6 slots 1 and 2 are
+    # the same variable with different covariances with slot 3
+    line = serial_spec(**{"1": 1.0, "2": 4.0, "3": 9.0})
+    cs = build_constraints(line, [0.0], 1, 3)
+    assert np.array_equal(cs.factor, [[1.0, 0.0, 0.0]] * 3)
+    with pytest.raises(InvalidDeltaSpec, match="slots 3, 2"):
+        build_constraints(serial_spec(**{"1": 1.0, "2": 4.0, "3": 6.0}), [0.0], 1, 3)
+
+
 def test_w_cov_degenerate_guard():
     # the slot rule keeps zero coefficients out of the W vector, but two
     # tiny positive ones underflow the denominator 2 sqrt(d_a d_b) to 0;
@@ -311,7 +322,7 @@ def per_row_estimate(cs, samples, key):
     total, done, batch, q = 0.0, 0, 0, len(cs.indices)
     while done < samples:
         b = min(1 << 16, samples - done)
-        w = standard_normal(key.child(batch).generator(), (q, b)).T @ cs.factor.T
+        w = standard_normal(key.child(batch), (q, b)).T @ cs.factor.T
         m = np.full(b, np.inf)
         for row in cs.rows:
             column, scale, bound = int(row.column), float(row.scale), float(row.bound)
@@ -446,6 +457,45 @@ def test_for_spec_doubled_lag_reads_the_same_draws(seed):
     _, gap = theta_for_spec(spec, [0.0], 1, 100_000, RngKey(seed).child(1), max_lag=16)
     assert gap.lag_doubled == 32
     assert gap.value_doubled <= gap.value + 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, x, i, lag",
+    [
+        (DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf), [0.0], 1, 4),
+        (DeltaSpec.from_function(2, parallel_lines, math.inf), [0.3, -0.2], 2, 2),
+    ],
+    ids=["brownian", "lines_d2"],
+)
+def test_for_spec_is_two_estimates_on_one_key(spec, x, i, lag):
+    # one shared draw per batch gives each set the bits it gets alone
+    samples, key = (1 << 16) + 17, RngKey(37).child(lag)
+    estimate, gap = theta_for_spec(spec, x, i, samples, key, max_lag=lag)
+    alone = estimate_theta(build_constraints(spec, x, i, lag), samples=samples, key=key)
+    doubled = estimate_theta(build_constraints(spec, x, i, 2 * lag), samples=samples, key=key)
+    assert estimate == alone
+    assert (gap.value, gap.value_doubled) == (alone.value, doubled.value)
+
+
+def squared_distance_spec():
+    # delta(k) = k^2 / 2: every W slot is the same variable, a rank-one
+    # covariance that LAPACK's Cholesky rejects
+    return DeltaSpec.from_function(1, lambda i, j, k: k * k / 2.0, math.inf)
+
+
+def test_singular_factor_keeps_the_leading_block():
+    short = build_constraints(squared_distance_spec(), [0.0], 1, 16)
+    long = build_constraints(squared_distance_spec(), [0.0], 1, 32)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(long.matrix)
+    assert np.array_equal(long.factor[:16, :16], short.factor)
+    assert np.allclose(long.factor @ long.factor.T, long.matrix, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_for_spec_gap_keeps_its_sign_on_a_singular_covariance(seed):
+    _, gap = theta_for_spec(squared_distance_spec(), [0.0], 1, 100_000, RngKey(seed).child(1), max_lag=16)
+    assert gap.value >= gap.value_doubled
 
 
 def test_for_spec_no_gap_at_full_horizon():
