@@ -54,7 +54,7 @@ from .experiments import (
 from .jsonio import to_jsonable, write_json
 from .norming import hr_bivariate_cdf
 from .rng import RngKey
-from .sampler import SamplePath, iter_path_blocks, write_path
+from .sampler import METHODS, SamplePath, iter_path_blocks, write_path
 from .theta import theta_for_spec
 
 LEMMA1_TOL = 1e-12
@@ -96,7 +96,10 @@ def model_from_jsonable(obj: dict) -> CorrelationModel:
             where = "model.entries[%d]" % a
             item = _typed(item, dict, where)
             key = tuple(_typed(item[f], int, "%s.%s" % (where, f)) for f in "ijk")
-            table[key] = _typed(item["rho"], float, where + ".rho")
+            rho = _typed(item["rho"], float, where + ".rho")
+            if table.get(key, rho) != rho:
+                raise ValueError("%s: conflicting value %g for rho(%d,%d,%d)" % (where, rho, *key))
+            table[key] = rho
         return tabulated_model(d, table)
     if name == "geometric":
         cross = _typed(obj.get("cross", 0.0), float, "model.cross")
@@ -114,23 +117,23 @@ def _resolve_out(args) -> Path | None:
     return path
 
 
-def _write_manifest(
-    out_dir: Path, subcommand: str, config_path, seed, files: list[Path], started: float
-) -> None:
-    entries = []
-    for f in sorted(files):
-        digest = hashlib.sha256(f.read_bytes()).hexdigest()
-        entries.append({"name": f.name, "sha256": digest})
-    manifest = {
-        "subcommand": subcommand,
-        "config": str(config_path) if config_path else None,
-        "seed": seed,
-        "version": __version__,
-        "out_dir": str(out_dir),
-        "duration_seconds": round(time.time() - started, 3),
-        "files": entries,
-    }
-    write_json(out_dir / "manifest.json", manifest)
+def _finish(args, out_dir: Path | None, seed, files: list[Path], payload: dict, ok: bool) -> int:
+    """The file-writing commands' epilogue: a manifest.json hashing files when
+    there is an output directory, payload as key-sorted JSON on stdout, and
+    exit code 0 when ok, else 1."""
+    if out_dir is not None:
+        write_json(out_dir / "manifest.json", {
+            "subcommand": args.command,
+            "config": str(args.config) if args.config else None,
+            "seed": seed,
+            "version": __version__,
+            "out_dir": str(out_dir),
+            "duration_seconds": round(time.time() - args.started, 3),
+            "files": [{"name": f.name, "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
+                      for f in sorted(files)],
+        })
+    print(json.dumps(to_jsonable(payload), sort_keys=True))
+    return 0 if ok else 1
 
 
 def _load_config(path: str) -> dict:
@@ -201,7 +204,6 @@ def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
 
 
 def cmd_converge(args) -> int:
-    started = time.time()
     if args.threads < 1:
         raise ValueError("--threads must be >= 1, got %d" % args.threads)
     cfg = _load_config(args.config)
@@ -220,12 +222,11 @@ def cmd_converge(args) -> int:
     report = build_report([compare_to_limit(e, thetas) for e in empirical])
 
     out_dir = _resolve_out(args)
+    files = []
     if out_dir is not None:
-        csv_path = out_dir / "report.csv"
-        json_path = out_dir / "report.json"
-        write_convergence_csv(report, csv_path)
-        write_convergence_json(report, json_path)
-        _write_manifest(out_dir, "converge", args.config, seed, [csv_path, json_path], started)
+        files = [out_dir / "report.csv", out_dir / "report.json"]
+        write_convergence_csv(report, files[0])
+        write_convergence_json(report, files[1])
     failures = []
     for step in report.failed_steps:
         a, b = report.entries[step], report.entries[step + 1]
@@ -242,12 +243,10 @@ def cmd_converge(args) -> int:
         "sup_deviation": {str(e.n): e.sup_deviation for e in report.entries},
         "failures": failures,
     }
-    print(json.dumps(to_jsonable(summary), sort_keys=True))
-    return 0 if report.verdict == "decreasing" else 1
+    return _finish(args, out_dir, seed, files, summary, report.verdict == "decreasing")
 
 
 def cmd_check(args) -> int:
-    started = time.time()
     cfg = _load_config(args.config)
     model = model_from_jsonable(cfg["model"])
     n_list = _list_of(cfg["n_list"], int, "n_list")
@@ -265,20 +264,17 @@ def cmd_check(args) -> int:
 
     out_dir = _resolve_out(args)
     payload = {"rows": rows, "verdicts": verdicts}
+    files = []
     if out_dir is not None:
-        csv_path = out_dir / "conditions.csv"
-        json_path = out_dir / "conditions.json"
+        files = [out_dir / "conditions.csv", out_dir / "conditions.json"]
         header = ["n", "l_n", "r_n"] + metrics
-        write_csv(csv_path, header, [[row[h] for h in header] for row in rows])
-        write_json(json_path, payload)
-        _write_manifest(out_dir, "check", args.config, cfg.get("seed"), [csv_path, json_path], started)
-
-    print(json.dumps(to_jsonable(payload), sort_keys=True))
-    return 0 if all(v == "pass" for v in verdicts.values()) else 1
+        write_csv(files[0], header, [[row[h] for h in header] for row in rows])
+        write_json(files[1], payload)
+    return _finish(args, out_dir, cfg.get("seed"), files, payload,
+                   all(v == "pass" for v in verdicts.values()))
 
 
 def cmd_lemma1(args) -> int:
-    started = time.time()
     cfg = _load_config(args.config)
     dist = DiscreteMatrixDistribution.iid_cells(
         n=_typed(cfg["n"], int, "n"),
@@ -296,16 +292,14 @@ def cmd_lemma1(args) -> int:
         "pass": report.difference <= LEMMA1_TOL,
     }
     out_dir = _resolve_out(args)
+    files = []
     if out_dir is not None:
-        path = out_dir / "lemma1.json"
-        write_json(path, payload)
-        _write_manifest(out_dir, "lemma1", args.config, cfg.get("seed"), [path], started)
-    print(json.dumps(to_jsonable(payload), sort_keys=True))
-    return 0 if payload["pass"] else 1
+        files = [out_dir / "lemma1.json"]
+        write_json(files[0], payload)
+    return _finish(args, out_dir, cfg.get("seed"), files, payload, payload["pass"])
 
 
 def cmd_sample(args) -> int:
-    started = time.time()
     cfg = _load_config(args.config)
     out_dir = _resolve_out(args)
     if out_dir is None:
@@ -332,9 +326,7 @@ def cmd_sample(args) -> int:
             with open(f, "wb") as fh:
                 write_path(SamplePath(values), fh)
             files.append(f)
-    _write_manifest(out_dir, "sample", args.config, seed, files, started)
-    print(json.dumps({"paths": count, "out_dir": str(out_dir)}))
-    return 0
+    return _finish(args, out_dir, seed, files, {"paths": count, "out_dir": str(out_dir)}, True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=None),
         "--threads": dict(type=int, default=os.cpu_count() or 1),
         "--out": dict(default=None, help="output directory (HREX_OUT overrides)"),
-        "--sampler": dict(choices=["cholesky", "circulant"], default=None),
+        "--sampler": dict(choices=METHODS, default=None),
     }
 
     p = sub.add_parser("hlambda", help="bivariate limit CDF")
@@ -384,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
     except (ToolkitError, ValueError, OSError, KeyError) as exc:

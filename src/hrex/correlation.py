@@ -130,24 +130,22 @@ class DeltaSpec:
 
     def delta(self, i: int, j: int, k: int) -> float:
         _validate_index(self.d, i, j, k)
-        if i == j and k == 0:
-            return 0.0
-        if self.func is not None:
-            a, b, k = _canonical(i, j, k)
-            return _validate_value(a, b, k, self.func(a, b, k))
-        return self.entries.get(_canonical(i, j, k), math.inf)
+        return float(self.table(k)[k, i - 1, j - 1])
 
     def table(self, max_lag: int) -> np.ndarray:
         """table[k, i-1, j-1] = delta_ij(k) for lags k = 0..max_lag.
 
-        This is the only reader of delta; each (i <= j, k) is read once and
-        mirrored into (j, i, k).
+        This is the only reader of entries and func: each (i <= j, k) off
+        the lag-0 diagonal is read once, a func value checked by
+        _validate_value, and mirrored into (j, i, k).
         """
-        table = np.empty((max_lag + 1, self.d, self.d))
+        table = np.zeros((max_lag + 1, self.d, self.d))
         for k in range(max_lag + 1):
-            for i in range(self.d):
-                for j in range(i, self.d):
-                    table[k, i, j] = table[k, j, i] = self.delta(i + 1, j + 1, k)
+            for i in range(1, self.d + 1):
+                for j in range(i + (k == 0), self.d + 1):
+                    value = (self.entries.get((i, j, k), math.inf) if self.func is None
+                             else _validate_value(i, j, k, self.func(i, j, k)))
+                    table[k, i - 1, j - 1] = table[k, j - 1, i - 1] = value
         return table
 
     def to_jsonable(self) -> dict:
@@ -227,7 +225,8 @@ def tabulated_model(d: int, table: Mapping[tuple[int, int, int], float]) -> Corr
     """Correlations given by a finite lookup table, constant in n.
 
     Missing entries are 0; (i, i, 0) is fixed at 1 and must not be
-    overridden with anything else.
+    overridden with anything else.  (i, j, k) and (j, i, k) name one
+    correlation, so both may be given only with the same value.
     """
     canon = {(i, i, 0): 1.0 for i in range(1, d + 1)}
     for (i, j, k), value in table.items():
@@ -237,7 +236,11 @@ def tabulated_model(d: int, table: Mapping[tuple[int, int, int], float]) -> Corr
             raise ValueError("correlation rho(%d,%d,%d) = %g outside [-1, 1]" % (i, j, k, value))
         if i == j and k == 0 and value != 1.0:
             raise ValueError("rho(i,i,0) is 1 by definition")
-        canon[_canonical(i, j, k)] = value
+        a, b, k = key = _canonical(i, j, k)
+        if canon.get(key, value) != value:
+            raise ValueError("conflicting values %g and %g for rho(%d,%d,%d) = rho(%d,%d,%d)"
+                             % (canon[key], value, a, b, k, b, a, k))
+        canon[key] = value
     max_lag = max((k for (_, _, k), v in canon.items() if v != 0.0), default=0)
     # dense[k] for k <= max_lag, and the zero block dense[max_lag + 1] for the rest
     dense = np.zeros((max_lag + 2, d, d))

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +39,8 @@ import numpy as np
 from .correlation import CorrelationModel
 from .jsonio import to_jsonable, write_json
 from .norming import limit_cdf, norming_constants, threshold
-from .rng import RngKey
-from .sampler import iter_path_blocks, maxima_plan
+from .rng import RngKey, run_parts
+from .sampler import METHODS, iter_path_blocks, maxima_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -93,8 +92,8 @@ class ExperimentConfig:
             raise ValueError("need at least 100 replicates")
         if not self.x_grid or any(len(p) != self.model.d for p in self.x_grid):
             raise ValueError("need a non-empty grid of d-dimensional points")
-        if self.sampler not in ("cholesky", "circulant"):
-            raise ValueError("sampler must be 'cholesky' or 'circulant'")
+        if self.sampler not in METHODS:
+            raise ValueError("sampler must be one of %s, got %r" % (", ".join(METHODS), self.sampler))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +123,9 @@ class ConvergenceReport:
     failed_steps: tuple[int, ...]  # step i compares entries i and i + 1
 
 
-def _fill_maxima(out, model, length, key, plan, start: int, count: int) -> None:
-    """out[r] = the componentwise maxima of plan's replicate r, start <= r < start + count."""
-    for first, block in iter_path_blocks(model, length, key, count, start=start, plan=plan):
+def _fill_maxima(out, model, length, key, plan, start: int, stop: int) -> None:
+    """out[r] = the componentwise maxima of plan's replicate r, start <= r < stop."""
+    for first, block in iter_path_blocks(model, length, key, stop - start, start=start, plan=plan):
         out[first : first + block.shape[0]] = block.max(axis=1)
 
 
@@ -145,10 +144,11 @@ def maxima_matrix(
 
     Replicate r always draws from substream key.child(r), so the result is
     byte-identical for every thread count (bar the dense route's last bit,
-    see hrex.sampler.iter_path_blocks); threads only split the replicate
-    range into fixed chunks worked in parallel, on at most one worker per
-    CPU and per replicate.  The route is planned once, logged at DEBUG by
-    the name the plan carries, and shared by every chunk's _fill_maxima."""
+    see hrex.sampler.iter_path_blocks).  hrex.rng.run_parts splits the
+    replicate range into at most `threads` chunks of ceil(replicates /
+    chunks), capped at one per CPU and per replicate; a single chunk runs
+    in the caller's thread.  The route is planned once, logged at DEBUG by the
+    name the plan carries, and shared by every chunk's _fill_maxima."""
     out = np.empty((replicates, model.d))
 
     def planned():
@@ -157,20 +157,9 @@ def maxima_matrix(
                   plan.route, n, replicates, plan.size * replicates)
         return plan
 
-    workers = min(threads, os.cpu_count() or 1, replicates)
-    if workers <= 1:
-        # only the reducer holds the plan, so it is freed before the last
-        # block; in the other order the freed heap of a large plan stayed
-        # resident into the next call (+36 MB peak RSS in serial_maxima)
-        _fill_maxima(out, model, n, key, planned(), 0, replicates)
-        return out
-    plan = planned()
-    chunk = -(-replicates // workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_fill_maxima, out, model, n, key, plan, s, min(chunk, replicates - s))
-                   for s in range(0, replicates, chunk)]
-        for f in futures:
-            f.result()
+    # only the work holds the plan, so it is freed as the runner returns; a plan
+    # kept in this frame stayed resident into the next call (+36 MB in serial_maxima)
+    run_parts(replicates, threads, partial(_fill_maxima, out, model, n, key, planned()))
     return out
 
 

@@ -16,6 +16,8 @@ the word at counter step s // 4.  A large fill is split into parts whose
 starts are multiples of 4; each part opens the substream, advances its
 counter to the part's start and fills its slice, and the parts run on
 threads.  Any split gives the same bits as one sequential fill.
+The split runs on `run_parts`, the package's one core-split runner, which
+also splits `hrex.experiments.maxima_matrix`'s replicates into chunks.
 
 Gaussian variates are produced by inverting the normal CDF of a uniform
 stream rather than by rejection, so two estimators fed the same substream
@@ -79,25 +81,36 @@ def standard_normal(key: RngKey, size) -> np.ndarray:
     return out
 
 
-def _fill(key: RngKey, flat: np.ndarray, normal: bool) -> None:
-    """Fill flat with the first flat.size uniforms (normals when normal is
-    true) of key's substream, in parts of at least _PART_VALUES values on
-    at most one thread per CPU; the bits do not depend on the split."""
-    parts = flat.size // _PART_VALUES
+def run_parts(total: int, parts: int, work, align: int = 1) -> None:
+    """Call work(start, stop) on contiguous ranges covering [0, total) in order:
+    one range when parts, total or os.cpu_count() is at most 1, else at most
+    the least of the three, each of ceil(total / that) values rounded up to a
+    multiple of align (the last may be shorter).  A single range runs in the
+    caller's thread, more on a pool of one thread each; the first exception a
+    range raises propagates once every range has ended."""
+    parts = min(parts, total)
     if parts > 1:  # os.cpu_count costs a system call: ask only for a split
         parts = min(parts, os.cpu_count() or 1)
     if parts <= 1:
-        _fill_part(key, flat, 0, normal)
+        work(0, total)
         return
     from concurrent.futures import ThreadPoolExecutor  # only a split needs it; set-up does not load it
 
-    step = -(-flat.size // parts)
-    step += -step % _WORDS_PER_STEP  # parts start on a counter step
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        futures = [pool.submit(_fill_part, key, flat[s : s + step], s, normal)
-                   for s in range(0, flat.size, step)]
+    step = -(-total // parts)
+    step += -step % align
+    starts = range(0, total, step)
+    with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+        futures = [pool.submit(work, s, min(s + step, total)) for s in starts]
         for f in futures:
             f.result()
+
+
+def _fill(key: RngKey, flat: np.ndarray, normal: bool) -> None:
+    """Fill flat with the first flat.size uniforms (normals when normal is
+    true) of key's substream, in parts of at least _PART_VALUES values
+    starting on a counter step; the bits do not depend on the split."""
+    run_parts(flat.size, flat.size // _PART_VALUES,
+              lambda start, stop: _fill_part(key, flat[start:stop], start, normal), _WORDS_PER_STEP)
 
 
 def _fill_part(key: RngKey, chunk: np.ndarray, start: int, normal: bool) -> None:

@@ -67,6 +67,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DENSE_CAP = 8192
+METHODS = ("cholesky", "circulant")  # the sampling methods a caller may ask for
 PATH_MAGIC = b"HREXPATH"
 
 _DEFAULT_JITTER = 1e-10
@@ -269,7 +270,7 @@ def make_plan(
     it, or when the embedding fails, dense (Schur factor of the block-Toeplitz
     lag table, L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the
     array-row size fed to the correlation function (default: the path length)."""
-    if method not in ("cholesky", "circulant"):
+    if method not in METHODS:
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:
         raise ValueError("need path length >= 1")

@@ -527,6 +527,12 @@ def test_sample_rejects_non_numeric_model_n(tmp_path, capsys):
         ({"name": "geometric", "d": 2.7, "rate": 0.5}, "model.d must be an integer, got 2.7"),
         ({"name": "iid", "d": True}, "model.d must be an integer, got True"),
         ({"name": "constant", "d": 1, "rho": "0.3"}, "model.rho must be a number, got '0.3'"),
+        ({"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "rho": 0.2},
+                                                   {"i": 2, "j": 1, "k": 0, "rho": 0.3}]},
+         "conflicting values 0.2 and 0.3 for rho(1,2,0) = rho(2,1,0)"),
+        ({"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "rho": 0.2},
+                                                   {"i": 1, "j": 2, "k": 0, "rho": 0.3}]},
+         "model.entries[1]: conflicting value 0.3 for rho(1,2,0)"),
     ],
 )
 def test_check_rejects_malformed_model(tmp_path, capsys, model, named):

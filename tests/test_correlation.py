@@ -433,6 +433,16 @@ def test_tabulated_model_validates():
         tabulated_model(1, {(1, 1, 0): 0.9})
 
 
+def test_tabulated_model_rejects_conflicting_symmetric_entries():
+    # (1, 2, 0) and (2, 1, 0) name one correlation; DeltaSpec rejects the same conflict
+    with pytest.raises(ValueError, match=r"0\.2 and 0\.3 for rho\(1,2,0\) = rho\(2,1,0\)"):
+        tabulated_model(2, {(1, 2, 0): 0.2, (2, 1, 0): 0.3})
+    with pytest.raises(InvalidDeltaSpec, match="conflicting"):
+        DeltaSpec.from_entries(2, {(1, 2, 0): 0.2, (2, 1, 0): 0.3})
+    model = tabulated_model(2, {(1, 2, 1): 0.25, (2, 1, 1): 0.25})
+    assert rho_at(model, 2, 1, 1, 99) == rho_at(model, 1, 2, 1, 99) == 0.25
+
+
 def test_geometric_model_values():
     model = geometric_model(2, 0.5, 0.3)
     assert rho_at(model, 1, 1, 3, 7) == 0.5**3
@@ -513,8 +523,29 @@ def test_substreams_opened_only_by_the_draw_loops():
 
 
 def test_delta_read_only_through_delta_table():
-    # hr_family's rho maps DeltaSpec.table to 1 - delta / log n
-    assert call_sites("delta") == {("correlation.py", "DeltaSpec.table")}
+    # a function spec's coefficients are read only by DeltaSpec.table, which
+    # delta and hr_family's rho (1 - delta / log n) index; cli's main calls
+    # argparse's func, not a spec's
+    assert call_sites("func") == {("correlation.py", "DeltaSpec.table"), ("cli.py", "main")}
+    assert call_sites("delta") == set()
+
+
+def test_function_spec_table_reads_each_coefficient_once():
+    calls = []
+
+    def func(i, j, k):
+        calls.append((i, j, k))
+        return 0.5 + k + (i != j)
+
+    spec = DeltaSpec.from_function(2, func, math.inf)
+    table = spec.table(3)
+    assert calls == [(1, 2, 0)] + [(i, j, k) for k in (1, 2, 3) for i, j in ((1, 1), (1, 2), (2, 2))]
+    assert table[0].tolist() == [[0.0, 1.5], [1.5, 0.0]]
+    assert table[2].tolist() == [[2.5, 3.5], [3.5, 2.5]]
+    assert spec.delta(2, 1, 3) == 4.5 and spec.delta(2, 2, 0) == 0.0
+    bad = DeltaSpec.from_function(1, lambda i, j, k: -1.0, math.inf)
+    with pytest.raises(InvalidDeltaSpec, match=r"delta\(1,1,1\) = -1 is negative"):
+        bad.table(2)
 
 
 def test_lag_table_cuts_beyond_max_lag_without_calling_rho():

@@ -188,10 +188,11 @@ def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
 
 def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
     # a huge thread request must not become one OS thread per replicate;
-    # the fake pool runs every chunk inline and records its worker count
+    # the fake pool, which hrex.rng.run_parts imports when it splits, runs
+    # every chunk inline and records its worker count
     from concurrent.futures import Future
 
-    from hrex import experiments
+    from hrex import rng
 
     seen = []
 
@@ -210,13 +211,13 @@ def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 3)
     model = bivariate_hr(1.0)
     key = RngKey(5).child(64)
     many = maxima_matrix(model, 16, key, 7, threads=10**6)
     maxima_matrix(model, 16, key, 2, threads=10**6)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: None)
     serial = maxima_matrix(model, 16, key, 7, threads=10**6)
     assert seen == [3, 2]
     assert np.array_equal(many, serial)

@@ -1,12 +1,19 @@
 """The key-addressed draw layer: the bits of a fill do not depend on how it
-is split across threads, and uniforms stay inside the open interval."""
+is split across threads, and uniforms stay inside the open interval.  Its
+core-split runner is the only thread pool in the package."""
+
+import ast
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from hrex import rng
-from hrex.rng import RngKey, standard_normal, uniform_open
+from hrex.rng import RngKey, run_parts, standard_normal, uniform_open
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hrex"
 
 
 def sequential_uniforms(key, size):
@@ -59,6 +66,57 @@ def test_out_is_filled_in_place():
     for size, out in ((3, block[:, 0]), (6, block[0]), ((1, 7), block[0])):
         with pytest.raises(ValueError, match="C-contiguous array of shape"):
             uniform_open(key, size, out=out)
+
+
+@pytest.mark.parametrize("total, parts, cpus, align", [
+    (10, 3, 8, 1), (7, 10**6, 3, 1), (2, 10**6, 3, 1), (9, 3, 1, 1), (5, 0, 4, 1),
+    (4097, 3, 3, 4), (2003, 2, 3, 4), (4097, 4, 4, 4), (0, 4, 4, 1),
+])
+def test_run_parts_covers_the_range_once_in_order(total, parts, cpus, align, monkeypatch):
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
+    ranges, threads = [], set()
+
+    def work(start, stop):
+        ranges.append((start, stop))  # list.append is atomic
+        threads.add(threading.get_ident())
+
+    run_parts(total, parts, work, align)
+    ranges.sort()
+    assert ranges[0][0] == 0 and ranges[-1][1] == total
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert all(start < stop for start, stop in ranges) or ranges == [(0, 0)]
+    assert all(start % align == 0 for start, _ in ranges)
+    assert len(ranges) == max(1, min(parts, cpus, total))
+    # one range runs in the caller's thread, more run on pool threads only
+    caller = threading.get_ident()
+    assert (threads == {caller}) if len(ranges) == 1 else (caller not in threads)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_run_parts_propagates_a_part_error(cpus, monkeypatch):
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
+    done = []
+
+    def work(start, stop):
+        if stop == 9:
+            raise RuntimeError("part ending at %d" % stop)
+        done.append((start, stop))
+
+    with pytest.raises(RuntimeError, match="part ending at 9"):
+        run_parts(9, 3, work)
+    assert sorted(done) == ([(0, 3), (3, 6)] if cpus > 1 else [])
+
+
+def test_only_rng_builds_a_thread_pool():
+    # every split across cores goes through run_parts
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "ThreadPoolExecutor":
+                    builders.add(path.name)
+    assert builders == {"rng.py"}
 
 
 def test_top_lattice_point_stays_below_one(monkeypatch):
