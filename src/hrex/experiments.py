@@ -142,9 +142,10 @@ def maxima_matrix(
     hrex.sampler.maxima_plan's route: lag-0 rows with d <= 2 take the exact
     plan, 2d - 1 uniforms per replicate at a cost free of n.
 
-    Replicate r always draws from substream key.child(r), so the result is
-    byte-identical for every thread count (bar the dense route's last bit,
-    see hrex.sampler.iter_path_blocks).  hrex.rng.run_parts splits the
+    Replicate r always reads values r*s ... (r+1)*s - 1 of substream key, s
+    the plan's uniforms per replicate, so the result is byte-identical for
+    every thread count (bar the dense route's last bit, see
+    hrex.sampler.iter_path_blocks).  hrex.rng.run_parts splits the
     replicate range into at most `threads` chunks of ceil(replicates /
     chunks), capped at one per CPU and per replicate; a single chunk runs
     in the caller's thread.  The route is planned once, logged at DEBUG by the
@@ -177,9 +178,10 @@ def empirical_cdf(
 
 
 def run_maxima_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[EmpiricalCdf]:
-    """One EmpiricalCdf per n.  Replicate r of the run at size n draws from
-    substream (seed, n, r), so results do not depend on which other sizes
-    are in the sweep, nor (bar the dense route) on batching or threads."""
+    """One EmpiricalCdf per n.  Replicate r of the run at size n reads values
+    r*s ... (r+1)*s - 1 of substream (seed, n), s the uniforms its plan draws
+    per replicate, so results do not depend on which other sizes are in the
+    sweep, nor (bar the dense route) on batching or threads."""
     root = RngKey(cfg.seed)
     out = []
     for n in cfg.n_list:
@@ -387,9 +389,14 @@ def block_consistency_check(
     q_n-th power of the same probability on a single length-r_n block.
 
     Both runs use the row-n thresholds, the row-n correlation model, and
-    the same replicate substreams (common random numbers); only the path
-    length differs, so lag-0 rows with d <= 2 take the exact route at both.
-    With r_n = n the two computations coincide and the gap is exactly zero.
+    the same key; only the path length differs, so lag-0 rows with d <= 2
+    take the exact route at both.  Replicate r reads values r*s ...
+    (r+1)*s - 1 of key's substream, s the uniforms its plan draws per
+    replicate, so the two lengths share a replicate's uniforms (common
+    random numbers) only where s is the same at both: on the exact route,
+    s = 2d - 1.  On the path routes s grows with the length, and the two
+    runs read different stretches of the substream.  With r_n = n the two
+    computations coincide and the gap is exactly zero.
     """
     if not 1 <= r_n <= n:
         raise ValueError("need 1 <= r_n <= n")

@@ -8,14 +8,16 @@ consumed first.  That is what makes replicate-level parallelism and
 common-random-number reuse reproducible: replicate r always sees the same
 bytes.
 
-The draws are key-addressed: `uniform_open(key, size)` and
-`standard_normal(key, size)` read the first `size` values of key's
-substream.  Philox is counter-based (Salmon et al., SC 2011), and each
-counter step gives 4 words, one per value, so value s of a substream is
-the word at counter step s // 4.  A large fill is split into parts whose
-starts are multiples of 4; each part opens the substream, advances its
-counter to the part's start and fills its slice, and the parts run on
-threads.  Any split gives the same bits as one sequential fill.
+The draws are counter-addressed: `uniform_open(key, size, start=s)` reads
+values s, s + 1, ... of key's substream, and `standard_normal(key, size)`
+the normals of its first size values.  Philox is counter-based (Salmon et
+al., SC 2011) and gives 4 words, one per value, per counter step, so a
+read advances the counter to step s // 4 and drops s % 4 words, at a cost
+that does not grow with s.  Replicates that draw k values each read
+replicate r as values r*k ... (r+1)*k - 1 of one substream, so a batch of
+replicates is one fill.  A large fill is split into parts at any value;
+each part reads its slice by the same address on a thread, and any split
+gives the same bits as one sequential fill.
 The split runs on `run_parts`, the package's one core-split runner, which
 also splits `hrex.experiments.maxima_matrix`'s replicates into chunks.
 
@@ -57,37 +59,40 @@ class RngKey:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def uniform_open(key: RngKey, size, out: np.ndarray | None = None) -> np.ndarray:
+def uniform_open(key: RngKey, size, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
     """Uniforms on the open interval (0, 1), safe to pass to inverse CDFs:
-    the first values of key's substream, of shape size, or written into
-    out (a C-contiguous float64 array of that shape) and returned as out.
+    values start, start + 1, ... of key's substream, of shape size, or
+    written into out (a C-contiguous float64 array of that shape) and
+    returned as out.  start must be non-negative.
 
     Values are midpoints of a 2^53 lattice, (k + 1/2) / 2^53 for the top 53
     bits k of a Philox word.  The top midpoint rounds to 1.0 in float64 and
     is clamped to the largest double below 1, so neither endpoint can occur.
     """
+    if start < 0:
+        raise ValueError("need a non-negative start, got %d" % start)
     if out is None:
         out = np.empty(size)
     elif out.shape != (tuple(size) if np.iterable(size) else (size,)) or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array of shape size")
-    _fill(key, out.reshape(-1), False)
+    _fill(key, out.reshape(-1), start, False)
     return out
 
 
 def standard_normal(key: RngKey, size) -> np.ndarray:
     """N(0,1) variates via the inverse normal CDF of uniform_open's values."""
     out = np.empty(size)
-    _fill(key, out.reshape(-1), True)
+    _fill(key, out.reshape(-1), 0, True)
     return out
 
 
-def run_parts(total: int, parts: int, work, align: int = 1) -> None:
+def run_parts(total: int, parts: int, work) -> None:
     """Call work(start, stop) on contiguous ranges covering [0, total) in order:
     one range when parts, total or os.cpu_count() is at most 1, else at most
-    the least of the three, each of ceil(total / that) values rounded up to a
-    multiple of align (the last may be shorter).  A single range runs in the
-    caller's thread, more on a pool of one thread each; the first exception a
-    range raises propagates once every range has ended."""
+    the least of the three, each of ceil(total / that) values (the last may
+    be shorter).  A single range runs in the caller's thread, more on a pool
+    of one thread each; the first exception a range raises propagates once
+    every range has ended."""
     parts = min(parts, total)
     if parts > 1:  # os.cpu_count costs a system call: ask only for a split
         parts = min(parts, os.cpu_count() or 1)
@@ -97,7 +102,6 @@ def run_parts(total: int, parts: int, work, align: int = 1) -> None:
     from concurrent.futures import ThreadPoolExecutor  # only a split needs it; set-up does not load it
 
     step = -(-total // parts)
-    step += -step % align
     starts = range(0, total, step)
     with ThreadPoolExecutor(max_workers=len(starts)) as pool:
         futures = [pool.submit(work, s, min(s + step, total)) for s in starts]
@@ -105,21 +109,25 @@ def run_parts(total: int, parts: int, work, align: int = 1) -> None:
             f.result()
 
 
-def _fill(key: RngKey, flat: np.ndarray, normal: bool) -> None:
-    """Fill flat with the first flat.size uniforms (normals when normal is
-    true) of key's substream, in parts of at least _PART_VALUES values
-    starting on a counter step; the bits do not depend on the split."""
+def _fill(key: RngKey, flat: np.ndarray, start: int, normal: bool) -> None:
+    """Fill flat with uniforms start, start + 1, ... (normals when normal is
+    true) of key's substream, in parts of at least _PART_VALUES values; the
+    bits do not depend on the split."""
     run_parts(flat.size, flat.size // _PART_VALUES,
-              lambda start, stop: _fill_part(key, flat[start:stop], start, normal), _WORDS_PER_STEP)
+              lambda a, b: _fill_part(key, flat[a:b], start + a, normal))
 
 
 def _fill_part(key: RngKey, chunk: np.ndarray, start: int, normal: bool) -> None:
-    """Values start, start + 1, ... of key's substream into chunk; start is a
-    multiple of _WORDS_PER_STEP.  Generator.random gives k / 2^53, and the
+    """Values start, start + 1, ... of key's substream into chunk: the counter
+    advances to the step holding value start, and the words before it in that
+    step are drawn and dropped.  Generator.random gives k / 2^53, and the
     half step rounds to the same double as (k + 1/2) / 2^53."""
     gen = key.generator()
-    if start:
-        gen.bit_generator.advance(start // _WORDS_PER_STEP)
+    step, skip = divmod(start, _WORDS_PER_STEP)
+    if step:
+        gen.bit_generator.advance(step)
+    if skip:
+        gen.random(skip)
     gen.random(out=chunk)
     chunk += _HALF_STEP
     np.minimum(chunk, _BELOW_ONE, out=chunk)

@@ -30,9 +30,10 @@ model.max_lag.  Here max_lag only picks routes and sizes the band:
 `iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
 maxima of lag-0 rows with d <= 2 (route lag0-exact).  `maxima_matrix`
 hands one plan to every chunk of replicates, so the covariance, factor
-or spectrum is built once however many threads work.  Replicate r
-draws its uniforms from its own substream key.child(r), so results are
-reproducible for a given (seed, model, length, count), and off the dense
+or spectrum is built once however many threads work.  A plan that draws
+s uniforms per replicate reads replicate r as values r*s ... (r+1)*s - 1
+of the one substream key, and a batch of replicates as one fill, so results
+are reproducible for a given (seed, model, length, count), and off the dense
 route (see `iter_path_blocks`) however replicates are batched or parallelised.
 """
 
@@ -339,9 +340,12 @@ def iter_path_blocks(
     plan: Plan | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
-    holding all paths in memory.  Values are independent of the batching,
-    except on the dense route: BLAS picks the kernel of its z @ factor_t by
-    the batch's row count, so a replicate's last bit can move with count.
+    holding all paths in memory.  Replicate r of a plan that draws s uniforms
+    per replicate reads values r*s ... (r+1)*s - 1 of key's substream, and a
+    batch is one fill; start must be non-negative.  Values are independent
+    of the batching, except on the dense route: BLAS picks the kernel of its
+    z @ factor_t by the batch's row count, so a replicate's last bit can
+    move with count.
     plan, when given, is make_plan's or maxima_plan's plan for (model,
     length, method, n), made once by a caller that works in chunks."""
     size, transform, footprint, _ = make_plan(model, length, method, n) if plan is None else plan
@@ -349,10 +353,7 @@ def iter_path_blocks(
     r = start
     while r < start + count:
         b = min(batch, start + count - r)
-        u = np.empty((b, size))
-        for row in range(b):
-            uniform_open(key.child(r + row), size, out=u[row])
-        yield r, transform(u)
+        yield r, transform(uniform_open(key, (b, size), start=r * size))
         r += b
 
 

@@ -133,8 +133,8 @@ def test_every_route_entry_takes_the_route_it_names(route):
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
     # four real worker threads share one plan, switching often; each
-    # replicate keeps its own substream, so the bytes cannot depend on the
-    # thread count
+    # replicate reads its own values of the one substream, by counter, so
+    # the bytes cannot depend on the thread count
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     model, length, replicates, method = ROUTES[route]
     key = RngKey(31).child(length)
@@ -150,9 +150,10 @@ def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_path_blocks_batch_invariant_on_every_route(route, monkeypatch):
-    # replicate r draws only from key.child(r), so cutting the replicates
-    # into three or more batches gives the bytes of one batch, for the path
-    # plans and for the plans whose blocks maxima_matrix reduces
+    # replicate r reads only values r*s ... (r+1)*s - 1 of key's substream,
+    # so cutting the replicates into three or more batches gives the bytes
+    # of one batch, for the path plans and for the plans whose blocks
+    # maxima_matrix reduces
     model, length, replicates, method = ROUTES[route]
     key = RngKey(31).child(length)
 
@@ -266,7 +267,8 @@ def test_lag0_exact_route_follows_the_finite_n_law(case):
 
 @pytest.mark.parametrize("d, n", [(1, 10**3), (1, 10**8), (2, 10**3), (2, 10**4)])
 def test_lag0_exact_route_reproduced_by_root_finding(d, n):
-    # replicate r from its own key.child(r) uniforms: M1 solves
+    # replicate r from its values r(2d-1) ... (r+1)(2d-1) - 1 of key's
+    # substream: M1 solves
     # Phi(x)^n = U1, and the other rows' max of X2 solves
     # (Phi_2(M1, y) / Phi(M1))^(n-1) = U3 on the bivariate normal CDF
     model = iid_model(1) if d == 1 else bivariate_hr(1.0)
@@ -275,7 +277,7 @@ def test_lag0_exact_route_reproduced_by_root_finding(d, n):
     key = RngKey(9201).child(n)
     got = maxima_matrix(model, n, key, 6)
     for r in (0, 2, 5):
-        u = uniform_open(key.child(r), 2 * d - 1)
+        u = uniform_open(key, 2 * d - 1, start=r * (2 * d - 1))
         m1 = brentq(lambda x: n * log_ndtr(x) - math.log(u[0]), -10.0, 12.0, xtol=1e-14)
         assert abs(got[r, 0] - m1) <= 1e-9
         if d == 1:

@@ -1,6 +1,7 @@
-"""The key-addressed draw layer: the bits of a fill do not depend on how it
-is split across threads, and uniforms stay inside the open interval.  Its
-core-split runner is the only thread pool in the package."""
+"""The counter-addressed draw layer: a read from any start gives the bits
+of one sequential fill, however it is split across threads, and uniforms
+stay inside the open interval.  Its core-split runner is the only thread
+pool in the package."""
 
 import ast
 import threading
@@ -56,6 +57,25 @@ def test_shaped_draw_is_the_flat_draw_reshaped(monkeypatch):
     assert np.array_equal(standard_normal(key, (3, 1001)), ndtri(want))
 
 
+@pytest.mark.parametrize("parts", [1, 3])
+def test_read_from_start_is_the_tail_of_a_longer_read(parts, monkeypatch):
+    # values s, s + 1, ... for every offset within and across counter steps;
+    # with parts of 7 values on 3 threads the parts start off the steps too
+    key = RngKey(59)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: parts)
+    monkeypatch.setattr(rng, "_PART_VALUES", 7)
+    size = 23
+    for s in range(10):
+        want = uniform_open(key, s + size)[s:]
+        assert np.array_equal(want, sequential_uniforms(key, s + size)[s:])
+        assert np.array_equal(uniform_open(key, size, start=s), want)
+
+
+def test_negative_start_rejected():
+    with pytest.raises(ValueError, match="non-negative start"):
+        uniform_open(RngKey(1), 3, start=-1)
+
+
 def test_out_is_filled_in_place():
     key = RngKey(47).child(3)
     block = np.zeros((3, 7))
@@ -68,25 +88,30 @@ def test_out_is_filled_in_place():
             uniform_open(key, size, out=out)
 
 
-@pytest.mark.parametrize("total, parts, cpus, align", [
+@pytest.mark.parametrize("total, parts, cpus, offset", [
     (10, 3, 8, 1), (7, 10**6, 3, 1), (2, 10**6, 3, 1), (9, 3, 1, 1), (5, 0, 4, 1),
     (4097, 3, 3, 4), (2003, 2, 3, 4), (4097, 4, 4, 4), (0, 4, 4, 1),
 ])
-def test_run_parts_covers_the_range_once_in_order(total, parts, cpus, align, monkeypatch):
+def test_run_parts_covers_the_range_once_in_order(total, parts, cpus, offset, monkeypatch):
+    # each range reads its slice of one fill from value offset + start, so
+    # ranges that start inside a counter step still rebuild the fill
     monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
+    key = RngKey(53).child(total)
+    flat = np.empty(total)
     ranges, threads = [], set()
 
     def work(start, stop):
         ranges.append((start, stop))  # list.append is atomic
         threads.add(threading.get_ident())
+        rng._fill_part(key, flat[start:stop], offset + start, False)
 
-    run_parts(total, parts, work, align)
+    run_parts(total, parts, work)
     ranges.sort()
     assert ranges[0][0] == 0 and ranges[-1][1] == total
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     assert all(start < stop for start, stop in ranges) or ranges == [(0, 0)]
-    assert all(start % align == 0 for start, _ in ranges)
     assert len(ranges) == max(1, min(parts, cpus, total))
+    assert np.array_equal(flat, sequential_uniforms(key, offset + total)[offset:])
     # one range runs in the caller's thread, more run on pool threads only
     caller = threading.get_ident()
     assert (threads == {caller}) if len(ranges) == 1 else (caller not in threads)

@@ -23,7 +23,7 @@ from hrex.correlation import (
 )
 from hrex.errors import NotPositiveSemidefinite
 from hrex.experiments import maxima_matrix
-from hrex.rng import RngKey, standard_normal
+from hrex.rng import RngKey, standard_normal, uniform_open
 from hrex.sampler import (
     SamplePath,
     assemble_covariance,
@@ -230,13 +230,35 @@ def test_cholesky_pair_correlation_tracks_model():
 
 
 def test_cholesky_replicates_independent_of_batching():
-    # replicate r draws from substream (key, r) regardless of how many
-    # replicates are requested in one call
+    # replicate r reads values r*s ... (r+1)*s - 1 of key's substream
+    # regardless of how many replicates are requested in one call
     model = geometric_model(1, 0.3)
     few = path_values(model, 5, RngKey(2).child(5), 2)
     many = path_values(model, 5, RngKey(2).child(5), 7)
     for r in range(2):
         assert np.array_equal(few[r], many[r])
+
+
+def test_replicates_read_one_substream_by_counter(monkeypatch):
+    # replicate r is the plan's transform of values r*s ... (r+1)*s - 1 of
+    # key's substream, and no replicate opens a substream of its own
+    model, length = geometric_model(1, 0.5), 16
+    key = RngKey(12).child(length)
+    size, transform, _, _ = make_plan(model, length, "circulant")
+
+    def no_child(*args):
+        raise AssertionError("a replicate opened a substream of its own")
+
+    monkeypatch.setattr(RngKey, "child", no_child)
+    values = path_values(model, length, key, 5, "circulant")
+    for r in (0, 3, 4):
+        alone = transform(uniform_open(key, (1, size), start=r * size))
+        assert alone.tobytes() == values[r : r + 1].tobytes()
+
+
+def test_negative_start_rejected():
+    with pytest.raises(ValueError, match="non-negative start"):
+        next(iter_path_blocks(iid_model(1), 3, RngKey(1), 1, start=-1))
 
 
 # --- circulant route ---------------------------------------------------------
