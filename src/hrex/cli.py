@@ -203,9 +203,13 @@ def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
     raise ValueError("unknown theta method %r" % (method,))
 
 
-def cmd_converge(args) -> int:
+def _check_threads(args) -> None:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1, got %d" % args.threads)
+
+
+def cmd_converge(args) -> int:
+    _check_threads(args)
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
     model = model_from_jsonable(cfg["model"])
@@ -300,6 +304,7 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_threads(args)
     cfg = _load_config(args.config)
     out_dir = _resolve_out(args)
     if out_dir is None:
@@ -319,7 +324,7 @@ def cmd_sample(args) -> int:
     sampler = args.sampler or cfg.get("sampler", "cholesky")
     key = RngKey(seed).child(length)
     files = []
-    blocks = iter_path_blocks(model, length, key, count, method=sampler, n=model_n)
+    blocks = iter_path_blocks(model, length, key, count, method=sampler, n=model_n, threads=args.threads)
     for first, block in blocks:
         for row, values in enumerate(block):
             f = out_dir / ("path_%06d.bin" % (first + row))
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("check", "asymptotic-condition diagnostics", cmd_check, ("--config", "--out")),
         ("lemma1", "exceedance-decomposition identity", cmd_lemma1, ("--config", "--out")),
         ("sample", "write Gaussian path replicates", cmd_sample,
-         ("--config", "--seed", "--out", "--sampler")),
+         ("--config", "--seed", "--threads", "--out", "--sampler")),
     ):
         p = sub.add_parser(name, help=helptext)
         for flag in names:

@@ -23,7 +23,7 @@ implementation can get wrong.
 block_consistency_check compares P(joint maxima below u_n) computed on
 whole rows against the q_n-th power of the probability on one block of
 length r_n, the quantity whose asymptotic equality underpins the
-block-decoupling step of the limit argument.  Both reduce through _fill_maxima.
+block-decoupling step of the limit argument.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from .correlation import CorrelationModel
 from .jsonio import to_jsonable, write_json
 from .norming import limit_cdf, norming_constants, threshold
-from .rng import RngKey, run_parts
+from .rng import RngKey
 from .sampler import METHODS, iter_path_blocks, maxima_plan
 
 __all__ = [
@@ -123,12 +122,6 @@ class ConvergenceReport:
     failed_steps: tuple[int, ...]  # step i compares entries i and i + 1
 
 
-def _fill_maxima(out, model, length, key, plan, start: int, stop: int) -> None:
-    """out[r] = the componentwise maxima of plan's replicate r, start <= r < stop."""
-    for first, block in iter_path_blocks(model, length, key, stop - start, start=start, plan=plan):
-        out[first : first + block.shape[0]] = block.max(axis=1)
-
-
 def maxima_matrix(
     model: CorrelationModel,
     n: int,
@@ -143,13 +136,12 @@ def maxima_matrix(
     plan, 2d - 1 uniforms per replicate at a cost free of n.
 
     Replicate r always reads values r*s ... (r+1)*s - 1 of substream key, s
-    the plan's uniforms per replicate, so the result is byte-identical for
+    the plan's draws per replicate, so the result is byte-identical for
     every thread count (bar the dense route's last bit, see
-    hrex.sampler.iter_path_blocks).  hrex.rng.run_parts splits the
-    replicate range into at most `threads` chunks of ceil(replicates /
-    chunks), capped at one per CPU and per replicate; a single chunk runs
-    in the caller's thread.  The route is planned once, logged at DEBUG by the
-    name the plan carries, and shared by every chunk's _fill_maxima."""
+    hrex.sampler.iter_path_blocks, which splits each batch into at most
+    `threads` parts).  Each block's max runs along its contiguous time
+    axis.  The route is planned once and logged at DEBUG by the name the
+    plan carries."""
     out = np.empty((replicates, model.d))
 
     def planned():
@@ -158,9 +150,10 @@ def maxima_matrix(
                   plan.route, n, replicates, plan.size * replicates)
         return plan
 
-    # only the work holds the plan, so it is freed as the runner returns; a plan
+    # only the generator holds the plan, so it is freed as the loop ends; a plan
     # kept in this frame stayed resident into the next call (+36 MB in serial_maxima)
-    run_parts(replicates, threads, partial(_fill_maxima, out, model, n, key, planned()))
+    for first, block in iter_path_blocks(model, n, key, replicates, plan=planned(), threads=threads):
+        out[first : first + len(block)] = block.max(axis=1)
     return out
 
 
@@ -409,8 +402,8 @@ def block_consistency_check(
     u = np.array([threshold(constants, v) for v in x])
 
     def below(length: int) -> float:
-        maxima = np.empty((replicates, model.d))
-        _fill_maxima(maxima, model, length, key, maxima_plan(model, length, sampler, n), 0, replicates)
+        blocks = iter_path_blocks(model, length, key, replicates, plan=maxima_plan(model, length, sampler, n))
+        maxima = np.concatenate([block.max(axis=1) for _, block in blocks])
         return int((maxima <= u).all(axis=1).sum()) / replicates
 
     p_full = below(n)

@@ -9,8 +9,8 @@ common-random-number reuse reproducible: replicate r always sees the same
 bytes.
 
 The draws are counter-addressed: `uniform_open(key, size, start=s)` reads
-values s, s + 1, ... of key's substream, and `standard_normal(key, size)`
-the normals of its first size values.  Philox is counter-based (Salmon et
+values s, s + 1, ... of key's substream, and `standard_normal(key, size,
+start=s)` the normals of those values.  Philox is counter-based (Salmon et
 al., SC 2011) and gives 4 words, one per value, per counter step, so a
 read advances the counter to step s // 4 and drops s % 4 words, at a cost
 that does not grow with s.  Replicates that draw k values each read
@@ -19,7 +19,8 @@ replicates is one fill.  A large fill is split into parts at any value;
 each part reads its slice by the same address on a thread, and any split
 gives the same bits as one sequential fill.
 The split runs on `run_parts`, the package's one core-split runner, which
-also splits `hrex.experiments.maxima_matrix`'s replicates into chunks.
+also splits each batch of `hrex.sampler.iter_path_blocks`'s replicates into
+parts.  Pools never nest: a fill inside a part of a split runs unsplit.
 
 Gaussian variates are produced by inverting the normal CDF of a uniform
 stream rather than by rejection, so two estimators fed the same substream
@@ -29,6 +30,7 @@ consume identical uniforms and stay pathwise coupled.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,7 @@ _WORDS_PER_STEP = 4  # Philox4x64 gives 4 words, so 4 values, per counter step
 # smallest part of a split fill: on 2 cores, alternated in one process,
 # halves of 2^18 values ran slower than one fill and halves of 2^20 faster
 _PART_VALUES = 1 << 20
+_POOL_PREFIX = "hrex-part"  # names the threads of run_parts' pools
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,6 @@ def uniform_open(key: RngKey, size, out: np.ndarray | None = None, start: int = 
     bits k of a Philox word.  The top midpoint rounds to 1.0 in float64 and
     is clamped to the largest double below 1, so neither endpoint can occur.
     """
-    if start < 0:
-        raise ValueError("need a non-negative start, got %d" % start)
     if out is None:
         out = np.empty(size)
     elif out.shape != (tuple(size) if np.iterable(size) else (size,)) or not out.flags.c_contiguous:
@@ -79,10 +80,11 @@ def uniform_open(key: RngKey, size, out: np.ndarray | None = None, start: int = 
     return out
 
 
-def standard_normal(key: RngKey, size) -> np.ndarray:
-    """N(0,1) variates via the inverse normal CDF of uniform_open's values."""
+def standard_normal(key: RngKey, size, start: int = 0) -> np.ndarray:
+    """N(0,1) variates via the inverse normal CDF of uniform_open's values
+    start, start + 1, ..., of shape size; start must be non-negative."""
     out = np.empty(size)
-    _fill(key, out.reshape(-1), 0, True)
+    _fill(key, out.reshape(-1), start, True)
     return out
 
 
@@ -91,11 +93,10 @@ def run_parts(total: int, parts: int, work) -> None:
     one range when parts, total or os.cpu_count() is at most 1, else at most
     the least of the three, each of ceil(total / that) values (the last may
     be shorter).  A single range runs in the caller's thread, more on a pool
-    of one thread each; the first exception a range raises propagates once
-    every range has ended."""
-    parts = min(parts, total)
-    if parts > 1:  # os.cpu_count costs a system call: ask only for a split
-        parts = min(parts, os.cpu_count() or 1)
+    of one thread each; a run_parts call inside a range of a split runs as
+    one range, so pools never nest.  The first exception a range raises
+    propagates once every range has ended."""
+    parts = split_count(total, parts)
     if parts <= 1:
         work(0, total)
         return
@@ -103,16 +104,28 @@ def run_parts(total: int, parts: int, work) -> None:
 
     step = -(-total // parts)
     starts = range(0, total, step)
-    with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+    with ThreadPoolExecutor(max_workers=len(starts), thread_name_prefix=_POOL_PREFIX) as pool:
         futures = [pool.submit(work, s, min(s + step, total)) for s in starts]
         for f in futures:
             f.result()
+
+
+def split_count(total: int, parts: int) -> int:
+    """How many ranges run_parts(total, parts, ...) asks for: at most parts,
+    total and os.cpu_count(), and 1 on a thread of run_parts' own pools."""
+    parts = min(parts, total)
+    if parts > 1:  # os.cpu_count costs a system call: ask only for a split
+        on_pool = threading.current_thread().name.startswith(_POOL_PREFIX)
+        parts = 1 if on_pool else min(parts, os.cpu_count() or 1)
+    return max(parts, 1)
 
 
 def _fill(key: RngKey, flat: np.ndarray, start: int, normal: bool) -> None:
     """Fill flat with uniforms start, start + 1, ... (normals when normal is
     true) of key's substream, in parts of at least _PART_VALUES values; the
     bits do not depend on the split."""
+    if start < 0:
+        raise ValueError("need a non-negative start, got %d" % start)
     run_parts(flat.size, flat.size // _PART_VALUES,
               lambda a, b: _fill_part(key, flat[a:b], start + a, normal))
 

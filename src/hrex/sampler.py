@@ -6,10 +6,14 @@ rho_ij(k, n) has the block-Toeplitz covariance
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
-method) into a Plan: the uniforms a replicate consumes, a transform from
-them (through ndtri) to paths, the floats that transform holds per
-replicate, by which `iter_path_blocks` sizes its batches, and the route
-it took.  Its four routes all read the lag table rho_ij(k, n) of
+method) into a Plan: the normals a replicate consumes, a transform from
+them to paths, the floats that transform holds per replicate, by which
+`iter_path_blocks` sizes its batches, the route it took, and the draw,
+`hrex.rng.standard_normal`.  Each route returns its (b, L, d) block as a
+transposed view of a (b, d, L) array (on the circulant route, of the
+first L points of its irfft output, with no copy), so that a component's
+path, and the max over time, runs along contiguous memory.  The four
+routes all read the lag table rho_ij(k, n) of
 `hrex.correlation.lag_table`, which makes the cut to 0 beyond
 model.max_lag.  Here max_lag only picks routes and sizes the band:
 
@@ -28,13 +32,15 @@ model.max_lag.  Here max_lag only picks routes and sizes the band:
   spectral eigenvalue and clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
-maxima of lag-0 rows with d <= 2 (route lag0-exact).  `maxima_matrix`
-hands one plan to every chunk of replicates, so the covariance, factor
-or spectrum is built once however many threads work.  A plan that draws
-s uniforms per replicate reads replicate r as values r*s ... (r+1)*s - 1
-of the one substream key, and a batch of replicates as one fill, so results
-are reproducible for a given (seed, model, length, count), and off the dense
-route (see `iter_path_blocks`) however replicates are batched or parallelised.
+maxima of lag-0 rows with d <= 2 (route lag0-exact, which draws
+uniforms), and the one place that splits replicates across cores: each
+batch runs in parts on threads that share one plan, so the covariance,
+factor or spectrum is built once however many threads work.  A plan that
+draws s values per replicate reads replicate r as values r*s ...
+(r+1)*s - 1 of the one substream key, and a part of a batch as one fill,
+so results are reproducible for a given (seed, model, length, count), and
+off the dense route (see `iter_path_blocks`) however replicates are
+batched or split.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from scipy.special import ndtr, ndtri, ndtri_exp
 from .correlation import CorrelationModel, lag_table
 from .errors import NotPositiveSemidefinite
 from .norming import upper_orthant
-from .rng import RngKey, uniform_open
+from .rng import RngKey, run_parts, split_count, standard_normal, uniform_open
 
 __all__ = [
     "SamplePath",
@@ -72,14 +78,20 @@ METHODS = ("cholesky", "circulant")  # the sampling methods a caller may ask for
 PATH_MAGIC = b"HREXPATH"
 
 _DEFAULT_JITTER = 1e-10
-_BLOCK_VALUES = 4_000_000  # target floats per replicate batch
+_BLOCK_VALUES = 4_000_000  # target floats per replicate batch, shared by its parts
+# smallest part of a split batch, in floats of footprint: on 2 cores, two parts
+# beat one from about 2^12 floats each on the lag0-exact route and from 2^15 to
+# 2^17 on the path routes
+_SPLIT_FLOATS = 1 << 14
 _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
 # (draws per replicate, transform from (b, size) draws to (b, L, d) blocks, floats
-# it holds per replicate, which size the batches, and the route that built it:
-# lag0, dense, banded, circulant or lag0-exact); a route's own plan takes normals
-Plan = namedtuple("Plan", "size transform footprint route")
+# it holds per replicate, which size the batches, the route that built it: lag0,
+# dense, banded, circulant or lag0-exact, and the hrex.rng function it draws from:
+# standard_normal, or uniform_open on the lag0-exact route).  A path route's block
+# is a transposed view of a (b, d, L) array: each component's path is contiguous
+Plan = namedtuple("Plan", "size transform footprint route draw")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +188,11 @@ def _factor_spectrum(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return w, v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
+def _time_last(x: np.ndarray) -> np.ndarray:
+    """The (b, L, d) block x as a transposed view of a (b, d, L) copy."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     """Serially independent time points: one d x d factor per point."""
     d = model.d
@@ -184,7 +201,8 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     if factor is None:
         raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
     factor_t = factor[0].T.copy()
-    return Plan(length * d, lambda z: z.reshape(-1, length, d) @ factor_t, length * d, "lag0")
+    return Plan(length * d, lambda z: _time_last(z.reshape(-1, length, d) @ factor_t), length * d, "lag0",
+                standard_normal)
 
 
 def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -193,7 +211,8 @@ def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         _schur_factor, lag_table(model, range(length), n), (0, np.arange(d), np.arange(d)),
         "covariance (size %d)" % (length * d),
     )
-    return Plan(length * d, lambda z: (z @ factor_t).reshape(-1, length, d), length * d, "dense")
+    return Plan(length * d, lambda z: _time_last((z @ factor_t).reshape(-1, length, d)), length * d, "dense",
+                standard_normal)
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -218,9 +237,9 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         x = np.zeros_like(z)
         for o in range(bw + 1):
             x[:, o:] += band[o, : size - o] * z[:, : size - o]
-        return x.reshape(-1, length, d)
+        return _time_last(x.reshape(-1, length, d))
 
-    return Plan(size, transform, size, "banded")
+    return Plan(size, transform, size, "banded", standard_normal)
 
 
 def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
@@ -257,10 +276,9 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
             np.multiply(columns[i, 0], noise[:, 0], out=spectral[:, i])
             for j in range(1, d):
                 spectral[:, i] += columns[i, j] * noise[:, j]
-        paths = np.fft.irfft(spectral, n=m, axis=-1)[:, :, :length]
-        return np.ascontiguousarray(paths.transpose(0, 2, 1))
+        return np.fft.irfft(spectral, n=m, axis=-1)[:, :, :length].transpose(0, 2, 1)
 
-    return Plan(m * d, transform, 2 * m * d, "circulant")
+    return Plan(m * d, transform, 2 * m * d, "circulant", standard_normal)
 
 
 def make_plan(
@@ -292,7 +310,7 @@ def make_plan(
         if method == "circulant":
             log.warning("%s; falling back to the %s route", failed, "banded" if banded else "dense")
         plan = (_banded_plan if banded else _dense_plan)(model, length, n)
-    return plan._replace(transform=lambda u: plan.transform(ndtri(u, out=u)))
+    return plan
 
 
 def maxima_plan(
@@ -325,7 +343,7 @@ def maxima_plan(
         at_argmax = rho * m1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * ndtri(u[:, 1])
         return np.column_stack([m1, np.maximum(at_argmax, hi if length > 1 else -np.inf)])[:, None]
 
-    return Plan(2 * d - 1, transform, 2 * d - 1, "lag0-exact")
+    return Plan(2 * d - 1, transform, 2 * d - 1, "lag0-exact", uniform_open)
 
 
 def iter_path_blocks(
@@ -338,22 +356,42 @@ def iter_path_blocks(
     start: int = 0,
     *,
     plan: Plan | None = None,
+    threads: int = 1,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
-    holding all paths in memory.  Replicate r of a plan that draws s uniforms
-    per replicate reads values r*s ... (r+1)*s - 1 of key's substream, and a
-    batch is one fill; start must be non-negative.  Values are independent
-    of the batching, except on the dense route: BLAS picks the kernel of its
-    z @ factor_t by the batch's row count, so a replicate's last bit can
-    move with count.
+    holding all paths in memory; each block's time axis is contiguous.
+    Replicate r of a plan that draws s values per replicate reads values
+    r*s ... (r+1)*s - 1 of key's substream; start must be non-negative.
+
+    This is the one place that splits replicates across cores: each batch
+    goes through hrex.rng.run_parts in at most `threads` parts, one per CPU
+    and per replicate at most, and only as many as hold _SPLIT_FLOATS floats
+    of footprint each.  Each part draws its slice of the substream with the
+    plan's draw and transforms it on its own thread; the parts share the
+    batch budget of _BLOCK_VALUES floats, so memory does not grow with
+    threads, and join into the batch's block in the calling thread.  Values
+    are independent of the batching and the split, except on the dense
+    route: BLAS picks the kernel of its z @ factor_t by the part's row
+    count, so a replicate's last bit can move with count and threads.
     plan, when given, is make_plan's or maxima_plan's plan for (model,
-    length, method, n), made once by a caller that works in chunks."""
-    size, transform, footprint, _ = make_plan(model, length, method, n) if plan is None else plan
-    batch = max(1, _BLOCK_VALUES // footprint)
-    r = start
-    while r < start + count:
-        b = min(batch, start + count - r)
-        yield r, transform(uniform_open(key, (b, size), start=r * size))
+    length, method, n)."""
+    size, transform, footprint, _, draw = make_plan(model, length, method, n) if plan is None else plan
+    parts = split_count(count, min(threads, count * footprint // _SPLIT_FLOATS))
+    per_part = max(1, _BLOCK_VALUES // (footprint * parts))
+    r, stop = start, start + count
+    while r < stop:
+        b = min(per_part * parts, stop - r)
+        done = {}
+
+        def work(a: int, e: int, first: int = r) -> None:
+            done[a] = transform(draw(key, (e - a, size), start=(first + a) * size))
+
+        run_parts(b, min(parts, b * footprint // _SPLIT_FLOATS), work)
+        # join here, so that each part's thread frees all it allocated: blocks held
+        # past their thread pinned its malloc arena (sample_dump's peak RSS read
+        # 138.6-157.3 MB unjoined, 136.9-139.1 MB joined, 134.5 MB on one core)
+        yield r, done.pop(0) if len(done) == 1 else np.concatenate(
+            [done.pop(a).transpose(0, 2, 1) for a in sorted(done)]).transpose(0, 2, 1)
         r += b
 
 

@@ -496,6 +496,44 @@ def test_sample_rejects_count_below_one(tmp_path, capsys):
         assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sample_rejects_threads_below_one(threads, tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", SAMPLE_CFG)
+    out_dir = tmp_path / "out"
+    code, out, err = run(["sample", "--config", cfg, "--out", str(out_dir), "--threads", threads], capsys)
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "ValueError" and "--threads" in failure["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    # circulant: m = 8192 on d = 2, 32768 floats of footprint per path
+    {"model": {"name": "geometric", "d": 2, "rate": 0.6, "cross": 0.4}, "length": 3000, "count": 6,
+     "sampler": "circulant", "seed": 5},
+    # banded: L * d = 10000 exceeds the dense cap of 8192
+    {"model": {"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3},
+                                                        {"i": 1, "j": 2, "k": 0, "rho": 0.2}]},
+     "length": 5000, "count": 5, "seed": 6},
+], ids=["circulant", "banded"])
+def test_sample_dumps_do_not_depend_on_threads(cfg, tmp_path, capsys, pool_sizes, monkeypatch):
+    # --threads 3 splits each batch into three parts on a pool, and writes
+    # the bytes that --threads 1 writes from one
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    path = write_json(tmp_path / "cfg.json", cfg)
+    dumps = {}
+    for threads in ("1", "3"):
+        out_dir = tmp_path / ("t" + threads)
+        pool_sizes.clear()
+        assert run(["sample", "--config", path, "--out", str(out_dir), "--threads", threads], capsys)[0] == 0
+        assert (pool_sizes == [3]) == (threads == "3")
+        names = sorted(f.name for f in out_dir.glob("path_*.bin"))
+        assert len(names) == cfg["count"]
+        files = json.loads((out_dir / "manifest.json").read_text())["files"]
+        dumps[threads] = ([(out_dir / name).read_bytes() for name in names], files)
+    assert dumps["1"] == dumps["3"]
+
+
 def test_sample_rejects_non_numeric_model_n(tmp_path, capsys):
     hr = {"name": "hr", "delta_spec": {"d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "delta": 5.0}]}}
     for name, model, model_n in (("hr", hr, "1000"), ("geo", SAMPLE_CFG["model"], [5])):

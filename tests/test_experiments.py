@@ -136,6 +136,7 @@ def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
     # replicate reads its own values of the one substream, by counter, so
     # the bytes cannot depend on the thread count
     monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)  # split however few floats a part holds
     model, length, replicates, method = ROUTES[route]
     key = RngKey(31).child(length)
     one = maxima_matrix(model, length, key, replicates, method, threads=1)
@@ -168,12 +169,53 @@ def test_path_blocks_batch_invariant_on_every_route(route, monkeypatch):
         assert np.concatenate(split).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
+    # each part of a split batch reads its replicates' own values of the
+    # substream on its own thread, so blocks from 1, 2 or 7 threads hold the
+    # same bytes, in replicate order; the floor is lifted so that parts of a
+    # single replicate split too.  On the dense route BLAS picks its kernel
+    # by a part's row count, and parts of one or two rows move the last bit
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
+    model, length, _, method = ROUTES[route]
+    key = RngKey(31).child(length)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for plan in (sampler.make_plan(model, length, method), sampler.maxima_plan(model, length, method)):
+            for count in (1, 3, 7, 23):
+                got = {}
+                for threads in (1, 2, 7):
+                    blocks = list(iter_path_blocks(model, length, key, count, plan=plan, threads=threads))
+                    firsts = [first for first, _ in blocks]
+                    assert firsts == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+                    got[threads] = np.concatenate([b for _, b in blocks])
+                for threads in (2, 7):
+                    if plan.route == "dense":
+                        assert np.allclose(got[threads], got[1], rtol=0.0, atol=1e-12)
+                    else:
+                        assert got[threads].tobytes() == got[1].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_path_blocks_have_a_contiguous_time_axis(route):
+    # every path route's block is a transposed view of (b, d, L), so the max
+    # over time reduces along contiguous memory
+    model, length, replicates, method = ROUTES[route]
+    for _, block in iter_path_blocks(model, length, RngKey(31).child(length), replicates, method):
+        assert block.shape[1:] == (length, model.d) and block.strides[1] == block.itemsize
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method, counted", [("cholesky", "lag_table"), ("circulant", "lag_table")])
 def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
     # every worker chunk reuses the one plan: the dense or circulant lag
     # table is built, and factored, once
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
     calls = []
     original = getattr(sampler, counted)
 
@@ -198,7 +240,7 @@ def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
     seen = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, thread_name_prefix):
             seen.append(max_workers)
 
         def __enter__(self):
@@ -214,6 +256,7 @@ def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)  # split however few floats a part holds
     model = bivariate_hr(1.0)
     key = RngKey(5).child(64)
     many = maxima_matrix(model, 16, key, 7, threads=10**6)
@@ -222,6 +265,18 @@ def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
     serial = maxima_matrix(model, 16, key, 7, threads=10**6)
     assert seen == [3, 2]
     assert np.array_equal(many, serial)
+
+
+def test_batches_split_only_above_the_floor(pool_sizes, monkeypatch):
+    # the exact route holds 3 floats per replicate: 500 replicates (750 floats
+    # a part at two parts) stay in one part, 20,000 (30,000 a part) split
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    key = RngKey(5).child(1000)
+    small = maxima_matrix(bivariate_hr(1.0), 1000, key, 500, threads=2)
+    assert pool_sizes == []
+    large = maxima_matrix(bivariate_hr(1.0), 1000, key, 20_000, threads=2)
+    assert pool_sizes == [2]
+    assert small.tobytes() == large[:500].tobytes()
 
 
 def test_maxima_shape_and_samplers_agree_for_iid():

@@ -59,8 +59,9 @@ def test_shaped_draw_is_the_flat_draw_reshaped(monkeypatch):
 
 @pytest.mark.parametrize("parts", [1, 3])
 def test_read_from_start_is_the_tail_of_a_longer_read(parts, monkeypatch):
-    # values s, s + 1, ... for every offset within and across counter steps;
-    # with parts of 7 values on 3 threads the parts start off the steps too
+    # values s, s + 1, ... for every offset within and across counter steps,
+    # and their normals; with parts of 7 values on 3 threads the parts start
+    # off the steps too
     key = RngKey(59)
     monkeypatch.setattr(rng.os, "cpu_count", lambda: parts)
     monkeypatch.setattr(rng, "_PART_VALUES", 7)
@@ -69,11 +70,13 @@ def test_read_from_start_is_the_tail_of_a_longer_read(parts, monkeypatch):
         want = uniform_open(key, s + size)[s:]
         assert np.array_equal(want, sequential_uniforms(key, s + size)[s:])
         assert np.array_equal(uniform_open(key, size, start=s), want)
+        assert standard_normal(key, size, start=s).tobytes() == ndtri(want).tobytes()
 
 
 def test_negative_start_rejected():
-    with pytest.raises(ValueError, match="non-negative start"):
-        uniform_open(RngKey(1), 3, start=-1)
+    for draw in (uniform_open, standard_normal):
+        with pytest.raises(ValueError, match="non-negative start"):
+            draw(RngKey(1), 3, start=-1)
 
 
 def test_out_is_filled_in_place():

@@ -23,7 +23,7 @@ from hrex.correlation import (
 )
 from hrex.errors import NotPositiveSemidefinite
 from hrex.experiments import maxima_matrix
-from hrex.rng import RngKey, standard_normal, uniform_open
+from hrex.rng import RngKey, standard_normal
 from hrex.sampler import (
     SamplePath,
     assemble_covariance,
@@ -89,7 +89,7 @@ def test_assemble_respects_size_cap():
 def dense_factor(model, length):
     """The dense plan's upper factor R (R^T R = Sigma), read off its
     transform of the identity."""
-    size, transform, _, _ = _dense_plan(model, length, n=length)
+    size, transform, _, _, _ = _dense_plan(model, length, n=length)
     return transform(np.eye(size)).reshape(size, size)
 
 
@@ -193,7 +193,7 @@ def test_plan_transform_has_exact_covariance(route, d, length):
     # identity, so A^T A is the covariance of the route's paths
     plan, model_of = ROUTE_PLANS[route]
     model = model_of(d)
-    size, transform, _, _ = plan(model, length, n=length)
+    size, transform, _, _, _ = plan(model, length, n=length)
     a = transform(np.eye(size)).reshape(size, length * d)
     assert np.abs(a.T @ a - assemble_covariance(model, length)).max() <= 1e-12
 
@@ -244,7 +244,7 @@ def test_replicates_read_one_substream_by_counter(monkeypatch):
     # key's substream, and no replicate opens a substream of its own
     model, length = geometric_model(1, 0.5), 16
     key = RngKey(12).child(length)
-    size, transform, _, _ = make_plan(model, length, "circulant")
+    size, transform, _, _, _ = make_plan(model, length, "circulant")
 
     def no_child(*args):
         raise AssertionError("a replicate opened a substream of its own")
@@ -252,13 +252,38 @@ def test_replicates_read_one_substream_by_counter(monkeypatch):
     monkeypatch.setattr(RngKey, "child", no_child)
     values = path_values(model, length, key, 5, "circulant")
     for r in (0, 3, 4):
-        alone = transform(uniform_open(key, (1, size), start=r * size))
+        alone = transform(standard_normal(key, (1, size), start=r * size))
         assert alone.tobytes() == values[r : r + 1].tobytes()
 
 
 def test_negative_start_rejected():
     with pytest.raises(ValueError, match="non-negative start"):
         next(iter_path_blocks(iid_model(1), 3, RngKey(1), 1, start=-1))
+
+
+def test_fills_in_a_split_batch_do_not_split_again(pool_sizes, monkeypatch):
+    # fills of at least 2 x 16 values split per CPU, but a part's own fill
+    # runs on the part's thread: one pool per split batch, one thread a part
+    from hrex import rng, sampler
+
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(rng, "_PART_VALUES", 16)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
+    model, length = geometric_model(2, 0.5, 0.3), 64
+    plan = make_plan(model, length, "circulant")
+    # batches of 4 replicates: two parts of 2 at threads=2, one part of 4 at threads=1
+    monkeypatch.setattr(sampler, "_BLOCK_VALUES", 4 * plan.footprint)
+    key = RngKey(13).child(length)
+
+    def blocks(threads):
+        return [b for _, b in iter_path_blocks(model, length, key, 8, plan=plan, threads=threads)]
+
+    split = blocks(2)
+    assert pool_sizes == [2, 2] and len(split) == 2
+    pool_sizes.clear()
+    (one, other) = blocks(1)
+    assert pool_sizes == [8, 8]  # the unsplit batch's fill of 4 x 256 values splits
+    assert np.concatenate(split).tobytes() == np.concatenate([one, other]).tobytes()
 
 
 # --- circulant route ---------------------------------------------------------
