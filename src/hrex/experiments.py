@@ -39,7 +39,7 @@ from .correlation import CorrelationModel
 from .jsonio import to_jsonable, write_json
 from .norming import limit_cdf, norming_constants, threshold
 from .rng import RngKey
-from .sampler import METHODS, iter_path_blocks, maxima_plan
+from .sampler import METHODS, block_maxima, iter_path_blocks, maxima_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -139,9 +139,10 @@ def maxima_matrix(
     the plan's draws per replicate, so the result is byte-identical for
     every thread count (bar the dense route's last bit, see
     hrex.sampler.iter_path_blocks, which splits each batch into at most
-    `threads` parts).  Each block's max runs along its contiguous time
-    axis.  The route is planned once and logged at DEBUG by the name the
-    plan carries."""
+    `threads` parts).  Each part reduces its own block to maxima on its
+    own thread, with hrex.sampler.block_maxima, so only (b, d) maxima join.
+    The route is planned once and logged at DEBUG by the name the plan
+    carries."""
     out = np.empty((replicates, model.d))
 
     def planned():
@@ -152,8 +153,9 @@ def maxima_matrix(
 
     # only the generator holds the plan, so it is freed as the loop ends; a plan
     # kept in this frame stayed resident into the next call (+36 MB in serial_maxima)
-    for first, block in iter_path_blocks(model, n, key, replicates, plan=planned(), threads=threads):
-        out[first : first + len(block)] = block.max(axis=1)
+    blocks = iter_path_blocks(model, n, key, replicates, plan=planned(), threads=threads, reduce=block_maxima)
+    for first, maxima in blocks:
+        out[first : first + len(maxima)] = maxima
     return out
 
 
@@ -402,8 +404,9 @@ def block_consistency_check(
     u = np.array([threshold(constants, v) for v in x])
 
     def below(length: int) -> float:
-        blocks = iter_path_blocks(model, length, key, replicates, plan=maxima_plan(model, length, sampler, n))
-        maxima = np.concatenate([block.max(axis=1) for _, block in blocks])
+        blocks = iter_path_blocks(model, length, key, replicates, plan=maxima_plan(model, length, sampler, n),
+                                  reduce=block_maxima)
+        maxima = np.concatenate([block for _, block in blocks])
         return int((maxima <= u).all(axis=1).sum()) / replicates
 
     p_full = below(n)

@@ -7,6 +7,7 @@ import io
 import logging
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,11 +105,17 @@ def test_maxima_match_full_paths():
     assert np.array_equal(maxima, stacked.max(axis=1))
 
 
-def test_maxima_thread_count_invariant():
+def test_maxima_thread_count_invariant(pool_sizes, monkeypatch):
+    # 101 exact-route replicates hold fewer floats than the split floor: it
+    # is lifted, so that threads=4 runs four parts on a pool
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
     model = bivariate_hr(1.0)
     key = RngKey(5).child(64)
     one = maxima_matrix(model, 16, key, 101, threads=1)
+    assert pool_sizes == []
     four = maxima_matrix(model, 16, key, 101, threads=4)
+    assert pool_sizes == [4]
     assert np.array_equal(one, four)
 
 
@@ -201,12 +208,40 @@ def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_path_blocks_have_a_contiguous_time_axis(route):
-    # every path route's block is a transposed view of (b, d, L), so the max
-    # over time reduces along contiguous memory
+def test_path_blocks_keep_their_layout_and_reduce_to_maxima(route):
+    # lag0, dense and banded blocks are time-major, so a dump writes their rows
+    # without a copy; the circulant block is a view of its irfft output with
+    # a contiguous time axis.  block_maxima gives the max over time of either
     model, length, replicates, method = ROUTES[route]
-    for _, block in iter_path_blocks(model, length, RngKey(31).child(length), replicates, method):
-        assert block.shape[1:] == (length, model.d) and block.strides[1] == block.itemsize
+    plan = sampler.make_plan(model, length, method)
+    for _, block in iter_path_blocks(model, length, RngKey(31).child(length), replicates, plan=plan):
+        assert block.shape[1:] == (length, model.d)
+        if plan.route == "circulant":
+            assert block.strides[1] == block.itemsize and block.base is not None
+        else:
+            assert block.flags.c_contiguous
+        assert sampler.block_maxima(block).tobytes() == block.max(axis=1).tobytes()
+
+
+def test_split_batch_reduces_on_each_part_thread(monkeypatch):
+    # each part reduces its own block on its own pool thread, so only the
+    # (b, d) maxima of the batch's two parts join in the calling thread
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
+    model, length, replicates, method = ROUTES["circulant"]
+    key = RngKey(31).child(length)
+    seen = []
+
+    def reduce(block):
+        seen.append((threading.current_thread().name, len(block)))
+        return sampler.block_maxima(block)
+
+    got = list(iter_path_blocks(model, length, key, replicates, method, threads=2, reduce=reduce))
+    assert sorted(size for _, size in seen) == [4, 5]
+    assert all(name.startswith("hrex-part") for name, _ in seen)
+    assert [first for first, _ in got] == [0] and got[0][1].shape == (replicates, model.d)
+    whole = np.concatenate([b for _, b in iter_path_blocks(model, length, key, replicates, method)])
+    assert got[0][1].tobytes() == whole.max(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
