@@ -28,7 +28,6 @@ block-decoupling step of the limit argument.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,9 +62,6 @@ __all__ = [
     "report_jsonable",
     "write_convergence_json",
 ]
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -141,19 +137,12 @@ def maxima_matrix(
     hrex.sampler.iter_path_blocks, which splits each batch into at most
     `threads` parts).  Each part reduces its own block to maxima on its
     own thread, with hrex.sampler.block_maxima, so only (b, d) maxima join.
-    The route is planned once and logged at DEBUG by the name the plan
-    carries."""
+    The route is planned once, and iter_path_blocks logs it."""
     out = np.empty((replicates, model.d))
-
-    def planned():
-        plan = maxima_plan(model, n, sampler)
-        log.debug("maxima_matrix route=%s n=%d replicates=%d uniforms=%d",
-                  plan.route, n, replicates, plan.size * replicates)
-        return plan
-
     # only the generator holds the plan, so it is freed as the loop ends; a plan
     # kept in this frame stayed resident into the next call (+36 MB in serial_maxima)
-    blocks = iter_path_blocks(model, n, key, replicates, plan=planned(), threads=threads, reduce=block_maxima)
+    blocks = iter_path_blocks(model, n, key, replicates, plan=maxima_plan(model, n, sampler), threads=threads,
+                              reduce=block_maxima)
     for first, maxima in blocks:
         out[first : first + len(maxima)] = maxima
     return out
@@ -404,7 +393,7 @@ def block_consistency_check(
     u = np.array([threshold(constants, v) for v in x])
 
     def below(length: int) -> float:
-        blocks = iter_path_blocks(model, length, key, replicates, plan=maxima_plan(model, length, sampler, n),
+        blocks = iter_path_blocks(model, length, key, replicates, n=n, plan=maxima_plan(model, length, sampler, n),
                                   reduce=block_maxima)
         maxima = np.concatenate([block for _, block in blocks])
         return int((maxima <= u).all(axis=1).sum()) / replicates

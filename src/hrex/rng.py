@@ -15,12 +15,10 @@ al., SC 2011) and gives 4 words, one per value, per counter step, so a
 read advances the counter to step s // 4 and drops s % 4 words, at a cost
 that does not grow with s.  Replicates that draw k values each read
 replicate r as values r*k ... (r+1)*k - 1 of one substream, so a batch of
-replicates is one fill.  A large fill is split into parts at any value;
-each part reads its slice by the same address on a thread, and any split
-gives the same bits as one sequential fill.
-The split runs on `run_parts`, the package's one core-split runner, which
-also splits each batch of `hrex.sampler.iter_path_blocks`'s replicates into
-parts.  Pools never nest: a fill inside a part of a split runs unsplit.
+replicates is one fill.  A read runs in the calling thread and starts no
+threads: a consumer that splits its work across cores calls `run_parts`,
+the package's one core-split runner, and each part reads its slice by the
+same address, so any split gives the same bits as one sequential fill.
 
 Gaussian variates are produced by inverting the normal CDF of a uniform
 stream rather than by rejection, so two estimators fed the same substream
@@ -30,7 +28,6 @@ consume identical uniforms and stay pathwise coupled.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +36,6 @@ from scipy.special import ndtri
 _HALF_STEP = 2.0**-54  # half the 2^-53 lattice spacing of Generator.random
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _WORDS_PER_STEP = 4  # Philox4x64 gives 4 words, so 4 values, per counter step
-# smallest part of a split fill: on 2 cores, alternated in one process,
-# halves of 2^18 values ran slower than one fill and halves of 2^20 faster
-_PART_VALUES = 1 << 20
 _POOL_PREFIX = "hrex-part"  # names the threads of run_parts' pools
 
 
@@ -62,30 +56,31 @@ class RngKey:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def uniform_open(key: RngKey, size, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+def uniform_open(key: RngKey, size, start: int = 0) -> np.ndarray:
     """Uniforms on the open interval (0, 1), safe to pass to inverse CDFs:
-    values start, start + 1, ... of key's substream, of shape size, or
-    written into out (a C-contiguous float64 array of that shape) and
-    returned as out.  start must be non-negative.
+    values start, start + 1, ... of key's substream, of shape size; start
+    must be non-negative.
 
     Values are midpoints of a 2^53 lattice, (k + 1/2) / 2^53 for the top 53
     bits k of a Philox word.  The top midpoint rounds to 1.0 in float64 and
     is clamped to the largest double below 1, so neither endpoint can occur.
     """
+    out = np.empty(size)
+    _fill(key, out.reshape(-1), start)
+    return out
+
+
+def standard_normal(key: RngKey, size, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """N(0,1) variates via the inverse normal CDF of uniform_open's values
+    start, start + 1, ..., of shape size, or written into out (a C-contiguous
+    float64 array of that shape) and returned as out; start must be
+    non-negative."""
     if out is None:
         out = np.empty(size)
     elif out.shape != (tuple(size) if np.iterable(size) else (size,)) or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array of shape size")
-    _fill(key, out.reshape(-1), start, False)
-    return out
-
-
-def standard_normal(key: RngKey, size, start: int = 0) -> np.ndarray:
-    """N(0,1) variates via the inverse normal CDF of uniform_open's values
-    start, start + 1, ..., of shape size; start must be non-negative."""
-    out = np.empty(size)
-    _fill(key, out.reshape(-1), start, True)
-    return out
+    _fill(key, out.reshape(-1), start)
+    return ndtri(out, out=out)
 
 
 def run_parts(total: int, parts: int, work) -> None:
@@ -93,8 +88,8 @@ def run_parts(total: int, parts: int, work) -> None:
     one range when parts, total or os.cpu_count() is at most 1, else at most
     the least of the three, each of ceil(total / that) values (the last may
     be shorter).  A single range runs in the caller's thread, more on a pool
-    of one thread each; a run_parts call inside a range of a split runs as
-    one range, so pools never nest.  The first exception a range raises
+    of one thread each.  The draws start no threads, so a consumer's split
+    is the only one under it.  The first exception a range raises
     propagates once every range has ended."""
     parts = split_count(total, parts)
     if parts <= 1:
@@ -112,37 +107,26 @@ def run_parts(total: int, parts: int, work) -> None:
 
 def split_count(total: int, parts: int) -> int:
     """How many ranges run_parts(total, parts, ...) asks for: at most parts,
-    total and os.cpu_count(), and 1 on a thread of run_parts' own pools."""
+    total and os.cpu_count(), and at least 1."""
     parts = min(parts, total)
     if parts > 1:  # os.cpu_count costs a system call: ask only for a split
-        on_pool = threading.current_thread().name.startswith(_POOL_PREFIX)
-        parts = 1 if on_pool else min(parts, os.cpu_count() or 1)
+        parts = min(parts, os.cpu_count() or 1)
     return max(parts, 1)
 
 
-def _fill(key: RngKey, flat: np.ndarray, start: int, normal: bool) -> None:
-    """Fill flat with uniforms start, start + 1, ... (normals when normal is
-    true) of key's substream, in parts of at least _PART_VALUES values; the
-    bits do not depend on the split."""
+def _fill(key: RngKey, flat: np.ndarray, start: int) -> None:
+    """Fill flat with uniforms start, start + 1, ... of key's substream: the
+    counter advances to the step holding value start, and the words before
+    it in that step are drawn and dropped.  Generator.random gives k / 2^53,
+    and the half step rounds to the same double as (k + 1/2) / 2^53."""
     if start < 0:
         raise ValueError("need a non-negative start, got %d" % start)
-    run_parts(flat.size, flat.size // _PART_VALUES,
-              lambda a, b: _fill_part(key, flat[a:b], start + a, normal))
-
-
-def _fill_part(key: RngKey, chunk: np.ndarray, start: int, normal: bool) -> None:
-    """Values start, start + 1, ... of key's substream into chunk: the counter
-    advances to the step holding value start, and the words before it in that
-    step are drawn and dropped.  Generator.random gives k / 2^53, and the
-    half step rounds to the same double as (k + 1/2) / 2^53."""
     gen = key.generator()
     step, skip = divmod(start, _WORDS_PER_STEP)
     if step:
         gen.bit_generator.advance(step)
     if skip:
         gen.random(skip)
-    gen.random(out=chunk)
-    chunk += _HALF_STEP
-    np.minimum(chunk, _BELOW_ONE, out=chunk)
-    if normal:
-        ndtri(chunk, out=chunk)
+    gen.random(out=flat)
+    flat += _HALF_STEP
+    np.minimum(flat, _BELOW_ONE, out=flat)

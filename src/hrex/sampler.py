@@ -16,13 +16,15 @@ output as a transposed view, with no copy.  `block_maxima` reduces either
 layout over a contiguous time axis.  The four
 routes all read the lag table rho_ij(k, n) of
 `hrex.correlation.lag_table`, which makes the cut to 0 beyond
-model.max_lag.  Here max_lag only picks routes and sizes the band:
+model.max_lag.  Here max_lag only picks routes and bounds the lags the
+banded route reads:
 
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
 * dense: Schur factor of the block-Toeplitz lag table, L*d <= 8192;
 * banded: Cholesky for longer paths of models whose correlation vanishes
-  beyond a finite max_lag (the band has width d*max_lag + d - 1);
+  beyond a finite max_lag (the band has width d*k + d - 1, k the last lag
+  below L whose block is nonzero);
 * circulant (method "circulant"): the lag table is wrapped onto a cycle
   of length m >= 2(L-1) whose d x d spectral blocks are factored on the
   m/2 + 1 non-negative frequencies; a replicate's m*d real normals go
@@ -34,9 +36,12 @@ model.max_lag.  Here max_lag only picks routes and sizes the band:
 
 `iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
 maxima of lag-0 rows with d <= 2 (route lag0-exact, which draws
-uniforms), and the one place that splits replicates across cores: each
-batch runs in parts on threads that share one plan, so the covariance,
-factor or spectrum is built once however many threads work.  A plan that
+uniforms).  Each call logs its plan's route at DEBUG, with the path
+length, n, the replicate count and the values drawn.  It is the one place
+that splits path work across cores (the draws of hrex.rng start no
+threads), so `threads` bounds every thread a path run starts: each batch
+runs in parts on threads that share one plan, so the covariance, factor
+or spectrum is built once however many threads work.  A plan that
 draws s values per replicate reads replicate r as values r*s ...
 (r+1)*s - 1 of the one substream key, and a part of a batch as one fill,
 so results are reproducible for a given (seed, model, length, count), and
@@ -213,13 +218,15 @@ def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
-    """Cholesky of the lower band storage ab[o, a] = Sigma[a + o, a]."""
+    """Cholesky of the lower band storage ab[o, a] = Sigma[a + o, a].  The
+    band reaches the last lag below the path length whose block is nonzero:
+    a lag the path never reads, or reads as 0, would only widen it."""
     d = model.d
-    max_lag = int(model.max_lag)
-    bw = max_lag * d + (d - 1)
+    table = lag_table(model, range(min(int(model.max_lag), length - 1) + 2), n)
+    last = int(np.flatnonzero(table[:-1].any(axis=(1, 2)))[-1])
+    bw = last * d + (d - 1)
     size = length * d
-    # the band reaches lag max_lag + 1 at most, which the table holds as 0
-    table = lag_table(model, range(max_lag + 2), n)
+    # the band reaches lag last + 1 at most: a zero block, or lag L, which the mask below drops
     comp = np.arange(d)[:, None]
     lag, other = np.divmod(comp + np.arange(bw + 1), d)
     per_comp = table[lag, comp, other]
@@ -350,7 +357,6 @@ def iter_path_blocks(
     count: int,
     method: str = "cholesky",
     n: float | None = None,
-    start: int = 0,
     *,
     plan: Plan | None = None,
     threads: int = 1,
@@ -358,8 +364,8 @@ def iter_path_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream replicate blocks (first_index, values[b, length, d]) without
     holding all paths in memory.  Replicate r of a plan that draws s values
-    per replicate reads values r*s ... (r+1)*s - 1 of key's substream; start
-    must be non-negative.
+    per replicate reads values r*s ... (r+1)*s - 1 of key's substream.  The
+    plan's route is logged once per call at DEBUG.
 
     This is the one place that splits replicates across cores: each batch
     goes through hrex.rng.run_parts in at most `threads` parts, one per CPU
@@ -377,16 +383,18 @@ def iter_path_blocks(
     z @ factor_t by the part's row count, so a replicate's last bit can move
     with count and threads.  plan, when given, is make_plan's or
     maxima_plan's plan for (model, length, method, n)."""
-    size, transform, footprint, _, draw = make_plan(model, length, method, n) if plan is None else plan
+    size, transform, footprint, route, draw = make_plan(model, length, method, n) if plan is None else plan
+    log.debug("iter_path_blocks route=%s length=%d n=%s count=%d values=%d",
+              route, length, length if n is None else n, count, size * count)
     parts = split_count(count, min(threads, count * footprint // _SPLIT_FLOATS))
     per_part = max(1, _BLOCK_VALUES // (footprint * parts))
     # a reduced part's block stays in `kept` until that part's next block is made:
     # freed at once, the heap top went back to the system every batch and was
     # faulted in again (maxima_matrix, 100 geometric circulant rows of 1e5, one
     # thread: 230,000 minor page faults, against 13,000 kept)
-    r, stop, kept = start, start + count, {}
-    while r < stop:
-        b = min(per_part * parts, stop - r)
+    r, kept = 0, {}
+    while r < count:
+        b = min(per_part * parts, count - r)
         done = {}
 
         def work(a: int, e: int, first: int = r) -> None:

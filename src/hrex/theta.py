@@ -52,7 +52,7 @@ from scipy.special import ndtr
 from .correlation import DeltaSpec
 from .errors import DegenerateDelta, InvalidDeltaSpec
 from .norming import std_normal_cdf
-from .rng import RngKey, standard_normal
+from .rng import RngKey, run_parts, standard_normal
 
 __all__ = [
     "ConstraintSet",
@@ -68,6 +68,9 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _BATCH = 1 << 16
+# smallest part of a split batch draw: on 2 cores, alternated in one process,
+# halves of 2^18 values ran slower than one fill and halves of 2^20 faster
+_PART_VALUES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +245,9 @@ def _estimate(sets: Sequence[ConstraintSet], samples: int, key: RngKey) -> list[
     """estimate_theta of each set, all read from one draw per batch: batch b
     draws a (q, b) block of z from key.child(b), q the most W slots of any
     set that reads W, and each set reads its leading len(cs.indices) rows.
-    A set's estimate is the one it gets alone on the same key."""
+    A draw of at least 2 * _PART_VALUES values splits its rows into up to
+    one part per CPU on hrex.rng.run_parts, with the same bits.  A set's
+    estimate is the one it gets alone on the same key."""
     if samples < 1:
         raise ValueError("need at least one sample")
     loadings = [None if (cs.rows.column < 0).all() else -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
@@ -253,7 +258,9 @@ def _estimate(sets: Sequence[ConstraintSet], samples: int, key: RngKey) -> list[
     counts, means, squares = [], [[] for _ in sets], [0.0] * len(sets)
     for batch_index, start in enumerate(range(0, samples if q else 0, _BATCH)):
         b = min(_BATCH, samples - start)
-        z = standard_normal(key.child(batch_index), (q, b))
+        z, sub = np.empty((q, b)), key.child(batch_index)
+        # rows split per CPU, row a read at value a*b: any split gives one fill's bits
+        run_parts(q, q * b // _PART_VALUES, lambda a, e: standard_normal(sub, (e - a, b), a * b, z[a:e]))
         counts.append(b)
         for n, (cs, loading) in enumerate(zip(sets, loadings)):
             if loading is None:

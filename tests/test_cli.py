@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
@@ -447,6 +448,14 @@ def test_sample_writes_paths(tmp_path, capsys):
     blob = (out_dir / "path_000000.bin").read_bytes()
     assert blob[:8] == b"HREXPATH"
     assert len(blob) == 8 + 8 + 8 + 16 * 1 * 8
+
+
+def test_sample_logs_its_route(tmp_path, capsys, caplog):
+    caplog.set_level(logging.DEBUG, logger="hrex.sampler")
+    cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "model_n": 100})
+    assert run(["sample", "--config", cfg, "--out", str(tmp_path / "paths")], capsys)[0] == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
+    assert messages == ["iter_path_blocks route=dense length=16 n=100 count=3 values=48"]
 
 
 def test_sample_deterministic(tmp_path, capsys):

@@ -518,8 +518,8 @@ def test_rho_read_only_through_lag_table():
 def test_substreams_opened_only_by_the_draw_loops():
     # every draw is key-addressed: the sampler routes (in iter_path_blocks)
     # and theta's Monte Carlo batches hand an RngKey to hrex.rng, whose fill
-    # opens the substream once per part
-    assert call_sites("generator") == {("rng.py", "_fill_part")}
+    # opens the substream once per read
+    assert call_sites("generator") == {("rng.py", "_fill")}
 
 
 def test_delta_read_only_through_delta_table():

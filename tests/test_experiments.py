@@ -387,13 +387,23 @@ def test_maxima_without_replicates(model):
 
 
 def test_maxima_logs_route_once_per_call(caplog):
-    caplog.set_level(logging.DEBUG, logger="hrex.experiments")
+    caplog.set_level(logging.DEBUG, logger="hrex.sampler")
     maxima_matrix(bivariate_hr(1.0), 10**6, RngKey(1).child(0), 7)
     maxima_matrix(iid_model(3), 10, RngKey(1).child(0), 7, threads=2)
-    messages = [r.getMessage() for r in caplog.records if r.name == "hrex.experiments"]
+    messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
     assert messages == [
-        "maxima_matrix route=lag0-exact n=1000000 replicates=7 uniforms=21",
-        "maxima_matrix route=lag0 n=10 replicates=7 uniforms=210",
+        "iter_path_blocks route=lag0-exact length=1000000 n=1000000 count=7 values=21",
+        "iter_path_blocks route=lag0 length=10 n=10 count=7 values=210",
+    ]
+
+
+def test_block_check_logs_both_routes_at_row_n(caplog):
+    caplog.set_level(logging.DEBUG, logger="hrex.sampler")
+    block_consistency_check(bivariate_hr(1.0), 1000, 10, [0.0, 0.0], 5, RngKey(2))
+    messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
+    assert messages == [
+        "iter_path_blocks route=lag0-exact length=1000 n=1000 count=5 values=15",
+        "iter_path_blocks route=lag0-exact length=10 n=1000 count=5 values=15",
     ]
 
 

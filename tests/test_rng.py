@@ -1,7 +1,7 @@
 """The counter-addressed draw layer: a read from any start gives the bits
-of one sequential fill, however it is split across threads, and uniforms
-stay inside the open interval.  Its core-split runner is the only thread
-pool in the package."""
+of one sequential fill, in the calling thread, and uniforms stay inside
+the open interval.  Its core-split runner is the only thread pool in the
+package, and only the sampler and theta call it."""
 
 import ast
 import threading
@@ -34,37 +34,33 @@ def counted_opens(monkeypatch):
     return opens
 
 
-@pytest.mark.parametrize("size, parts", [(1001, 1), (2003, 2), (2000, 2), (3002, 3), (4097, 3)])
-def test_split_fill_gives_the_sequential_bits(size, parts, monkeypatch):
-    # parts of at least 1000 values on up to 3 threads; sizes that are not
-    # a multiple of 4 leave a short last part
+@pytest.mark.parametrize("size, cpus", [(1001, 1), (2003, 2), (2000, 2), (3002, 3), (4097, 3)])
+def test_split_fill_gives_the_sequential_bits(size, cpus, monkeypatch):
+    # a fill opens its substream once and reads it in the calling thread,
+    # however many CPUs there are; sizes that are not a multiple of 4 end
+    # inside a counter step
     key = RngKey(41).child(size)
     want = sequential_uniforms(key, size)
-    monkeypatch.setattr(rng, "_PART_VALUES", 1000)
-    monkeypatch.setattr(rng.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
     opens = counted_opens(monkeypatch)
     assert np.array_equal(uniform_open(key, size), want)
     assert np.array_equal(standard_normal(key, size), ndtri(want))
-    assert opens == [key] * 2 * parts
+    assert opens == [key] * 2
 
 
-def test_shaped_draw_is_the_flat_draw_reshaped(monkeypatch):
+def test_shaped_draw_is_the_flat_draw_reshaped():
     key = RngKey(43)
     want = sequential_uniforms(key, 3 * 1001).reshape(3, 1001)
-    monkeypatch.setattr(rng, "_PART_VALUES", 1000)
-    monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
     assert np.array_equal(uniform_open(key, (3, 1001)), want)
     assert np.array_equal(standard_normal(key, (3, 1001)), ndtri(want))
 
 
-@pytest.mark.parametrize("parts", [1, 3])
-def test_read_from_start_is_the_tail_of_a_longer_read(parts, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_read_from_start_is_the_tail_of_a_longer_read(cpus, monkeypatch):
     # values s, s + 1, ... for every offset within and across counter steps,
-    # and their normals; with parts of 7 values on 3 threads the parts start
-    # off the steps too
+    # and their normals, with one CPU or three
     key = RngKey(59)
-    monkeypatch.setattr(rng.os, "cpu_count", lambda: parts)
-    monkeypatch.setattr(rng, "_PART_VALUES", 7)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
     size = 23
     for s in range(10):
         want = uniform_open(key, s + size)[s:]
@@ -82,13 +78,13 @@ def test_negative_start_rejected():
 def test_out_is_filled_in_place():
     key = RngKey(47).child(3)
     block = np.zeros((3, 7))
-    got = uniform_open(key, 7, out=block[1])
+    got = standard_normal(key, 7, start=2, out=block[1])
     assert np.shares_memory(got, block)
-    assert np.array_equal(block[1], sequential_uniforms(key, 7))
+    assert block[1].tobytes() == ndtri(sequential_uniforms(key, 9)[2:]).tobytes()
     assert not block[0].any() and not block[2].any()
     for size, out in ((3, block[:, 0]), (6, block[0]), ((1, 7), block[0])):
         with pytest.raises(ValueError, match="C-contiguous array of shape"):
-            uniform_open(key, size, out=out)
+            standard_normal(key, size, out=out)
 
 
 @pytest.mark.parametrize("total, parts, cpus, offset", [
@@ -106,7 +102,7 @@ def test_run_parts_covers_the_range_once_in_order(total, parts, cpus, offset, mo
     def work(start, stop):
         ranges.append((start, stop))  # list.append is atomic
         threads.add(threading.get_ident())
-        rng._fill_part(key, flat[start:stop], offset + start, False)
+        rng._fill(key, flat[start:stop], offset + start)
 
     run_parts(total, parts, work)
     ranges.sort()
@@ -145,6 +141,16 @@ def test_only_rng_builds_a_thread_pool():
                 if name == "ThreadPoolExecutor":
                     builders.add(path.name)
     assert builders == {"rng.py"}
+
+
+def test_only_the_sampler_and_theta_split_across_cores():
+    # the draw layer never splits: a split is a consumer's, bounded by its own count
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_parts":
+                callers.add(path.name)
+    assert callers == {"sampler.py", "theta.py"}
 
 
 def test_top_lattice_point_stays_below_one(monkeypatch):

@@ -10,6 +10,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,18 +257,12 @@ def test_replicates_read_one_substream_by_counter(monkeypatch):
         assert alone.tobytes() == values[r : r + 1].tobytes()
 
 
-def test_negative_start_rejected():
-    with pytest.raises(ValueError, match="non-negative start"):
-        next(iter_path_blocks(iid_model(1), 3, RngKey(1), 1, start=-1))
-
-
 def test_fills_in_a_split_batch_do_not_split_again(pool_sizes, monkeypatch):
-    # fills of at least 2 x 16 values split per CPU, but a part's own fill
-    # runs on the part's thread: one pool per split batch, one thread a part
+    # a fill never splits: one pool per split batch, one thread a part, and
+    # none for an unsplit batch, however many CPUs there are
     from hrex import rng, sampler
 
     monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(rng, "_PART_VALUES", 16)
     monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
     model, length = geometric_model(2, 0.5, 0.3), 64
     plan = make_plan(model, length, "circulant")
@@ -282,8 +277,17 @@ def test_fills_in_a_split_batch_do_not_split_again(pool_sizes, monkeypatch):
     assert pool_sizes == [2, 2] and len(split) == 2
     pool_sizes.clear()
     (one, other) = blocks(1)
-    assert pool_sizes == [8, 8]  # the unsplit batch's fill of 4 x 256 values splits
+    assert pool_sizes == []
     assert np.concatenate(split).tobytes() == np.concatenate([one, other]).tobytes()
+
+
+def test_one_thread_opens_no_pool(pool_sizes, monkeypatch):
+    # two batches of 20 MA(1) rows of 100,000 points: 4,000,000 normals a fill,
+    # which the draw layer once split per CPU under threads=1
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    ma1 = tabulated_model(2, {(1, 1, 1): 0.3, (2, 2, 1): 0.3, (1, 2, 0): 0.2})
+    maxima_matrix(ma1, 100_000, RngKey(1).child(0), 40, sampler="cholesky", threads=1)
+    assert pool_sizes == []
 
 
 # --- circulant route ---------------------------------------------------------
@@ -456,6 +460,24 @@ def test_banded_handles_lengths_beyond_dense_cap():
     lag1 = np.mean(values[:, :-1] * values[:, 1:])
     assert abs(lag1 - 0.3) <= 0.01
     assert abs(values.var() - 1.0) <= 0.01
+
+
+def test_band_stops_at_the_last_lag_the_path_reads(monkeypatch):
+    # a lag-12000 entry never enters Sigma at L = 8300: the band keeps 2 rows,
+    # not 12,001, and the paths keep their bits
+    shapes = []
+    factor = scipy.linalg.cholesky_banded
+
+    def recording(ab, lower):
+        shapes.append(ab.shape)
+        return factor(ab, lower=lower)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    near = tabulated_model(1, {(1, 1, 1): 0.3})
+    far = tabulated_model(1, {(1, 1, 1): 0.3, (1, 1, 12000): 0.01})
+    key = RngKey(18).child(8300)
+    assert path_values(near, 8300, key, 2).tobytes() == path_values(far, 8300, key, 2).tobytes()
+    assert shapes == [(2, 8300)] * 2
 
 
 def test_dense_cap_without_finite_horizon_rejected():

@@ -25,6 +25,7 @@ from scipy.special import ndtr
 from hrex.correlation import DeltaSpec
 from hrex.errors import DegenerateDelta, InvalidDeltaSpec
 from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf, upper_orthant
+from hrex import theta
 from hrex.rng import RngKey, standard_normal
 from hrex.theta import (
     ThetaEstimate,
@@ -299,6 +300,19 @@ def test_estimate_batch_boundary_consistency():
     again = estimate_theta(cs, samples=2**16 + 17, key=RngKey(3).child(0))
     assert est.value == again.value
     assert 0.0 < est.value < 1.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_batch_draw_gives_the_bits_of_one_fill(cpus, pool_sizes, monkeypatch):
+    # one batch of (16, 5000) normals, one fill below the part floor; with parts
+    # of 1000 values its rows split into one part per CPU
+    cs = build_constraints(DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf), [0.0], 1, 16)
+    key = RngKey(31)
+    one_fill = estimate_theta(cs, samples=5000, key=key)
+    monkeypatch.setattr(theta, "_PART_VALUES", 1000)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert estimate_theta(cs, samples=5000, key=key) == one_fill
+    assert pool_sizes == ([cpus] if cpus > 1 else [])
 
 
 @settings(max_examples=20, deadline=None)
