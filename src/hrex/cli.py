@@ -166,11 +166,10 @@ def cmd_theta(args) -> int:
         key=RngKey(args.seed).child(0),
         max_lag=args.max_lag,
     )
-    payload = estimate.to_jsonable()
+    payload = asdict(estimate)
     if gap is not None:
         payload["truncation_gap"] = asdict(gap)
-    print(json.dumps(to_jsonable(payload), sort_keys=True))
-    return 0
+    return _finish(args, None, args.seed, [], payload, True)
 
 
 def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
@@ -287,14 +286,7 @@ def cmd_lemma1(args) -> int:
         probs=_list_of(cfg["probs"], float, "probs") if "probs" in cfg else None,
     )
     report = lemma1_check(dist, _list_of(cfg["thresholds"], float, "thresholds"))
-    payload = {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "difference": report.difference,
-        "support_size": report.support_size,
-        "tolerance": LEMMA1_TOL,
-        "pass": report.difference <= LEMMA1_TOL,
-    }
+    payload = {**asdict(report), "tolerance": LEMMA1_TOL, "pass": report.difference <= LEMMA1_TOL}
     out_dir = _resolve_out(args)
     files = []
     if out_dir is not None:
@@ -311,10 +303,9 @@ def cmd_sample(args) -> int:
         raise ValueError("sample needs an output directory (--out or HREX_OUT)")
     seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
     model = model_from_jsonable(cfg["model"])
-    length = cfg.get("length", cfg.get("n"))
-    if length is None:
-        raise ValueError("sample config needs a path 'length' (or 'n')")
-    length = _typed(length, int, "length")
+    if "length" not in cfg:
+        raise ValueError("sample config needs a path 'length'")
+    length = _typed(cfg["length"], int, "length")
     count = _typed(cfg["count"], int, "count")
     if count < 1:
         raise ValueError("sample config needs 'count' >= 1, got %d" % count)

@@ -177,7 +177,10 @@ class DeltaSpec:
                 raise InvalidDeltaSpec("entry %r: i, j and k must be integers" % (item,))
             if raw != "inf" and type(raw) not in (int, float):
                 raise InvalidDeltaSpec("entry %r: delta must be a number or 'inf'" % (item,))
-            entries[key] = math.inf if raw == "inf" else float(raw)
+            value = math.inf if raw == "inf" else float(raw)
+            if entries.get(key, value) != value:
+                raise InvalidDeltaSpec("entry %r: conflicting value for delta%s" % (item, key))
+            entries[key] = value
         return cls.from_entries(obj["d"], entries)
 
 

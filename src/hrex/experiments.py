@@ -101,12 +101,12 @@ class EmpiricalCdf:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceEntry:
+    """One size n of a sweep.  columns maps each report column name to its
+    values, one per grid point, in the order the report files write them."""
+
     n: int
     x_grid: tuple[tuple[float, ...], ...]
-    empirical: np.ndarray
-    limits: np.ndarray
-    deviations: np.ndarray
-    std_errors: np.ndarray
+    columns: dict[str, np.ndarray]
     sup_deviation: float
 
 
@@ -185,19 +185,18 @@ def compare_to_limit(
     if len(thetas_per_point) != len(emp.x_grid):
         raise ValueError("need one theta vector per grid point")
     empirical = emp.counts / emp.replicates
-    limits = np.array(
+    limit = np.array(
         [limit_cdf(thetas, x) for thetas, x in zip(thetas_per_point, emp.x_grid)]
     )
-    deviations = np.abs(empirical - limits)
-    std_errors = np.sqrt(empirical * (1.0 - empirical) / emp.replicates)
+    deviation = np.abs(empirical - limit)
+    columns = {
+        "empirical": empirical,
+        "limit": limit,
+        "deviation": deviation,
+        "std_error": np.sqrt(empirical * (1.0 - empirical) / emp.replicates),
+    }
     return ConvergenceEntry(
-        n=emp.n,
-        x_grid=emp.x_grid,
-        empirical=empirical,
-        limits=limits,
-        deviations=deviations,
-        std_errors=std_errors,
-        sup_deviation=float(deviations.max()),
+        n=emp.n, x_grid=emp.x_grid, columns=columns, sup_deviation=float(deviation.max())
     )
 
 
@@ -216,7 +215,7 @@ def build_report(entries: Sequence[ConvergenceEntry]) -> ConvergenceReport:
     within 2 * sqrt(se_i^2 + se_{i+1}^2) per step, the standard errors
     taken as each entry's largest grid-point standard error."""
     entries = tuple(sorted(entries, key=lambda e: e.n))
-    ses = [float(e.std_errors.max()) if len(e.std_errors) else 0.0 for e in entries]
+    ses = [float(e.columns["std_error"].max(initial=0.0)) for e in entries]
     slacks = tuple(
         2.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(entries) - 1)
     )
@@ -430,12 +429,12 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    """Rows n, x1..xd, empirical, limit, deviation, std_error."""
+    """Rows n, x1..xd, then the entries' columns in their order."""
+    names = list(report.entries[0].columns) if report.entries else []
     d = len(report.entries[0].x_grid[0]) if report.entries else 0
-    header = ["n"] + ["x%d" % (i + 1) for i in range(d)] + ["empirical", "limit", "deviation", "std_error"]
+    header = ["n"] + ["x%d" % (i + 1) for i in range(d)] + names
     write_csv(path, header, [
-        [entry.n, *point, float(entry.empirical[g]), float(entry.limits[g]),
-         float(entry.deviations[g]), float(entry.std_errors[g])]
+        [entry.n, *point, *(float(entry.columns[name][g]) for name in names)]
         for entry in report.entries
         for g, point in enumerate(entry.x_grid)
     ])
@@ -445,15 +444,12 @@ def report_jsonable(report: ConvergenceReport) -> dict:
     return to_jsonable(
         {
             "verdict": report.verdict,
-            "step_slacks": list(report.step_slacks),
+            "step_slacks": report.step_slacks,
             "entries": [
                 {
                     "n": e.n,
-                    "x_grid": [list(p) for p in e.x_grid],
-                    "empirical": e.empirical.tolist(),
-                    "limit": e.limits.tolist(),
-                    "deviation": e.deviations.tolist(),
-                    "std_error": e.std_errors.tolist(),
+                    "x_grid": e.x_grid,
+                    **{name: values.tolist() for name, values in e.columns.items()},
                     "sup_deviation": e.sup_deviation,
                 }
                 for e in report.entries

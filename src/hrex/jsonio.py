@@ -11,22 +11,18 @@ import math
 from typing import Any
 
 
-def encode_extended(value: float) -> Any:
-    if math.isnan(value):
-        raise ValueError("NaN has no JSON encoding")
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert dicts/lists/floats, mapping infinities to strings."""
+    """Recursively convert dicts/lists/tuples/floats, mapping infinities to
+    strings and rejecting NaN."""
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, float):
-        return encode_extended(obj)
+        if math.isnan(obj):
+            raise ValueError("NaN has no JSON encoding")
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
     return obj
 
 

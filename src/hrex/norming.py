@@ -107,13 +107,13 @@ def hr_bivariate_cdf(lam: float, x: float, y: float) -> float:
     if lam < 0:
         raise ValueError("need lambda >= 0")
     if lam == 0.0:
-        return math.exp(-_exp_neg(min(x, y)))
+        return math.exp(-math.exp(-min(x, y)))
     if math.isinf(lam):
-        return math.exp(-_exp_neg(x) - _exp_neg(y))
+        return math.exp(-math.exp(-x) - math.exp(-y))
     root = math.sqrt(lam)
     half = (x - y) / (2.0 * root) if x != y else 0.0
-    term_y = std_normal_cdf(root + half) * _exp_neg(y)
-    term_x = std_normal_cdf(root - half) * _exp_neg(x)
+    term_y = std_normal_cdf(root + half) * math.exp(-y)
+    term_x = std_normal_cdf(root - half) * math.exp(-x)
     return math.exp(-(term_y + term_x))
 
 
@@ -131,7 +131,7 @@ def limit_cdf(thetas: Sequence[float], x: Sequence[float]) -> float:
             raise ValueError("need theta in [0, 1]")
         if math.isnan(xi):
             raise ValueError("need non-NaN levels x")
-        total += th * _exp_neg(xi)
+        total += th * math.exp(-xi)
     return math.exp(-total)
 
 
@@ -158,10 +158,3 @@ def lag0_max_cdf(n: int, u, rho: float) -> np.ndarray:
     p = ndtr(-u[..., 0]) + ndtr(-u[..., 1]) - upper_orthant(u[..., 0], u[..., 1], rho)
     with np.errstate(divide="ignore"):  # p = 1: the CDF is 0
         return np.exp(n * np.log1p(-p))
-
-
-def _exp_neg(x: float) -> float:
-    # exp(-x) with the conventions exp(-inf) = 0, exp(+inf) = inf.
-    if math.isinf(x):
-        return 0.0 if x > 0 else math.inf
-    return math.exp(-x)

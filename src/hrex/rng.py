@@ -56,31 +56,29 @@ class RngKey:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def uniform_open(key: RngKey, size, start: int = 0) -> np.ndarray:
+def uniform_open(key: RngKey, size, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Uniforms on the open interval (0, 1), safe to pass to inverse CDFs:
-    values start, start + 1, ... of key's substream, of shape size; start
-    must be non-negative.
+    values start, start + 1, ... of key's substream, of shape size, or
+    written into out (a C-contiguous float64 array of that shape) and
+    returned as out; start must be non-negative.
 
     Values are midpoints of a 2^53 lattice, (k + 1/2) / 2^53 for the top 53
     bits k of a Philox word.  The top midpoint rounds to 1.0 in float64 and
     is clamped to the largest double below 1, so neither endpoint can occur.
     """
-    out = np.empty(size)
-    _fill(key, out.reshape(-1), start)
-    return out
-
-
-def standard_normal(key: RngKey, size, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """N(0,1) variates via the inverse normal CDF of uniform_open's values
-    start, start + 1, ..., of shape size, or written into out (a C-contiguous
-    float64 array of that shape) and returned as out; start must be
-    non-negative."""
     if out is None:
         out = np.empty(size)
     elif out.shape != (tuple(size) if np.iterable(size) else (size,)) or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array of shape size")
     _fill(key, out.reshape(-1), start)
-    return ndtri(out, out=out)
+    return out
+
+
+def standard_normal(key: RngKey, size, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """N(0,1) variates: the inverse normal CDF applied in place to
+    uniform_open(key, size, start, out)."""
+    uniforms = uniform_open(key, size, start, out)
+    return ndtri(uniforms, out=uniforms)
 
 
 def run_parts(total: int, parts: int, work) -> None:

@@ -43,7 +43,7 @@ row at all it is 1 and the corresponding margin is pure Gumbel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -110,9 +110,6 @@ class ThetaEstimate:
             raise ValueError("theta estimate outside [0, 1]")
         if self.std_error > 0.5 / math.sqrt(max(self.samples, 1)) + 1e-15:
             raise ValueError("std_error exceeds the binomial bound")
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,8 @@ def test_theta_inconsistent_spec_fails_cleanly(tmp_path, capsys):
         ({"d": True, "entries": []}, "'d'"),
         ({"d": 2, "entries": None}, "'entries'"),
         ([1, 2], "must be a JSON object, got [1, 2]"),
+        ({"d": 2, "entries": [{"i": 1, "j": 2, "k": 0, "delta": 1.0}, {"i": 1, "j": 2, "k": 0, "delta": 2.0}]},
+         "'delta': 2.0"),
     ],
 )
 def test_theta_rejects_malformed_spec_entries(tmp_path, capsys, spec, named):
@@ -482,7 +484,8 @@ def test_sample_requires_out_dir(tmp_path, capsys, monkeypatch):
 
 
 def test_sample_requires_path_length(tmp_path, capsys):
-    cfg = {k: v for k, v in SAMPLE_CFG.items() if k not in ("length", "n")}
+    # n is the array-row size elsewhere, so it does not stand in for the path length
+    cfg = {**{k: v for k, v in SAMPLE_CFG.items() if k != "length"}, "n": 16}
     out_dir = tmp_path / "paths"
     code, _, err = run(
         ["sample", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out_dir)],

@@ -91,6 +91,15 @@ def test_spec_rejects_conflicting_symmetric_entries():
         DeltaSpec.from_entries(2, {(1, 2, 1): 1.0, (2, 1, 1): 2.0})
 
 
+def test_spec_json_rejects_a_conflicting_repeat():
+    entry = {"i": 1, "j": 2, "k": 0, "delta": 1.0}
+    obj = {"d": 2, "entries": [entry, {**entry, "delta": 2.0}]}
+    with pytest.raises(InvalidDeltaSpec, match="'delta': 2.0"):
+        DeltaSpec.from_jsonable(obj)
+    same = DeltaSpec.from_jsonable({"d": 2, "entries": [entry, dict(entry)]})
+    assert same.entries == {(1, 2, 0): 1.0}
+
+
 def test_spec_rejects_nonzero_diagonal_lag0():
     with pytest.raises(InvalidDeltaSpec):
         DeltaSpec.from_entries(1, {(1, 1, 0): 0.5})

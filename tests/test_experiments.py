@@ -51,10 +51,7 @@ def _entry(n, sup, se=0.0):
     return ConvergenceEntry(
         n=n,
         x_grid=((0.0,),),
-        empirical=dev.copy(),
-        limits=np.zeros(1),
-        deviations=dev,
-        std_errors=np.array([se]),
+        columns={"empirical": dev.copy(), "limit": np.zeros(1), "deviation": dev, "std_error": np.array([se])},
         sup_deviation=sup,
     )
 
@@ -469,11 +466,11 @@ def test_compare_to_limit_consistency():
     emp = empirical_cdf(maxima, [(0.0,), (1.0,)], n)
     entry = compare_to_limit(emp, [[1.0], [1.0]])
     expected_emp = emp.counts / emp.replicates
-    assert np.array_equal(entry.empirical, expected_emp)
+    assert np.array_equal(entry.columns["empirical"], expected_emp)
     expected_dev = np.abs(expected_emp - np.array([limit_cdf([1.0], [0.0]), limit_cdf([1.0], [1.0])]))
-    assert np.array_equal(entry.deviations, expected_dev)
+    assert np.array_equal(entry.columns["deviation"], expected_dev)
     assert entry.sup_deviation == expected_dev.max()
-    assert np.all(entry.std_errors <= 0.5 / math.sqrt(200))
+    assert np.all(entry.columns["std_error"] <= 0.5 / math.sqrt(200))
 
 
 def test_compare_to_limit_grid_mismatch():
@@ -686,8 +683,8 @@ def test_csv_header_and_roundtrip(tmp_path):
     assert int(first[0]) == entry.n
     assert float(first[1]) == entry.x_grid[0][0]
     # repr round-trips floats exactly
-    assert float(first[3]) == entry.empirical[0]
-    assert float(first[5]) == entry.deviations[0]
+    assert float(first[3]) == entry.columns["empirical"][0]
+    assert float(first[5]) == entry.columns["deviation"][0]
 
 
 def test_json_report_keys(tmp_path):

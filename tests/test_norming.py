@@ -308,6 +308,23 @@ def test_lag0_max_cdf_closed_form_branches():
     assert np.allclose(lag0_max_cdf(n, u, -1.0), countermonotone, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_lag0_max_cdf_approaches_the_limit_at_the_log_rate(lam):
+    # exact finite-n law against H_lambda, with no Monte Carlo noise: rows with
+    # correlation 1 - lambda / ln n, on criterion 6's grid.  The sup deviation
+    # shrinks at every step, out to n = 10^300, and scaled by ln n / ln ln n
+    # it stays within [0.11, 0.20].
+    grid = [(x1, x2) for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.0, 1.0)]
+    sups = []
+    for n in [10**e for e in (2, 3, 5, 10, 20, 50, 100, 300)]:
+        c = norming_constants(n)
+        exact = lag0_max_cdf(n, [(threshold(c, x1), threshold(c, x2)) for x1, x2 in grid], 1.0 - lam / math.log(n))
+        sup = max(abs(float(p) - hr_bivariate_cdf(lam, x1, x2)) for p, (x1, x2) in zip(exact, grid))
+        assert 0.11 <= sup * math.log(n) / math.log(math.log(n)) <= 0.20
+        sups.append(sup)
+    assert all(b < a for a, b in zip(sups, sups[1:]))
+
+
 def test_upper_orthant_at_zero_thresholds():
     # P(X1 > 0, X2 > 0) = 1/4 + arcsin(rho) / (2 pi) (Sheppard), and with one
     # threshold at 0 the orthant is continuous in the other

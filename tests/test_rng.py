@@ -82,9 +82,12 @@ def test_out_is_filled_in_place():
     assert np.shares_memory(got, block)
     assert block[1].tobytes() == ndtri(sequential_uniforms(key, 9)[2:]).tobytes()
     assert not block[0].any() and not block[2].any()
+    assert np.shares_memory(uniform_open(key, 7, start=2, out=block[2]), block[2])
+    assert block[2].tobytes() == sequential_uniforms(key, 9)[2:].tobytes()
     for size, out in ((3, block[:, 0]), (6, block[0]), ((1, 7), block[0])):
-        with pytest.raises(ValueError, match="C-contiguous array of shape"):
-            standard_normal(key, size, out=out)
+        for draw in (uniform_open, standard_normal):
+            with pytest.raises(ValueError, match="C-contiguous array of shape"):
+                draw(key, size, out=out)
 
 
 @pytest.mark.parametrize("total, parts, cpus, offset", [

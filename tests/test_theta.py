@@ -431,7 +431,7 @@ def test_theta_estimate_validates():
 
 def test_theta_estimate_jsonable_keys():
     est = ThetaEstimate(value=0.5, std_error=0.001, samples=100000, truncation_K=2)
-    assert est.to_jsonable() == {
+    assert dataclasses.asdict(est) == {
         "value": 0.5,
         "std_error": 0.001,
         "samples": 100000,
