@@ -251,6 +251,7 @@ def cmd_converge(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
+    seed = _typed(cfg["seed"], int, "seed") if "seed" in cfg else None  # only the manifest reads it
     model = model_from_jsonable(cfg["model"])
     n_list = _list_of(cfg["n_list"], int, "n_list")
     l_exp = _typed(cfg.get("l_exponent", 0.4), float, "l_exponent")
@@ -273,12 +274,13 @@ def cmd_check(args) -> int:
         header = ["n", "l_n", "r_n"] + metrics
         write_csv(files[0], header, [[row[h] for h in header] for row in rows])
         write_json(files[1], payload)
-    return _finish(args, out_dir, cfg.get("seed"), files, payload,
+    return _finish(args, out_dir, seed, files, payload,
                    all(v == "pass" for v in verdicts.values()))
 
 
 def cmd_lemma1(args) -> int:
     cfg = _load_config(args.config)
+    seed = _typed(cfg["seed"], int, "seed") if "seed" in cfg else None  # only the manifest reads it
     dist = DiscreteMatrixDistribution.iid_cells(
         n=_typed(cfg["n"], int, "n"),
         d=_typed(cfg["d"], int, "d"),
@@ -292,7 +294,7 @@ def cmd_lemma1(args) -> int:
     if out_dir is not None:
         files = [out_dir / "lemma1.json"]
         write_json(files[0], payload)
-    return _finish(args, out_dir, cfg.get("seed"), files, payload, payload["pass"])
+    return _finish(args, out_dir, seed, files, payload, payload["pass"])
 
 
 def cmd_sample(args) -> int:

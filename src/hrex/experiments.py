@@ -28,6 +28,7 @@ block-decoupling step of the limit argument.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +39,7 @@ from .correlation import CorrelationModel
 from .jsonio import to_jsonable, write_json
 from .norming import limit_cdf, norming_constants, threshold
 from .rng import RngKey
-from .sampler import METHODS, block_maxima, iter_path_blocks, maxima_plan
+from .sampler import METHODS, iter_path_blocks
 
 __all__ = [
     "ExperimentConfig",
@@ -126,24 +127,13 @@ def maxima_matrix(
     sampler: str = "cholesky",
     threads: int = 1,
 ) -> np.ndarray:
-    """Componentwise maxima of `replicates` independent rows of size n,
-    streamed so that only the (replicates, d) result is ever held, on
-    hrex.sampler.maxima_plan's route: lag-0 rows with d <= 2 take the exact
-    plan, 2d - 1 uniforms per replicate at a cost free of n.
-
-    Replicate r always reads values r*s ... (r+1)*s - 1 of substream key, s
-    the plan's draws per replicate, so the result is byte-identical for
-    every thread count (bar the dense route's last bit, see
-    hrex.sampler.iter_path_blocks, which splits each batch into at most
-    `threads` parts).  Each part reduces its own block to maxima on its
-    own thread, with hrex.sampler.block_maxima, so only (b, d) maxima join.
-    The route is planned once, and iter_path_blocks logs it."""
+    """Componentwise maxima of `replicates` independent rows of size n, as
+    hrex.sampler.iter_path_blocks streams them with `maxima`: it plans and
+    logs the route, takes the exact plan of lag-0 rows with d <= 2, which
+    draws 2d - 1 uniforms per replicate at a cost free of n, and gives the
+    same bytes for every thread count bar the dense route's last bit."""
     out = np.empty((replicates, model.d))
-    # only the generator holds the plan, so it is freed as the loop ends; a plan
-    # kept in this frame stayed resident into the next call (+36 MB in serial_maxima)
-    blocks = iter_path_blocks(model, n, key, replicates, plan=maxima_plan(model, n, sampler), threads=threads,
-                              reduce=block_maxima)
-    for first, maxima in blocks:
+    for first, maxima in iter_path_blocks(model, n, key, replicates, sampler, threads=threads, maxima=True):
         out[first : first + len(maxima)] = maxima
     return out
 
@@ -154,6 +144,8 @@ def empirical_cdf(
     """Counts of replicates with all component maxima below u_n(x_i)."""
     constants = norming_constants(n)
     grid = tuple(tuple(float(v) for v in p) for p in x_grid)
+    if any(len(p) != maxima.shape[1] for p in grid):
+        raise ValueError("need grid points of %d levels, one per component" % maxima.shape[1])
     u = np.array([[threshold(constants, v) for v in p] for p in grid])
     inside = (maxima[None, :, :] <= u[:, None, :]).all(axis=2)
     return EmpiricalCdf(
@@ -254,15 +246,11 @@ class DiscreteMatrixDistribution:
             if abs(math.fsum(ps) - 1.0) > 1e-9:
                 raise ValueError("cell probabilities must sum to 1")
 
-    @property
-    def support_size(self) -> int:
-        size = 1
-        for vals in self.values:
-            size *= len(vals)
-        return size
-
     @classmethod
     def iid_cells(cls, n: int, d: int, atoms: Sequence[float], probs: Sequence[float] | None = None):
+        """Every cell on the same atoms.  A law whose enumeration passes
+        lemma1_check's default cap is refused before its n*d cells are built."""
+        _enumerated_values(n, d, itertools.repeat(len(atoms), n * d), _MAX_VALUES)
         if probs is None:
             probs = [1.0 / len(atoms)] * len(atoms)
         cell_v = tuple(float(a) for a in atoms)
@@ -296,10 +284,29 @@ class Lemma1Report:
     support_size: int
 
 
+_MAX_VALUES = 1_000_000  # cell values, support size * n * d, that lemma1_check enumerates by default
+
+
+def _enumerated_values(n: int, d: int, radices, cap: int) -> int:
+    """support size * n * d: the cell values that enumerating n x d matrices
+    with radices[c] atoms in cell c holds.  The running product starts at
+    n * d and raises ValueError as soon as it passes cap, so it reads about
+    cap cells at most, however large n is."""
+    values = n * d
+    for m in itertools.chain((1,), radices):
+        values *= m
+        if values > cap:
+            raise ValueError("enumerating %d x %d matrices holds more than the cap of %d cell values"
+                             % (n, d, cap))
+    return values
+
+
 def lemma1_check(
-    dist: DiscreteMatrixDistribution, u: Sequence[float], max_support: int = 1_000_000
+    dist: DiscreteMatrixDistribution, u: Sequence[float], max_values: int = _MAX_VALUES
 ) -> Lemma1Report:
-    """Exhaustively verify the last-exceedance decomposition on `dist`.
+    """Exhaustively verify the last-exceedance decomposition on `dist`, whose
+    enumeration holds support_size * n * d cell values, at most max_values:
+    that bounds both its memory and its time.
 
     Both sides are accumulated with exactly rounded summation (math.fsum),
     keeping the comparison within a 1e-12 budget even for float atom
@@ -308,12 +315,10 @@ def lemma1_check(
     n, d = dist.n, dist.d
     if len(u) != d:
         raise ValueError("need one threshold per component")
-    size = dist.support_size
-    if size > max_support:
-        raise ValueError("support of %d atoms exceeds the enumeration cap" % size)
+    radices = [len(vals) for vals in dist.values]
+    size = _enumerated_values(n, d, radices, max_values) // (n * d)
     u = np.asarray([float(v) for v in u])
 
-    radices = [len(vals) for vals in dist.values]
     atoms = np.empty((size, n * d))
     prob = np.ones(size)
     index = np.arange(size)
@@ -331,14 +336,12 @@ def lemma1_check(
     excl[:, :-1, :] = incl[:, 1:, :]
 
     union = (x.max(axis=1) > u).any(axis=1)
-    counts = np.zeros(size, dtype=np.int64)
-    for k in range(n):
-        counts += (x[:, k, 0] > u[0]) & (excl[:, k, :] <= u).all(axis=1)
-        for i in range(2, d + 1):
-            c = i - 1
-            quiet_before = (incl[:, k, :c] <= u[:c]).all(axis=1)
-            quiet_after = (excl[:, k, c:] <= u[c:]).all(axis=1)
-            counts += (x[:, k, c] > u[c]) & quiet_before & quiet_after
+    # term (k, c) of a realisation: X_k^(c) exceeds, components before c are
+    # quiet from k on, and components from c on are quiet after k
+    quiet_before = np.ones(x.shape, dtype=bool)
+    np.logical_and.accumulate(incl[:, :, :-1] <= u[:-1], axis=2, out=quiet_before[:, :, 1:])
+    quiet_after = np.logical_and.accumulate((excl <= u)[:, :, ::-1], axis=2)[:, :, ::-1]
+    counts = ((x > u) & quiet_before & quiet_after).sum(axis=(1, 2))
 
     lhs = math.fsum(prob[union].tolist())
     weighted = prob * counts
@@ -392,8 +395,7 @@ def block_consistency_check(
     u = np.array([threshold(constants, v) for v in x])
 
     def below(length: int) -> float:
-        blocks = iter_path_blocks(model, length, key, replicates, n=n, plan=maxima_plan(model, length, sampler, n),
-                                  reduce=block_maxima)
+        blocks = iter_path_blocks(model, length, key, replicates, sampler, n, maxima=True)
         maxima = np.concatenate([block for _, block in blocks])
         return int((maxima <= u).all(axis=1).sum()) / replicates
 

@@ -6,18 +6,17 @@ rho_ij(k, n) has the block-Toeplitz covariance
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
-method) into a Plan: the normals a replicate consumes, a transform from
-them to paths, the floats that transform holds per replicate, by which
-`iter_path_blocks` sizes its batches, the route it took, and the draw,
-`hrex.rng.standard_normal`.  The lag0, dense and banded routes return
-time-major (b, L, d) blocks, whose rows `write_path` writes as they are;
-the circulant route returns the first L points of its (b, d, m) irfft
-output as a transposed view, with no copy.  `block_maxima` reduces either
-layout over a contiguous time axis.  The four
-routes all read the lag table rho_ij(k, n) of
-`hrex.correlation.lag_table`, which makes the cut to 0 beyond
-model.max_lag.  Here max_lag only picks routes and bounds the lags the
-banded route reads:
+method, maxima) into a Plan: the normals a replicate consumes, a
+transform from them to paths, the floats that transform holds per
+replicate, by which `iter_path_blocks` sizes its batches, the route it
+took, and the draw, `hrex.rng.standard_normal`.  The lag0, dense and
+banded routes return time-major (b, L, d) blocks, whose rows `write_path`
+writes as they are; the circulant route returns the first L points of its
+(b, d, m) irfft output as a transposed view, with no copy.  `block_maxima`
+reduces either layout over a contiguous time axis.  The four routes all
+read the lag table rho_ij(k, n) of `hrex.correlation.lag_table`, which
+makes the cut to 0 beyond model.max_lag.  Here max_lag only picks
+routes and bounds the lags the banded route reads:
 
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -34,19 +33,19 @@ banded route reads:
   banded route.  Each plan logs its embedding size, doublings, smallest
   spectral eigenvalue and clipped eigenvalues at DEBUG.
 
-`iter_path_blocks` is the one draw loop, also for `maxima_plan`'s exact
-maxima of lag-0 rows with d <= 2 (route lag0-exact, which draws
-uniforms).  Each call logs its plan's route at DEBUG, with the path
-length, n, the replicate count and the values drawn.  It is the one place
-that splits path work across cores (the draws of hrex.rng start no
-threads), so `threads` bounds every thread a path run starts: each batch
-runs in parts on threads that share one plan, so the covariance, factor
-or spectrum is built once however many threads work.  A plan that
-draws s values per replicate reads replicate r as values r*s ...
-(r+1)*s - 1 of the one substream key, and a part of a batch as one fill,
-so results are reproducible for a given (seed, model, length, count), and
-off the dense route (see `iter_path_blocks`) however replicates are
-batched or split.
+`iter_path_blocks` is the one draw loop, for paths and, with `maxima`,
+for their maxima over time, which make_plan then gives lag-0 rows with
+d <= 2 exactly (route lag0-exact, which draws uniforms).  Each call logs
+its plan's route at DEBUG, with the path length, n, the replicate count
+and the values drawn.  It is the one place that splits path work across
+cores (the draws of hrex.rng start no threads), so `threads` bounds every
+thread a path run starts: each batch runs in parts on threads that share
+one plan, so the covariance, factor or spectrum is built once however
+many threads work.  A plan that draws s values per replicate reads
+replicate r as values r*s ... (r+1)*s - 1 of the one substream key, and
+a part of a batch as one fill, so results are reproducible for a given
+(seed, model, length, count), and off the dense route (see
+`iter_path_blocks`) however replicates are batched or split.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ __all__ = [
     "SamplePath",
     "assemble_covariance",
     "make_plan",
-    "maxima_plan",
     "iter_path_blocks",
     "block_maxima",
     "write_path",
@@ -285,48 +283,11 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
     return Plan(m * d, transform, 2 * m * d, "circulant", standard_normal)
 
 
-def make_plan(
-    model: CorrelationModel, length: int, method: str, n: float | None = None
-) -> Plan:
-    """Pick the sampling route, which the plan names: lag0 whenever the path
-    has no serial dependence; otherwise circulant when asked for.  Without
-    it, or when the embedding fails, dense (Schur factor of the block-Toeplitz
-    lag table, L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the
-    array-row size fed to the correlation function (default: the path length)."""
-    if method not in METHODS:
-        raise ValueError("unknown sampling method %r" % (method,))
-    if length < 1:
-        raise ValueError("need path length >= 1")
-    if n is None:
-        n = length
-    plan = None
-    if model.max_lag == 0 or length == 1:
-        plan = _lag0_plan(model, length, n)
-    elif method == "circulant":
-        plan = _circulant_plan(model, length, n)
-    if plan is None:  # the size rule, also where the circulant embedding failed
-        failed = "circulant embedding indefinite after %d doublings" % _MAX_DOUBLINGS
-        banded = length * model.d > DENSE_CAP
-        if banded and not math.isfinite(model.max_lag):
-            why = "path of size %d exceeds the dense cap and the model has no finite band"
-            raise ValueError((failed + ", and the " + why if method == "circulant"
-                              else why + "; use the circulant sampler") % (length * model.d))
-        if method == "circulant":
-            log.warning("%s; falling back to the %s route", failed, "banded" if banded else "dense")
-        plan = (_banded_plan if banded else _dense_plan)(model, length, n)
-    return plan
-
-
-def maxima_plan(
-    model: CorrelationModel, length: int, method: str, n: float | None = None
-) -> Plan:
-    """make_plan's plan, but where it takes the lag0 route with d <= 2, the
-    lag0-exact plan: 2d - 1 uniforms per replicate map to (b, 1, d) row maxima."""
-    plan = make_plan(model, length, method, n)
-    if model.d > 2 or plan.route != "lag0":
-        return plan
-    # make_plan's lag-0 route has checked that |rho| <= 1 up to rounding
-    rho = float(lag_table(model, range(1), length if n is None else n)[0, 0, -1])
+def _lag0_exact_plan(model: CorrelationModel, length: int, n: float) -> Plan:
+    """Maxima of lag-0 rows with d <= 2 by their exact law: 2d - 1 uniforms per
+    replicate map to (b, 1, d) row maxima."""
+    # make_plan's lag-0 plan has checked that |rho| <= 1 up to rounding
+    rho = float(lag_table(model, range(1), n)[0, 0, -1])
     d, rho = model.d, min(max(rho, -1.0), 1.0)
 
     def transform(u: np.ndarray) -> np.ndarray:
@@ -350,6 +311,41 @@ def maxima_plan(
     return Plan(2 * d - 1, transform, 2 * d - 1, "lag0-exact", uniform_open)
 
 
+def make_plan(
+    model: CorrelationModel, length: int, method: str, n: float | None = None, maxima: bool = False
+) -> Plan:
+    """Pick the sampling route, which the plan names: lag0 whenever the path
+    has no serial dependence, or lag0-exact there when maxima are asked for
+    and d <= 2; otherwise circulant when asked for.  Without it, or when the
+    embedding fails, dense (Schur factor of the block-Toeplitz lag table,
+    L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the array-row size
+    fed to the correlation function (default: the path length)."""
+    if method not in METHODS:
+        raise ValueError("unknown sampling method %r" % (method,))
+    if length < 1:
+        raise ValueError("need path length >= 1")
+    if n is None:
+        n = length
+    plan = None
+    if model.max_lag == 0 or length == 1:
+        plan = _lag0_plan(model, length, n)  # which checks that the lag-0 matrix is PSD
+        if maxima and model.d <= 2:
+            plan = _lag0_exact_plan(model, length, n)
+    elif method == "circulant":
+        plan = _circulant_plan(model, length, n)
+    if plan is None:  # the size rule, also where the circulant embedding failed
+        failed = "circulant embedding indefinite after %d doublings" % _MAX_DOUBLINGS
+        banded = length * model.d > DENSE_CAP
+        if banded and not math.isfinite(model.max_lag):
+            why = "path of size %d exceeds the dense cap and the model has no finite band"
+            raise ValueError((failed + ", and the " + why if method == "circulant"
+                              else why + "; use the circulant sampler") % (length * model.d))
+        if method == "circulant":
+            log.warning("%s; falling back to the %s route", failed, "banded" if banded else "dense")
+        plan = (_banded_plan if banded else _dense_plan)(model, length, n)
+    return plan
+
+
 def iter_path_blocks(
     model: CorrelationModel,
     length: int,
@@ -358,32 +354,31 @@ def iter_path_blocks(
     method: str = "cholesky",
     n: float | None = None,
     *,
-    plan: Plan | None = None,
     threads: int = 1,
-    reduce=None,
+    maxima: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream replicate blocks (first_index, values[b, length, d]) without
-    holding all paths in memory.  Replicate r of a plan that draws s values
-    per replicate reads values r*s ... (r+1)*s - 1 of key's substream.  The
-    plan's route is logged once per call at DEBUG.
+    """Stream replicate blocks (first_index, values[b, length, d]), or with
+    `maxima` their (b, d) maxima over time, without holding all paths in
+    memory, on make_plan's plan for (model, length, method, n, maxima),
+    whose route is logged once per call at DEBUG.  Replicate r of a plan
+    that draws s values per replicate reads values r*s ... (r+1)*s - 1 of
+    key's substream.
 
     This is the one place that splits replicates across cores: each batch
     goes through hrex.rng.run_parts in at most `threads` parts, one per CPU
     and per replicate at most, and only as many as hold _SPLIT_FLOATS floats
     of footprint each.  Each part draws its slice of the substream with the
-    plan's draw and transforms it on its own thread, then applies `reduce`
-    there when given (`block_maxima` for maxima), so only what reduce
-    returns joins, in the calling thread, into what the batch yields.  The
-    parts share the batch budget of _BLOCK_VALUES floats, so memory does not
-    grow with threads while footprint * parts <= _BLOCK_VALUES; past that,
-    each part holds one replicate.  A reduced part's block is kept until
-    that part's next block is made, as a consumer of unreduced blocks
-    keeps its last one.  Values are independent of the batching
-    and the split, except on the dense route: BLAS picks the kernel of its
-    z @ factor_t by the part's row count, so a replicate's last bit can move
-    with count and threads.  plan, when given, is make_plan's or
-    maxima_plan's plan for (model, length, method, n)."""
-    size, transform, footprint, route, draw = make_plan(model, length, method, n) if plan is None else plan
+    plan's draw and transforms it on its own thread, then with `maxima`
+    reduces it there with `block_maxima`, so only maxima join, in the
+    calling thread, into what the batch yields.  The parts share the batch
+    budget of _BLOCK_VALUES floats, so memory does not grow with threads
+    while footprint * parts <= _BLOCK_VALUES; past that, each part holds one
+    replicate.  A reduced part's block is kept until that part's next block
+    is made, as a consumer of unreduced blocks keeps its last one.  Values
+    are independent of the batching and the split, except on the dense
+    route: BLAS picks the kernel of its z @ factor_t by the part's row
+    count, so a replicate's last bit can move with count and threads."""
+    size, transform, footprint, route, draw = make_plan(model, length, method, n, maxima)
     log.debug("iter_path_blocks route=%s length=%d n=%s count=%d values=%d",
               route, length, length if n is None else n, count, size * count)
     parts = split_count(count, min(threads, count * footprint // _SPLIT_FLOATS))
@@ -399,10 +394,10 @@ def iter_path_blocks(
 
         def work(a: int, e: int, first: int = r) -> None:
             block = transform(draw(key, (e - a, size), start=(first + a) * size))
-            if reduce is None:
-                done[a] = block
+            if maxima:
+                done[a], kept[a] = block_maxima(block), block
             else:
-                done[a], kept[a] = reduce(block), block
+                done[a] = block
 
         run_parts(b, min(parts, b * footprint // _SPLIT_FLOATS), work)
         # join here: parts' blocks that the consumer held past their thread pinned

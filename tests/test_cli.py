@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -410,6 +411,21 @@ def test_lemma1_passes(tmp_path, capsys):
     assert json.loads((out_dir / "lemma1.json").read_text()) == payload
 
 
+def test_lemma1_refuses_a_huge_row_at_once(tmp_path, capsys):
+    # a one-atom law has support 1 at any n, so the cap must count the n * d
+    # cell values too, and before the n * d cells are built: this one would
+    # need terabytes
+    cfg = write_json(tmp_path / "cfg.json", {"n": 10**12, "d": 1, "atoms": [0.0], "thresholds": [1.0]})
+    started = time.monotonic()
+    code, out, err = run(["lemma1", "--config", cfg], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "enumerating 1000000000000 x 1 matrices holds more than the cap of 1000000 cell values",
+    }
+
+
 def test_lemma1_weighted_atoms(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",
@@ -610,6 +626,10 @@ HR_SERIAL = {"name": "hr", "delta_spec": {"d": 1, "entries": [{"i": 1, "j": 1, "
         ("converge", {**CONVERGE_CFG, "theta": {"method": "mc"}},
          "theta method 'mc' needs a model with a coefficient spec"),
         ("converge", {**CONVERGE_CFG, "theta": {"method": "exact"}}, "unknown theta method 'exact'"),
+        ("check", {"model": {"name": "iid", "d": 1}, "n_list": [100], "seed": "not-a-seed"},
+         "seed must be an integer, got 'not-a-seed'"),
+        ("lemma1", {"n": 3, "d": 2, "atoms": [-1, 0.5, 2], "thresholds": [0, 0], "seed": 1.5},
+         "seed must be an integer, got 1.5"),
     ],
 )
 def test_rejects_mistyped_config_fields(tmp_path, capsys, command, cfg, named):

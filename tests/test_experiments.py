@@ -4,6 +4,7 @@ matrices, and block self-consistency."""
 
 import csv
 import io
+import itertools
 import logging
 import math
 import sys
@@ -18,7 +19,15 @@ from scipy.special import log_ndtr, ndtri
 from scipy.stats import kstest, multivariate_normal
 
 from hrex import sampler
-from hrex.correlation import DeltaSpec, geometric_model, hr_family, iid_model, tabulated_model
+from hrex.correlation import (
+    CorrelationModel,
+    DeltaSpec,
+    geometric_model,
+    hr_family,
+    iid_model,
+    tabulated_model,
+)
+from hrex.errors import NotPositiveSemidefinite
 from hrex.experiments import (
     BlockConsistency,
     ConvergenceEntry,
@@ -131,7 +140,18 @@ def test_every_route_entry_takes_the_route_it_names(route):
     # a banded entry that quietly planned dense would test dense twice
     model, length, _, method = ROUTES[route]
     named = {"lag0_exact": "lag0-exact", "lag0_path": "lag0"}.get(route, route)
-    assert sampler.maxima_plan(model, length, method).route == named
+    assert sampler.make_plan(model, length, method, maxima=True).route == named
+
+
+def test_exact_route_keeps_the_lag0_psd_guard():
+    # the exact transform clamps rho to [-1, 1], so without the lag-0 plan's
+    # check it would return the maxima of rho = 1 rows for an impossible model
+    def rho(lags, n):
+        return np.where((lags == 0)[:, None, None], [[1.0, 1.2], [1.2, 1.0]], 0.0)
+
+    model = CorrelationModel(d=2, rho=rho, max_lag=0)
+    with pytest.raises(NotPositiveSemidefinite, match="^lag-0 correlation matrix is not PSD$"):
+        maxima_matrix(model, 100, RngKey(1).child(100), 10)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -162,13 +182,14 @@ def test_path_blocks_batch_invariant_on_every_route(route, monkeypatch):
     model, length, replicates, method = ROUTES[route]
     key = RngKey(31).child(length)
 
-    def blocks(plan, per_batch):
-        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * plan[2])
-        return [b for _, b in iter_path_blocks(model, length, key, replicates, plan=plan)]
+    def blocks(maxima, per_batch):
+        footprint = sampler.make_plan(model, length, method, maxima=maxima).footprint
+        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * footprint)
+        return [b for _, b in iter_path_blocks(model, length, key, replicates, method, maxima=maxima)]
 
-    for plan in (sampler.make_plan(model, length, method), sampler.maxima_plan(model, length, method)):
-        (whole,) = blocks(plan, replicates)
-        split = blocks(plan, -(-replicates // 3))
+    for maxima in (False, True):
+        (whole,) = blocks(maxima, replicates)
+        split = blocks(maxima, -(-replicates // 3))
         assert len(split) >= 3
         assert np.concatenate(split).tobytes() == whole.tobytes()
 
@@ -187,11 +208,13 @@ def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for plan in (sampler.make_plan(model, length, method), sampler.maxima_plan(model, length, method)):
+        for maxima in (False, True):
+            plan = sampler.make_plan(model, length, method, maxima=maxima)
             for count in (1, 3, 7, 23):
                 got = {}
                 for threads in (1, 2, 7):
-                    blocks = list(iter_path_blocks(model, length, key, count, plan=plan, threads=threads))
+                    blocks = list(iter_path_blocks(model, length, key, count, method, threads=threads,
+                                                   maxima=maxima))
                     firsts = [first for first, _ in blocks]
                     assert firsts == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
                     got[threads] = np.concatenate([b for _, b in blocks])
@@ -211,7 +234,7 @@ def test_path_blocks_keep_their_layout_and_reduce_to_maxima(route):
     # a contiguous time axis.  block_maxima gives the max over time of either
     model, length, replicates, method = ROUTES[route]
     plan = sampler.make_plan(model, length, method)
-    for _, block in iter_path_blocks(model, length, RngKey(31).child(length), replicates, plan=plan):
+    for _, block in iter_path_blocks(model, length, RngKey(31).child(length), replicates, method):
         assert block.shape[1:] == (length, model.d)
         if plan.route == "circulant":
             assert block.strides[1] == block.itemsize and block.base is not None
@@ -227,13 +250,14 @@ def test_split_batch_reduces_on_each_part_thread(monkeypatch):
     monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
     model, length, replicates, method = ROUTES["circulant"]
     key = RngKey(31).child(length)
-    seen = []
+    seen, block_maxima = [], sampler.block_maxima
 
-    def reduce(block):
+    def spy(block):
         seen.append((threading.current_thread().name, len(block)))
-        return sampler.block_maxima(block)
+        return block_maxima(block)
 
-    got = list(iter_path_blocks(model, length, key, replicates, method, threads=2, reduce=reduce))
+    monkeypatch.setattr(sampler, "block_maxima", spy)
+    got = list(iter_path_blocks(model, length, key, replicates, method, threads=2, maxima=True))
     assert sorted(size for _, size in seen) == [4, 5]
     assert all(name.startswith("hrex-part") for name, _ in seen)
     assert [first for first, _ in got] == [0] and got[0][1].shape == (replicates, model.d)
@@ -428,6 +452,14 @@ def test_empirical_cdf_monotone_on_ordered_grid():
     assert all(a <= b for a, b in zip(emp.counts, emp.counts[1:]))
 
 
+def test_empirical_cdf_rejects_a_grid_point_of_another_arity():
+    # a one-level point against two components was broadcast to both of them
+    maxima = np.array([[0.0, 5.0], [0.0, 0.0]])
+    for point in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="need grid points of 2 levels"):
+            empirical_cdf(maxima, [point], 100)
+
+
 def test_large_coordinate_acts_as_marginal():
     # a very large coordinate never binds, so the joint count collapses to
     # the count for the remaining coordinate
@@ -546,9 +578,16 @@ def test_lemma1_threshold_below_support():
 
 
 def test_lemma1_support_cap():
+    # 2^6 realisations of 6 cells hold 384 values: the cap is on those, not on
+    # the support, and a one-atom law is refused before its cells are built
     dist = DiscreteMatrixDistribution.iid_cells(3, 2, [-1.0, 1.0])
     with pytest.raises(ValueError):
-        lemma1_check(dist, [0.0, 0.0], max_support=63)
+        lemma1_check(dist, [0.0, 0.0], max_values=383)
+    assert lemma1_check(dist, [0.0, 0.0], max_values=384).support_size == 64
+    with pytest.raises(ValueError, match="cap of 1000000 cell values"):
+        DiscreteMatrixDistribution.iid_cells(10**6 + 1, 1, [0.0])
+    with pytest.raises(ValueError, match="cap of 10 cell values"):
+        lemma1_check(DiscreteMatrixDistribution.iid_cells(11, 1, [0.0]), [1.0], max_values=10)
 
 
 def test_lemma1_threshold_arity():
@@ -567,6 +606,23 @@ def test_lemma1_random_instances(seed):
     u = gen.uniform(-2.2, 2.2, size=d)
     report = lemma1_check(dist, u)
     assert report.difference <= 1e-12
+
+
+def test_lemma1_rhs_matches_a_loop_over_times_and_components():
+    # the reference counts each realisation's terms (k, c) one at a time: X_k^(c)
+    # exceeds, components before c are quiet from k on, the others after k
+    gen = np.random.Generator(np.random.PCG64(17))
+    for _ in range(8):
+        n, d = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+        dist = random_matrix_distribution(gen, n, d, max_atoms=2)
+        u = gen.uniform(-2.2, 2.2, size=d)
+        terms = []
+        for cells in itertools.product(*(range(len(v)) for v in dist.values)):
+            x = np.array([dist.values[c][a] for c, a in enumerate(cells)]).reshape(n, d)
+            count = sum(bool(x[k, c] > u[c] and (x[k:, :c] <= u[:c]).all() and (x[k + 1 :, c:] <= u[c:]).all())
+                        for k in range(n) for c in range(d))
+            terms.append(math.prod(dist.probs[c][a] for c, a in enumerate(cells)) * count)
+        assert lemma1_check(dist, u).rhs == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-14)
 
 
 def test_matrix_distribution_validation():

@@ -271,7 +271,7 @@ def test_fills_in_a_split_batch_do_not_split_again(pool_sizes, monkeypatch):
     key = RngKey(13).child(length)
 
     def blocks(threads):
-        return [b for _, b in iter_path_blocks(model, length, key, 8, plan=plan, threads=threads)]
+        return [b for _, b in iter_path_blocks(model, length, key, 8, "circulant", threads=threads)]
 
     split = blocks(2)
     assert pool_sizes == [2, 2] and len(split) == 2
