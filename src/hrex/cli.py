@@ -172,7 +172,7 @@ def cmd_theta(args) -> int:
     return _finish(args, None, args.seed, [], payload, True)
 
 
-def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
+def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int, threads: int):
     theta_cfg = _typed(cfg.get("theta", {}), dict, "theta")
     method = theta_cfg.get("method", "mc" if model.delta_spec is not None else "ones")
     if method == "ones":
@@ -193,9 +193,8 @@ def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int):
         for g, x in enumerate(x_grid):
             row = []
             for i in range(1, model.d + 1):
-                estimate, _ = theta_for_spec(
-                    model.delta_spec, x, i, samples, key.child(0, g, i), max_lag=max_lag
-                )
+                estimate, _ = theta_for_spec(model.delta_spec, x, i, samples, key.child(0, g, i),
+                                             max_lag=max_lag, threads=threads)
                 row.append(estimate.value)
             out.append(row)
         return out
@@ -220,7 +219,7 @@ def cmd_converge(args) -> int:
         seed=seed,
         sampler=args.sampler or cfg.get("sampler", "cholesky"),
     )
-    thetas = _theta_grid(cfg, model, experiment.x_grid, seed)
+    thetas = _theta_grid(cfg, model, experiment.x_grid, seed, args.threads)
     empirical = run_maxima_experiment(experiment, threads=args.threads)
     report = build_report([compare_to_limit(e, thetas) for e in empirical])
 

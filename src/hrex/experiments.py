@@ -250,6 +250,8 @@ class DiscreteMatrixDistribution:
     def iid_cells(cls, n: int, d: int, atoms: Sequence[float], probs: Sequence[float] | None = None):
         """Every cell on the same atoms.  A law whose enumeration passes
         lemma1_check's default cap is refused before its n*d cells are built."""
+        if not atoms:
+            raise ValueError("need at least one atom")
         _enumerated_values(n, d, itertools.repeat(len(atoms), n * d), _MAX_VALUES)
         if probs is None:
             probs = [1.0 / len(atoms)] * len(atoms)

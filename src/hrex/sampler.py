@@ -7,16 +7,16 @@ rho_ij(k, n) has the block-Toeplitz covariance
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
 method, maxima) into a Plan: the normals a replicate consumes, a
-transform from them to paths, the floats that transform holds per
-replicate, by which `iter_path_blocks` sizes its batches, the route it
-took, and the draw, `hrex.rng.standard_normal`.  The lag0, dense and
-banded routes return time-major (b, L, d) blocks, whose rows `write_path`
-writes as they are; the circulant route returns the first L points of its
-(b, d, m) irfft output as a transposed view, with no copy.  `block_maxima`
-reduces either layout over a contiguous time axis.  The four routes all
-read the lag table rho_ij(k, n) of `hrex.correlation.lag_table`, which
-makes the cut to 0 beyond model.max_lag.  Here max_lag only picks
-routes and bounds the lags the banded route reads:
+transform from them to paths, the floats per replicate by which
+`iter_path_blocks` sizes its batches, the route it took, and the draw,
+`hrex.rng.standard_normal`.  The lag0, dense and banded routes return
+time-major (b, L, d) blocks, whose rows `write_path` writes as they are;
+the circulant route returns the first L points of its (b, d, m) irfft
+output as a transposed view, with no copy.  `block_maxima` reduces either
+layout over a contiguous time axis.  The four routes all read the lag
+table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
+to 0 beyond model.max_lag.  Here max_lag only picks routes and bounds the
+lags the banded route reads:
 
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -25,13 +25,15 @@ routes and bounds the lags the banded route reads:
   beyond a finite max_lag (the band has width d*k + d - 1, k the last lag
   below L whose block is nonzero);
 * circulant (method "circulant"): the lag table is wrapped onto a cycle
-  of length m >= 2(L-1) whose d x d spectral blocks are factored on the
-  m/2 + 1 non-negative frequencies; a replicate's m*d real normals go
-  through rfft, that factor and irfft.  The embedding is exact whenever the
-  wrapped spectral blocks stay positive semidefinite; padding is doubled up
-  to three times before a logged fallback, whose plan names the dense or
-  banded route.  Each plan logs its embedding size, doublings, smallest
-  spectral eigenvalue and clipped eigenvalues at DEBUG.
+  of length m = 2 next_fast_len(L-1), the least even 5-smooth length with
+  m >= 2(L-1), whose d x d spectral blocks are factored on the m/2 + 1
+  non-negative frequencies; a replicate's m*d real normals are read as the
+  spectrum of white noise, mixed by that factor and inverted by an
+  in-place irfft.  The embedding is exact whenever the wrapped spectral
+  blocks stay positive semidefinite; padding is doubled up to three times
+  before a logged fallback, whose plan names the dense or banded route.
+  Each plan logs its embedding size, doublings, smallest spectral
+  eigenvalue and clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one draw loop, for paths and, with `maxima`,
 for their maxima over time, which make_plan then gives lag-0 rows with
@@ -92,10 +94,12 @@ _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
 # (draws per replicate, transform from (b, size) draws to (b, L, d) blocks, floats
-# it holds per replicate, which size the batches, the route that built it: lag0,
-# dense, banded, circulant or lag0-exact, and the hrex.rng function it draws from:
-# standard_normal, or uniform_open on the lag0-exact route).  Blocks are time-major,
-# except the circulant route's: a transposed view of its (b, d, m) irfft output
+# per replicate that size the batches: the draw, and on the circulant route also
+# the transform's temporaries and the block a part keeps until its next batch, the
+# route that built it: lag0, dense, banded, circulant or lag0-exact, and the
+# hrex.rng function it draws from: standard_normal, or uniform_open on the
+# lag0-exact route).  Blocks are time-major, except the circulant route's: a
+# transposed view of its (b, d, m) irfft output
 Plan = namedtuple("Plan", "size transform footprint route draw")
 
 
@@ -245,15 +249,24 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
 
 
 def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
-    """Circulant embedding from real noise (Davies-Harte; Chan & Wood 1999
-    give the vector case); None when every padding stays indefinite.
+    """Circulant embedding (Davies-Harte; Chan & Wood 1999 give the vector
+    case) on m = 2 next_fast_len(L - 1), the least even 5-smooth length that
+    holds the path, doubled while indefinite; None when every padding stays
+    indefinite.
 
     The wrapped lag table c_k = T_min(k, m-k) has real symmetric spectral
-    blocks Lambda_f = Lambda_(m-f) = A_f A_f^T, so x = irfft(A_f rfft(z)),
-    z of m real normals per component, is B z for the real circulant B with
-    B B^T = C; its first L time points have covariance Sigma."""
+    blocks Lambda_f = Lambda_(m-f) = A_f A_f^T.  The rfft of m white normals
+    is white noise again (Davies & Harte 1987): real N(0, m) at f = 0 and
+    m/2, independent N(0, m/2) real and imaginary parts between.  So each
+    component's m normals are read as that spectrum in fftpack's half-complex
+    order (r0, re1, im1, ..., r_(m/2)); one real table, A_f times those
+    scales at each position, mixes them, and the in-place irfft gives
+    x = B z for a real circulant B with B B^T = C, whose first L time
+    points have covariance Sigma."""
+    from scipy import fft, fftpack  # only this route needs them; set-up does not load them
+
     d = model.d
-    first = 1 << max(1, int(math.ceil(math.log2(max(2 * (length - 1), 2)))))
+    first = 2 * fft.next_fast_len(max(length - 1, 1), real=True)
     for doublings in range(_MAX_DOUBLINGS + 1):
         m = first << doublings
         table = lag_table(model, range(m // 2 + 1), n)
@@ -268,19 +281,27 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
         "circulant plan: embedding m=%d, doublings=%d, min eigenvalue %.3g, clipped %d",
         m, doublings, eigenvalues.min(), np.count_nonzero(eigenvalues < 0.0),
     )
-    # columns[i, j] = A_ij over the frequencies, contiguous per (i, j)
-    columns = np.ascontiguousarray(factors.transpose(1, 2, 0))
+    # position p of the half-complex order holds frequency (p + 1) // 2;
+    # coef[i, j, p] = A_ij at that frequency times the noise's scale there,
+    # contiguous per (i, j)
+    scale = np.full(m, math.sqrt(m / 2))
+    scale[[0, -1]] = math.sqrt(m)
+    coef = np.ascontiguousarray((factors[(np.arange(m) + 1) // 2] * scale[:, None, None]).transpose(1, 2, 0))
 
     def transform(z: np.ndarray) -> np.ndarray:
-        noise = np.fft.rfft(z.reshape(-1, d, m), axis=-1)
+        noise = z.reshape(-1, d, m)
         spectral = np.empty_like(noise)
         for i in range(d):
-            np.multiply(columns[i, 0], noise[:, 0], out=spectral[:, i])
+            np.multiply(coef[i, 0], noise[:, 0], out=spectral[:, i])
             for j in range(1, d):
-                spectral[:, i] += columns[i, j] * noise[:, j]
-        return np.fft.irfft(spectral, n=m, axis=-1)[:, :, :length].transpose(0, 2, 1)
+                spectral[:, i] += coef[i, j] * noise[:, j]
+        paths = fftpack.irfft(spectral, axis=-1, overwrite_x=True)
+        return paths[:, :, :length].transpose(0, 2, 1)
 
-    return Plan(m * d, transform, 2 * m * d, "circulant", standard_normal)
+    # per replicate: the draw, the spectral block (which becomes the paths),
+    # one component's product for d > 1, and the block kept until the part's
+    # next batch (or held by the consumer)
+    return Plan(m * d, transform, 3 * m * d + (m if d > 1 else 0), "circulant", standard_normal)
 
 
 def _lag0_exact_plan(model: CorrelationModel, length: int, n: float) -> Plan:

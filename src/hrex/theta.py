@@ -238,13 +238,16 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     return _estimate((cs,), samples, key)[0]
 
 
-def _estimate(sets: Sequence[ConstraintSet], samples: int, key: RngKey) -> list[ThetaEstimate]:
+def _estimate(
+    sets: Sequence[ConstraintSet], samples: int, key: RngKey, threads: int | None = None
+) -> list[ThetaEstimate]:
     """estimate_theta of each set, all read from one draw per batch: batch b
     draws a (q, b) block of z from key.child(b), q the most W slots of any
     set that reads W, and each set reads its leading len(cs.indices) rows.
     A draw of at least 2 * _PART_VALUES values splits its rows into up to
-    one part per CPU on hrex.rng.run_parts, with the same bits.  A set's
-    estimate is the one it gets alone on the same key."""
+    one part per CPU, and at most `threads` (None: no bound), on
+    hrex.rng.run_parts, with the same bits.  A set's estimate is the one it
+    gets alone on the same key."""
     if samples < 1:
         raise ValueError("need at least one sample")
     loadings = [None if (cs.rows.column < 0).all() else -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
@@ -256,8 +259,10 @@ def _estimate(sets: Sequence[ConstraintSet], samples: int, key: RngKey) -> list[
     for batch_index, start in enumerate(range(0, samples if q else 0, _BATCH)):
         b = min(_BATCH, samples - start)
         z, sub = np.empty((q, b)), key.child(batch_index)
-        # rows split per CPU, row a read at value a*b: any split gives one fill's bits
-        run_parts(q, q * b // _PART_VALUES, lambda a, e: standard_normal(sub, (e - a, b), a * b, z[a:e]))
+        # rows split per CPU and at most `threads` ways, row a read at value a*b: any
+        # split gives one fill's bits
+        parts = min(q if threads is None else threads, q * b // _PART_VALUES)
+        run_parts(q, parts, lambda a, e: standard_normal(sub, (e - a, b), a * b, z[a:e]))
         counts.append(b)
         for n, (cs, loading) in enumerate(zip(sets, loadings)):
             if loading is None:
@@ -290,6 +295,7 @@ def theta_for_spec(
     samples: int,
     key: RngKey,
     max_lag: int | None = None,
+    threads: int | None = None,
 ) -> tuple[ThetaEstimate, TruncationGap | None]:
     """Estimate theta_i(x) straight from a coefficient spec.
 
@@ -301,14 +307,15 @@ def theta_for_spec(
     shorter lag's, on the same normals and with the same factor block, so
     each sample's event can only shrink and the gap measures the
     truncation, not Monte Carlo noise.  Each estimate is byte-identical to
-    estimate_theta of its set on the same key.
+    estimate_theta of its set on the same key, and its draws split across
+    at most `threads` parts (None: one per CPU) with the same bits.
     """
     lag = _resolve_lag(spec, max_lag)
     cs = build_constraints(spec, x, i, lag)
     if lag >= spec.finite_horizon:
-        return estimate_theta(cs, samples=samples, key=key), None
+        return _estimate((cs,), samples, key, threads)[0], None
     doubled = max(2 * lag, 1)
-    estimate, second = _estimate((cs, build_constraints(spec, x, i, doubled)), samples, key)
+    estimate, second = _estimate((cs, build_constraints(spec, x, i, doubled)), samples, key, threads)
     gap = TruncationGap(
         lag=lag,
         lag_doubled=doubled,

@@ -302,6 +302,27 @@ def test_converge_mc_thetas_on_dependent_model(tmp_path, capsys):
     assert code == (0 if summary["verdict"] == "decreasing" else 1)
 
 
+def test_converge_threads_bound_the_theta_stage(tmp_path, capsys, pool_sizes, monkeypatch):
+    # finite coefficients at lags 1-40 truncated at 32 give 40 W slots at the
+    # doubled lag, so a batch of 65,536 samples draws 2.6e6 normals, enough to
+    # split; the paths (n = 2 and 8, 100 replicates) are too small to split
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    entries = [{"i": 1, "j": 1, "k": k, "delta": 1.0} for k in range(1, 41)]
+    cfg = write_json(tmp_path / "cfg.json", {
+        "model": {"name": "hr", "delta_spec": {"d": 1, "entries": entries, "default": "inf"}},
+        "n_list": [2, 8], "replicates": 100, "x_grid": [[0.0]],
+        "theta": {"method": "mc", "samples": 70_000, "max_lag": 32}, "seed": 3,
+    })
+    results = {}
+    for threads in ("1", "2"):
+        pool_sizes.clear()
+        out_dir = tmp_path / ("t" + threads)
+        code, _, _ = run(["converge", "--config", cfg, "--out", str(out_dir), "--threads", threads], capsys)
+        results[threads] = (code, (out_dir / "report.json").read_bytes())
+        assert pool_sizes == ([] if threads == "1" else [2])
+    assert results["1"] == results["2"]
+
+
 def test_converge_reports_a_rising_deviation_as_a_failure(tmp_path, capsys):
     # theta = 0 makes the limit 1 at x = -1, and the exact deviation
     # 1 - Phi(u_n(-1))^n rises from 0.871 at n = 10 to 0.898 at n = 1e4,
@@ -426,6 +447,13 @@ def test_lemma1_refuses_a_huge_row_at_once(tmp_path, capsys):
     }
 
 
+def test_lemma1_rejects_an_empty_atom_list(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"n": 2, "d": 1, "atoms": [], "thresholds": [1.0]})
+    code, out, err = run(["lemma1", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "need at least one atom"}
+
+
 def test_lemma1_weighted_atoms(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",
@@ -536,7 +564,7 @@ def test_sample_rejects_threads_below_one(threads, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg", [
-    # circulant: m = 8192 on d = 2, 32768 floats of footprint per path
+    # circulant: m = 6000 on d = 2, 42000 floats of footprint per path
     {"model": {"name": "geometric", "d": 2, "rate": 0.6, "cross": 0.4}, "length": 3000, "count": 6,
      "sampler": "circulant", "seed": 5},
     # banded: L * d = 10000 exceeds the dense cap of 8192

@@ -7,6 +7,7 @@ import logging
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from hrex.correlation import (
     DeltaSpec,
+    constant_model,
     geometric_model,
     hr_family,
     iid_model,
@@ -399,6 +401,9 @@ def test_circulant_plan_logs_embedding(caplog):
     m, doublings, smallest, clipped = circulant_record(caplog, geometric_model(2, 0.5, 0.3), 65)
     assert (m, doublings, clipped) == (128, 0, 0)
     assert smallest > 0.1
+    # m is twice the least 5-smooth length >= L - 1, not a power of two
+    for length, want in ((1000, 2000), (3000, 6000)):
+        assert circulant_record(caplog, geometric_model(2, 0.5, 0.3), length)[:2] == (want, 0)
     # a smooth correlation needs padding: at L = 5, m = 8 is indefinite
     m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(2), 5)
     assert (m, doublings, clipped) == (16, 1, 0)
@@ -408,6 +413,76 @@ def test_circulant_plan_logs_embedding(caplog):
     m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(6), 9)
     assert (m, doublings) == (64, 2)
     assert -1e-9 < smallest < 0.0 and clipped >= 1
+
+
+STOCK_MODELS = {
+    "geometric_d1": geometric_model(1, 0.6),
+    "geometric_d2": geometric_model(2, 0.6, 0.4),
+    "constant": constant_model(1, 0.3),
+    "ma1": tabulated_model(2, {(1, 1, 1): 0.3, (2, 2, 1): 0.3, (1, 2, 0): 0.2}),
+    "hr": hr_family(serial_spec(**{"1": 5.0})),
+}
+
+
+@pytest.mark.parametrize("length", [65, 1000, 3000, 4097, 100_000])
+@pytest.mark.parametrize("name", sorted(STOCK_MODELS))
+def test_circulant_embedding_needs_no_doubling_on_stock_models(caplog, name, length):
+    # the 5-smooth embedding is as positive as the power of two it replaces;
+    # the hr spec's rho(1) = 1 - 5 / ln n passes 1/2 at n = 1e5, where the
+    # tridiagonal covariance, and so every embedding, is indefinite
+    if name == "hr" and length == 100_000:
+        assert _circulant_plan(STOCK_MODELS[name], length, n=length) is None
+    else:
+        assert circulant_record(caplog, STOCK_MODELS[name], length)[1] == 0
+
+
+def bartlett_se(table, k, i, j, points):
+    """Standard error of the lag-k sample covariance of components (i, j)
+    over `points` time points, by Bartlett's formula from a lag table that
+    has decayed to 0 before its end."""
+    def gamma(h):
+        return table[h] if h >= 0 else table[-h].T
+
+    span = len(table) - k - 1
+    total = sum(gamma(h)[i, i] * gamma(h)[j, j] + gamma(h + k)[i, j] * gamma(h - k)[j, i]
+                for h in range(-span, span + 1))
+    return math.sqrt(total / points)
+
+
+@pytest.mark.parametrize("length, count", [(3000, 200), (100_000, 8)])
+def test_circulant_lag_covariances_match_the_lag_table(length, count):
+    # the 5-smooth embeddings m = 6000 and 200,000: sample covariances at
+    # lags 0-3, pooled over replicates, within 5 Bartlett SE of the table
+    model = geometric_model(2, 0.6, 0.4)
+    table = lag_table(model, range(80), length)  # 0.6^80 is below 1e-17
+    paths = path_values(model, length, RngKey(23).child(length), count, "circulant")
+    for k in range(4):
+        head, tail = paths[:, : length - k], paths[:, k:]
+        points = count * (length - k)
+        cov = np.einsum("rti,rtj->ij", head, tail) / points
+        for i in range(2):
+            for j in range(2):
+                se = bartlett_se(table, k, i, j, points)
+                assert abs(cov[i, j] - table[k, i, j]) <= 5.0 * se, (k, i, j, cov[i, j], se)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_circulant_footprint_counts_what_a_part_holds(d, batch):
+    # a part holds its draw, the transform's peak allocation and the block it
+    # keeps (or its consumer holds) until its next batch: the footprint the
+    # plan declares, which sizes the batches, counts all three
+    plan = make_plan(geometric_model(d, 0.6, 0.4), 100_000, "circulant")
+    z = standard_normal(RngKey(4).child(d), (batch, plan.size))
+    tracemalloc.start()
+    try:
+        paths = plan.transform(z)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held, declared = z.nbytes + peak + kept, batch * plan.footprint * z.itemsize
+    assert paths.base is not None and kept >= paths.base.nbytes
+    assert 0.99 * declared <= held <= declared + (64 << 10)
 
 
 @pytest.mark.parametrize(
