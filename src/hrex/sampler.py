@@ -6,13 +6,14 @@ rho_ij(k, n) has the block-Toeplitz covariance
     Sigma[(t-1)d + i, (s-1)d + j] = rho_ij(|t - s|, n),
 
 indexed time-major.  One planner, `make_plan`, turns (model, L, n,
-method, maxima) into a Plan: the normals a replicate consumes, a
-transform from them to paths, the floats per replicate by which
-`iter_path_blocks` sizes its batches, the route it took, and the draw,
-`hrex.rng.standard_normal`.  The lag0, dense and banded routes return
-time-major (b, L, d) blocks, whose rows `write_path` writes as they are;
-the circulant route returns the first L points of its (b, d, m) irfft
-output as a transposed view, with no copy.  `block_maxima` reduces either
+method, maxima) into a Plan: the normals a draw unit consumes, a transform
+from them to paths, the floats per unit by which `iter_path_blocks` sizes
+its batches, the route it took, the draw, `hrex.rng.standard_normal`, and
+the paths per unit, 2 on a paired circulant plan and 1 elsewhere.  The
+lag0, dense and banded routes return time-major (b, L, d) blocks, whose
+rows `write_path` writes as they are; the circulant route gathers the
+windows it keeps of its irfft output into one component-major (b, d, L)
+array and returns its transposed view.  `block_maxima` reduces either
 layout over a contiguous time axis.  The four routes all read the lag
 table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
 to 0 beyond model.max_lag.  Here max_lag only picks routes and bounds the
@@ -27,13 +28,17 @@ lags the banded route reads:
 * circulant (method "circulant"): the lag table is wrapped onto a cycle
   of length m = 2 next_fast_len(L-1), the least even 5-smooth length with
   m >= 2(L-1), whose d x d spectral blocks are factored on the m/2 + 1
-  non-negative frequencies; a replicate's m*d real normals are read as the
+  non-negative frequencies; a cycle's m*d real normals are read as the
   spectrum of white noise, mixed by that factor and inverted by an
-  in-place irfft.  The embedding is exact whenever the wrapped spectral
-  blocks stay positive semidefinite; padding is doubled up to three times
-  before a logged fallback, whose plan names the dense or banded route.
-  Each plan logs its embedding size, doublings, smallest spectral
-  eigenvalue and clipped eigenvalues at DEBUG.
+  in-place irfft.  When the table is 0 beyond a lag K, a cycle of
+  m' = 2 next_fast_len(L + K) < 2m gives two independent paths instead,
+  its points [0, L) and [m'/2, m'/2 + L) (Davies & Harte 1987 on a padded
+  embedding), so each path draws m'/2 < m values per component.  The
+  embedding is exact whenever the wrapped spectral blocks stay positive
+  semidefinite; padding is doubled up to three times before a logged
+  fallback, whose plan names the dense or banded route.  Each plan logs
+  its embedding size, windows, doublings, smallest spectral eigenvalue and
+  clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one draw loop, for paths and, with `maxima`,
 for their maxima over time, which make_plan then gives lag-0 rows with
@@ -43,10 +48,11 @@ and the values drawn.  It is the one place that splits path work across
 cores (the draws of hrex.rng start no threads), so `threads` bounds every
 thread a path run starts: each batch runs in parts on threads that share
 one plan, so the covariance, factor or spectrum is built once however
-many threads work.  A plan that draws s values per replicate reads
-replicate r as values r*s ... (r+1)*s - 1 of the one substream key, and
-a part of a batch as one fill, so results are reproducible for a given
-(seed, model, length, count), and off the dense route (see
+many threads work.  A plan whose draw unit takes s values and gives p
+paths reads replicate r as path r mod p of unit r // p, which reads values
+(r // p)*s ... (r // p + 1)*s - 1 of the one substream key, and a part of
+a batch as one fill, so results are reproducible for a given (seed,
+model, length), whatever the count, and off the dense route (see
 `iter_path_blocks`) however replicates are batched or split.
 """
 
@@ -93,14 +99,15 @@ _SPLIT_FLOATS = 1 << 14
 _MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
-# (draws per replicate, transform from (b, size) draws to (b, L, d) blocks, floats
-# per replicate that size the batches: the draw, and on the circulant route also
-# the transform's temporaries and the block a part keeps until its next batch, the
-# route that built it: lag0, dense, banded, circulant or lag0-exact, and the
-# hrex.rng function it draws from: standard_normal, or uniform_open on the
-# lag0-exact route).  Blocks are time-major, except the circulant route's: a
-# transposed view of its (b, d, m) irfft output
-Plan = namedtuple("Plan", "size transform footprint route draw")
+# (values per draw unit, transform from (u, size) draws to (u * paths, L, d)
+# blocks, floats per unit that size the batches: the draw, the transform's
+# temporaries and the block a part keeps until its next batch, the route that
+# built it: lag0, dense, banded, circulant or lag0-exact, the hrex.rng function
+# it draws from: standard_normal, or uniform_open on the lag0-exact route, and
+# the paths one unit gives: 2 on a paired circulant plan, else 1).  Blocks are
+# time-major, except the circulant route's: a transposed view of its
+# component-major (u * paths, d, L) windows
+Plan = namedtuple("Plan", "size transform footprint route draw paths")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +212,9 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     if factor is None:
         raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
     factor_t = factor[0].T.copy()
-    return Plan(length * d, lambda z: z.reshape(-1, length, d) @ factor_t, length * d, "lag0",
-                standard_normal)
+    # per replicate: the draw, its block, and the last batch's block, kept until this one is made
+    return Plan(length * d, lambda z: z.reshape(-1, length, d) @ factor_t, 3 * length * d, "lag0",
+                standard_normal, 1)
 
 
 def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -215,8 +223,9 @@ def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         _schur_factor, lag_table(model, range(length), n), (0, np.arange(d), np.arange(d)),
         "covariance (size %d)" % (length * d),
     )
-    return Plan(length * d, lambda z: (z @ factor_t).reshape(-1, length, d), length * d, "dense",
-                standard_normal)
+    # per replicate: the draw, its block, and the last batch's block, kept until this one is made
+    return Plan(length * d, lambda z: (z @ factor_t).reshape(-1, length, d), 3 * length * d, "dense",
+                standard_normal, 1)
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -245,14 +254,16 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
             x[:, o:] += band[o, : size - o] * z[:, : size - o]
         return x.reshape(-1, length, d)
 
-    return Plan(size, transform, size, "banded", standard_normal)
+    # per replicate: the draw, the block it sums into, one band row's product,
+    # and the last batch's block, kept until this one is made
+    return Plan(size, transform, 4 * size, "banded", standard_normal, 1)
 
 
 def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
     """Circulant embedding (Davies-Harte; Chan & Wood 1999 give the vector
     case) on m = 2 next_fast_len(L - 1), the least even 5-smooth length that
-    holds the path, doubled while indefinite; None when every padding stays
-    indefinite.
+    holds the path, or on a paired length that gives two paths per cycle,
+    doubled while indefinite; None when every padding stays indefinite.
 
     The wrapped lag table c_k = T_min(k, m-k) has real symmetric spectral
     blocks Lambda_f = Lambda_(m-f) = A_f A_f^T.  The rfft of m white normals
@@ -262,14 +273,25 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
     order (r0, re1, im1, ..., r_(m/2)); one real table, A_f times those
     scales at each position, mixes them, and the in-place irfft gives
     x = B z for a real circulant B with B B^T = C, whose first L time
-    points have covariance Sigma."""
+    points have covariance Sigma.
+
+    Pairing: when the first table's blocks vanish beyond a lag K below its
+    last, m' = 2 next_fast_len(L + K) puts two windows, points [0, L) and
+    [m'/2, m'/2 + L), at cyclic distance >= m'/2 - L + 1 > K, where c is 0:
+    two independent paths per cycle.  The plan pairs when m' < 2m, and only
+    if the final table, after any doublings, is 0 beyond K too."""
     from scipy import fft, fftpack  # only this route needs them; set-up does not load them
 
     d = model.d
     first = 2 * fft.next_fast_len(max(length - 1, 1), real=True)
+    table = lag_table(model, range(first // 2 + 1), n)
+    last = int(np.flatnonzero(table.any(axis=(1, 2)))[-1])
+    paired = 2 * fft.next_fast_len(length + last, real=True)
+    start, paths = (paired, 2) if last < first // 2 and paired < 2 * first else (first, 1)
     for doublings in range(_MAX_DOUBLINGS + 1):
-        m = first << doublings
-        table = lag_table(model, range(m // 2 + 1), n)
+        m = start << doublings
+        if len(table) <= m // 2:  # read only the lags this embedding adds
+            table = np.concatenate([table, lag_table(model, range(len(table), m // 2 + 1), n)])
         spectrum = np.fft.rfft(table[np.minimum(np.arange(m), m - np.arange(m))], axis=0).real
         tol = 1e-9 * max(1.0, float(np.abs(spectrum).max()))
         eigenvalues, factors = _factor_spectrum(spectrum, tol)
@@ -277,9 +299,11 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
             break
     else:
         return None
+    if table[last + 1 :].any():  # a lag the first table did not reach is nonzero
+        paths = 1
     log.debug(
-        "circulant plan: embedding m=%d, doublings=%d, min eigenvalue %.3g, clipped %d",
-        m, doublings, eigenvalues.min(), np.count_nonzero(eigenvalues < 0.0),
+        "circulant plan: embedding m=%d, windows=%d, doublings=%d, min eigenvalue %.3g, clipped %d",
+        m, paths, doublings, eigenvalues.min(), np.count_nonzero(eigenvalues < 0.0),
     )
     # position p of the half-complex order holds frequency (p + 1) // 2;
     # coef[i, j, p] = A_ij at that frequency times the noise's scale there,
@@ -295,13 +319,18 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
             np.multiply(coef[i, 0], noise[:, 0], out=spectral[:, i])
             for j in range(1, d):
                 spectral[:, i] += coef[i, j] * noise[:, j]
-        paths = fftpack.irfft(spectral, axis=-1, overwrite_x=True)
-        return paths[:, :, :length].transpose(0, 2, 1)
+        cycles = fftpack.irfft(spectral, axis=-1, overwrite_x=True)
+        # window w of a cycle is its points w m/2 ... w m/2 + L - 1; gathered
+        # component-major, path u * paths + w is window w of cycle u
+        windows = cycles.reshape(-1, d, paths, m // paths)[..., :length].transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(windows).reshape(-1, d, length).transpose(0, 2, 1)
 
-    # per replicate: the draw, the spectral block (which becomes the paths),
-    # one component's product for d > 1, and the block kept until the part's
-    # next batch (or held by the consumer)
-    return Plan(m * d, transform, 3 * m * d + (m if d > 1 else 0), "circulant", standard_normal)
+    # per cycle: the draw, the spectral block, beside it one component's product
+    # for d > 1 or the gathered windows, and the last batch's windows, kept (or
+    # held by the consumer) until these are made
+    kept = paths * length * d
+    return Plan(m * d, transform, 2 * m * d + max(m if d > 1 else 0, kept) + kept, "circulant",
+                standard_normal, paths)
 
 
 def _lag0_exact_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -329,7 +358,7 @@ def _lag0_exact_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         at_argmax = rho * m1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * ndtri(u[:, 1])
         return np.column_stack([m1, np.maximum(at_argmax, hi if length > 1 else -np.inf)])[:, None]
 
-    return Plan(2 * d - 1, transform, 2 * d - 1, "lag0-exact", uniform_open)
+    return Plan(2 * d - 1, transform, 2 * d - 1, "lag0-exact", uniform_open, 1)
 
 
 def make_plan(
@@ -381,39 +410,43 @@ def iter_path_blocks(
     """Stream replicate blocks (first_index, values[b, length, d]), or with
     `maxima` their (b, d) maxima over time, without holding all paths in
     memory, on make_plan's plan for (model, length, method, n, maxima),
-    whose route is logged once per call at DEBUG.  Replicate r of a plan
-    that draws s values per replicate reads values r*s ... (r+1)*s - 1 of
-    key's substream.
+    whose route is logged once per call at DEBUG, with the values drawn.
+    The loop counts draw units: a unit of s values gives the plan's p paths
+    (p = 2 on a paired circulant plan, else 1), and replicate r is path
+    r mod p of unit r // p, which reads values (r // p)*s ... (r // p + 1)*s
+    - 1 of key's substream.  An odd count on a paired plan draws its last
+    unit whole and drops that unit's second path.
 
-    This is the one place that splits replicates across cores: each batch
-    goes through hrex.rng.run_parts in at most `threads` parts, one per CPU
-    and per replicate at most, and only as many as hold _SPLIT_FLOATS floats
-    of footprint each.  Each part draws its slice of the substream with the
-    plan's draw and transforms it on its own thread, then with `maxima`
-    reduces it there with `block_maxima`, so only maxima join, in the
-    calling thread, into what the batch yields.  The parts share the batch
+    This is the one place that splits work across cores: each batch of
+    units goes through hrex.rng.run_parts in at most `threads` parts, one
+    per CPU and per unit at most, and only as many as hold _SPLIT_FLOATS
+    floats of footprint each.  Each part draws its slice of the substream
+    with the plan's draw and transforms it on its own thread, then with
+    `maxima` reduces it there with `block_maxima`, so only maxima join, in
+    the calling thread, into what the batch yields.  The parts share the batch
     budget of _BLOCK_VALUES floats, so memory does not grow with threads
     while footprint * parts <= _BLOCK_VALUES; past that, each part holds one
-    replicate.  A reduced part's block is kept until that part's next block
+    unit.  A reduced part's block is kept until that part's next block
     is made, as a consumer of unreduced blocks keeps its last one.  Values
     are independent of the batching and the split, except on the dense
     route: BLAS picks the kernel of its z @ factor_t by the part's row
     count, so a replicate's last bit can move with count and threads."""
-    size, transform, footprint, route, draw = make_plan(model, length, method, n, maxima)
+    size, transform, footprint, route, draw, paths = make_plan(model, length, method, n, maxima)
+    units = -(-count // paths)
     log.debug("iter_path_blocks route=%s length=%d n=%s count=%d values=%d",
-              route, length, length if n is None else n, count, size * count)
-    parts = split_count(count, min(threads, count * footprint // _SPLIT_FLOATS))
+              route, length, length if n is None else n, count, size * units)
+    parts = split_count(units, min(threads, units * footprint // _SPLIT_FLOATS))
     per_part = max(1, _BLOCK_VALUES // (footprint * parts))
     # a reduced part's block stays in `kept` until that part's next block is made:
     # freed at once, the heap top went back to the system every batch and was
     # faulted in again (maxima_matrix, 100 geometric circulant rows of 1e5, one
     # thread: 230,000 minor page faults, against 13,000 kept)
-    r, kept = 0, {}
-    while r < count:
-        b = min(per_part * parts, count - r)
+    u, kept = 0, {}
+    while u < units:
+        b = min(per_part * parts, units - u)
         done = {}
 
-        def work(a: int, e: int, first: int = r) -> None:
+        def work(a: int, e: int, first: int = u) -> None:
             block = transform(draw(key, (e - a, size), start=(first + a) * size))
             if maxima:
                 done[a], kept[a] = block_maxima(block), block
@@ -424,8 +457,9 @@ def iter_path_blocks(
         # join here: parts' blocks that the consumer held past their thread pinned
         # its malloc arena (sample_dump's peak RSS read 138.6-157.3 MB unjoined,
         # 136.9-139.1 MB joined, 134.5 MB on one core)
-        yield r, done.pop(0) if len(done) == 1 else np.concatenate([done.pop(a) for a in sorted(done)])
-        r += b
+        joined = done.pop(0) if len(done) == 1 else np.concatenate([done.pop(a) for a in sorted(done)])
+        yield u * paths, joined[: count - u * paths]  # an odd count drops its last unit's second path
+        u += b
 
 
 def block_maxima(block: np.ndarray) -> np.ndarray:

@@ -564,7 +564,7 @@ def test_sample_rejects_threads_below_one(threads, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg", [
-    # circulant: m = 6000 on d = 2, 42000 floats of footprint per path
+    # circulant: two paths per cycle of 9000 on d = 2, 60000 floats of footprint per cycle
     {"model": {"name": "geometric", "d": 2, "rate": 0.6, "cross": 0.4}, "length": 3000, "count": 6,
      "sampler": "circulant", "seed": 5},
     # banded: L * d = 10000 exceeds the dense cap of 8192

@@ -132,6 +132,9 @@ ROUTES = {
     "dense": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
     "banded": (tabulated_model(1, {(1, 1, 1): 0.3}), 8200, 5, "cholesky"),
     "circulant": (geometric_model(2, 0.5, 0.3), 256, 9, "circulant"),
+    # MA(1) cross terms: a cycle of 640 holds two paths, and 9 leaves one odd
+    "circulant_paired": (tabulated_model(2, {(1, 1, 1): 0.3, (1, 2, 0): 0.2, (1, 2, 1): 0.1}), 300, 9,
+                         "circulant"),
 }
 
 
@@ -139,8 +142,10 @@ ROUTES = {
 def test_every_route_entry_takes_the_route_it_names(route):
     # a banded entry that quietly planned dense would test dense twice
     model, length, _, method = ROUTES[route]
-    named = {"lag0_exact": "lag0-exact", "lag0_path": "lag0"}.get(route, route)
-    assert sampler.make_plan(model, length, method, maxima=True).route == named
+    named = {"lag0_exact": "lag0-exact", "lag0_path": "lag0", "circulant_paired": "circulant"}
+    named = named.get(route, route)
+    plan = sampler.make_plan(model, length, method, maxima=True)
+    assert (plan.route, plan.paths) == (named, 2 if route == "circulant_paired" else 1)
 
 
 def test_exact_route_keeps_the_lag0_psd_guard():
@@ -175,16 +180,18 @@ def test_maxima_thread_count_invariant_on_every_route(route, monkeypatch):
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_path_blocks_batch_invariant_on_every_route(route, monkeypatch):
-    # replicate r reads only values r*s ... (r+1)*s - 1 of key's substream,
-    # so cutting the replicates into three or more batches gives the bytes
+    # replicate r reads only the values of its draw unit, r // p of a plan
+    # that gives p paths per unit, so cutting the replicates into three or
+    # more batches gives the bytes
     # of one batch, for the path plans and for the plans whose blocks
     # maxima_matrix reduces
     model, length, replicates, method = ROUTES[route]
     key = RngKey(31).child(length)
 
     def blocks(maxima, per_batch):
-        footprint = sampler.make_plan(model, length, method, maxima=maxima).footprint
-        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * footprint)
+        # a batch holds whole draw units, of plan.paths replicates each
+        plan = sampler.make_plan(model, length, method, maxima=maxima)
+        monkeypatch.setattr(sampler, "_BLOCK_VALUES", -(-per_batch // plan.paths) * plan.footprint)
         return [b for _, b in iter_path_blocks(model, length, key, replicates, method, maxima=maxima)]
 
     for maxima in (False, True):

@@ -92,8 +92,8 @@ def test_assemble_respects_size_cap():
 def dense_factor(model, length):
     """The dense plan's upper factor R (R^T R = Sigma), read off its
     transform of the identity."""
-    size, transform, _, _, _ = _dense_plan(model, length, n=length)
-    return transform(np.eye(size)).reshape(size, size)
+    plan = _dense_plan(model, length, n=length)
+    return plan.transform(np.eye(plan.size)).reshape(plan.size, plan.size)
 
 
 def test_dense_factor_identity_no_jitter():
@@ -188,17 +188,49 @@ ROUTE_PLANS = {
 }
 
 
+def transform_gram(plan, length, d, chunk=512):
+    """A^T A for the transform A of the identity, whose rows are the paths
+    of one unit's standard normal draws, all of its windows side by side;
+    built a chunk of the identity's rows at a time, so that it holds no
+    (size, size) array."""
+    width = plan.paths * length * d
+    gram = np.zeros((width, width))
+    for first in range(0, plan.size, chunk):
+        rows = np.eye(min(chunk, plan.size - first), plan.size, first)
+        a = plan.transform(rows).reshape(len(rows), width)
+        gram += a.T @ a
+    return gram
+
+
 @pytest.mark.parametrize("length", [2, 37, 65])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("route", sorted(ROUTE_PLANS))
 def test_plan_transform_has_exact_covariance(route, d, length):
     # paths are z A for standard normals z, where A is the transform of the
-    # identity, so A^T A is the covariance of the route's paths
-    plan, model_of = ROUTE_PLANS[route]
+    # identity, so A^T A is the covariance of the route's paths; a paired
+    # plan's two windows of one draw are independent paths, block-diag(Sigma,
+    # Sigma).  MA(1) tables pair from L = 4, the geometric ones not below
+    # 0.5^k's underflow
+    plan_of, model_of = ROUTE_PLANS[route]
     model = model_of(d)
-    size, transform, _, _, _ = plan(model, length, n=length)
-    a = transform(np.eye(size)).reshape(size, length * d)
-    assert np.abs(a.T @ a - assemble_covariance(model, length)).max() <= 1e-12
+    plan = plan_of(model, length, n=length)
+    assert plan.paths == (2 if route == "circulant_ma1" and length > 2 else 1)
+    sigma = np.kron(np.eye(plan.paths), assemble_covariance(model, length))
+    assert np.abs(transform_gram(plan, length, d) - sigma).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, length, m",
+    [(ma1_model(2), 20, 48), (geometric_model(2, 0.3, 0.4), 700, 2700)],
+    ids=["ma1_L20", "geometric_0.3_L700"],
+)
+def test_paired_plan_gives_two_independent_exact_paths(model, length, m):
+    # 0.3^k underflows past k = 618, so at L = 700 a cycle of 2700 holds two
+    # windows 650 points apart, against a single window on 1440
+    plan = _circulant_plan(model, length, n=length)
+    assert (plan.size, plan.paths) == (m * model.d, 2)
+    sigma = np.kron(np.eye(2), assemble_covariance(model, length))
+    assert np.abs(transform_gram(plan, length, model.d) - sigma).max() <= 1e-12
 
 
 # --- cholesky route ----------------------------------------------------------
@@ -243,20 +275,23 @@ def test_cholesky_replicates_independent_of_batching():
 
 
 def test_replicates_read_one_substream_by_counter(monkeypatch):
-    # replicate r is the plan's transform of values r*s ... (r+1)*s - 1 of
-    # key's substream, and no replicate opens a substream of its own
-    model, length = geometric_model(1, 0.5), 16
-    key = RngKey(12).child(length)
-    size, transform, _, _, _ = make_plan(model, length, "circulant")
-
+    # replicate r is path r mod p of the transform of unit r // p, values
+    # (r // p)*s ... (r // p + 1)*s - 1 of key's substream, and no replicate
+    # opens a substream of its own; the MA(1) plan gives p = 2 paths a unit
     def no_child(*args):
         raise AssertionError("a replicate opened a substream of its own")
 
-    monkeypatch.setattr(RngKey, "child", no_child)
-    values = path_values(model, length, key, 5, "circulant")
-    for r in (0, 3, 4):
-        alone = transform(standard_normal(key, (1, size), start=r * size))
-        assert alone.tobytes() == values[r : r + 1].tobytes()
+    for model, length, paths in ((geometric_model(1, 0.5), 16, 1), (ma1_model(2), 37, 2)):
+        key = RngKey(12).child(length)
+        plan = make_plan(model, length, "circulant")
+        assert plan.paths == paths
+        with monkeypatch.context() as patch:
+            patch.setattr(RngKey, "child", no_child)
+            values = path_values(model, length, key, 5, "circulant")
+        for r in (0, 3, 4):
+            unit, window = divmod(r, paths)
+            alone = plan.transform(standard_normal(key, (1, plan.size), start=unit * plan.size))
+            assert alone[window : window + 1].tobytes() == values[r : r + 1].tobytes()
 
 
 def test_fills_in_a_split_batch_do_not_split_again(pool_sizes, monkeypatch):
@@ -387,31 +422,34 @@ def circulant_record(caplog, model, length):
     (record,) = [r for r in caplog.records if r.name == "hrex.sampler"]
     assert record.levelno == logging.DEBUG
     found = re.fullmatch(
-        r"circulant plan: embedding m=(\d+), doublings=(\d+), min eigenvalue (\S+), clipped (\d+)",
+        r"circulant plan: embedding m=(\d+), windows=(\d), doublings=(\d+), min eigenvalue (\S+),"
+        r" clipped (\d+)",
         record.getMessage(),
     )
     assert found is not None, record.getMessage()
-    m, doublings, smallest, clipped = found.groups()
-    return int(m), int(doublings), float(smallest), int(clipped)
+    m, windows, doublings, smallest, clipped = found.groups()
+    return int(m), int(windows), int(doublings), float(smallest), int(clipped)
 
 
 def test_circulant_plan_logs_embedding(caplog):
     # minimal embedding of L = 65 is m = 128; the geometric spectrum is
     # bounded away from 0, so nothing is clipped
-    m, doublings, smallest, clipped = circulant_record(caplog, geometric_model(2, 0.5, 0.3), 65)
-    assert (m, doublings, clipped) == (128, 0, 0)
+    m, windows, doublings, smallest, clipped = circulant_record(caplog, geometric_model(2, 0.5, 0.3), 65)
+    assert (m, windows, doublings, clipped) == (128, 1, 0, 0)
     assert smallest > 0.1
-    # m is twice the least 5-smooth length >= L - 1, not a power of two
-    for length, want in ((1000, 2000), (3000, 6000)):
-        assert circulant_record(caplog, geometric_model(2, 0.5, 0.3), length)[:2] == (want, 0)
+    # m is twice the least 5-smooth length >= L - 1, not a power of two; at
+    # L = 3000, 0.5^k is 0 past K = 1074, so a cycle of 2 * 4096 >= 2(L + K)
+    # holds two paths, where one took 6000
+    for length, want in ((1000, (2000, 1)), (3000, (8192, 2))):
+        assert circulant_record(caplog, geometric_model(2, 0.5, 0.3), length)[:3] == want + (0,)
     # a smooth correlation needs padding: at L = 5, m = 8 is indefinite
-    m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(2), 5)
-    assert (m, doublings, clipped) == (16, 1, 0)
+    m, windows, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(2), 5)
+    assert (m, windows, doublings, clipped) == (16, 1, 1, 0)
     # a wider one needs m = 64 at L = 9, where its spectrum is 0 up to
     # rounding at high frequencies: the rounding-level negative eigenvalues
     # are clipped
-    m, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(6), 9)
-    assert (m, doublings) == (64, 2)
+    m, windows, doublings, smallest, clipped = circulant_record(caplog, gaussian_correlation(6), 9)
+    assert (m, windows, doublings) == (64, 1, 2)
     assert -1e-9 < smallest < 0.0 and clipped >= 1
 
 
@@ -433,7 +471,7 @@ def test_circulant_embedding_needs_no_doubling_on_stock_models(caplog, name, len
     if name == "hr" and length == 100_000:
         assert _circulant_plan(STOCK_MODELS[name], length, n=length) is None
     else:
-        assert circulant_record(caplog, STOCK_MODELS[name], length)[1] == 0
+        assert circulant_record(caplog, STOCK_MODELS[name], length)[2] == 0
 
 
 def bartlett_se(table, k, i, j, points):
@@ -466,13 +504,11 @@ def test_circulant_lag_covariances_match_the_lag_table(length, count):
                 assert abs(cov[i, j] - table[k, i, j]) <= 5.0 * se, (k, i, j, cov[i, j], se)
 
 
-@pytest.mark.parametrize("batch", [1, 4])
-@pytest.mark.parametrize("d", [1, 2])
-def test_circulant_footprint_counts_what_a_part_holds(d, batch):
-    # a part holds its draw, the transform's peak allocation and the block it
-    # keeps (or its consumer holds) until its next batch: the footprint the
-    # plan declares, which sizes the batches, counts all three
-    plan = make_plan(geometric_model(d, 0.6, 0.4), 100_000, "circulant")
+def part_holds(plan, d, batch):
+    """What a part holds for a batch of `batch` units, in bytes, and what
+    the plan declares: the draw, the transform's peak allocation (by
+    tracemalloc) and the block it keeps (or its consumer holds) until its
+    next batch, against batch * footprint floats."""
     z = standard_normal(RngKey(4).child(d), (batch, plan.size))
     tracemalloc.start()
     try:
@@ -480,9 +516,126 @@ def test_circulant_footprint_counts_what_a_part_holds(d, batch):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held, declared = z.nbytes + peak + kept, batch * plan.footprint * z.itemsize
-    assert paths.base is not None and kept >= paths.base.nbytes
+    assert len(paths) == batch * plan.paths and kept >= paths.nbytes
+    return z.nbytes + peak + kept, batch * plan.footprint * z.itemsize
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_circulant_footprint_counts_what_a_part_holds(d, batch):
+    # the footprint, which sizes the batches, counts all a part holds, on a
+    # paired plan (geometric) and on a one-window plan (constant)
+    for model, paths in ((geometric_model(d, 0.6, 0.4), 2), (constant_model(d, 0.3), 1)):
+        plan = make_plan(model, 100_000, "circulant")
+        assert (plan.route, plan.paths) == ("circulant", paths)
+        held, declared = part_holds(plan, d, batch)
+        assert 0.99 * declared <= held <= declared + (64 << 10)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("route", ["lag0", "dense", "banded"])
+def test_footprint_counts_what_a_part_holds(route, d, batch):
+    # the other path routes count the draw, the product or sum and the kept
+    # block too (the banded route also one band row's product), not the draw alone
+    model, length = {
+        "lag0": (equicorrelated_lag0(d), 100_000),
+        "dense": (geometric_model(d, 0.5, 0.3), 2000 // d),
+        "banded": (ma1_model(d), 100_000),
+    }[route]
+    plan = make_plan(model, length, "cholesky")
+    assert (plan.route, plan.paths) == (route, 1)
+    held, declared = part_holds(plan, d, batch)
     assert 0.99 * declared <= held <= declared + (64 << 10)
+
+
+# --- paired circulant plans ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "model, length, m",
+    [
+        (geometric_model(1, 0.5), 1000, 2000),  # 0.5^k is 0 only past k = 1074
+        (geometric_model(1, 0.99), 2000, 4000),
+        (constant_model(1, 0.3), 182, 384),  # never 0; 2 * next_fast_len(182 + 192) < 2 * 384
+        (geometric_model(1, 0.6), 1500, 3000),  # 0 past 1458 < 1500, but 2 * 3000 is not below 2m
+    ],
+    ids=["geometric_0.5_L1000", "geometric_0.99_L2000", "constant_L182", "geometric_0.6_L1500"],
+)
+def test_plan_keeps_one_window_where_pairing_would_draw_more(caplog, model, length, m):
+    # a table that has not vanished before the first table's last lag, or a
+    # paired cycle of 2m or more, keeps today's single window on m
+    assert circulant_record(caplog, model, length)[:3] == (m, 1, 0)
+
+
+def test_paired_plan_checks_the_lags_it_adds(caplog):
+    # lag 44 lies past the first table (lags 0-40 at L = 40), but inside the
+    # paired cycle of 90: two windows would be 5 lags apart, where c = 0.01,
+    # so the plan keeps one window on that cycle, which is exact for one
+    model = tabulated_model(1, {(1, 1, 1): 0.3, (1, 1, 44): 0.01})
+    assert circulant_record(caplog, model, 40)[:3] == (90, 1, 0)
+    plan = _circulant_plan(model, 40, n=40)
+    assert np.abs(transform_gram(plan, 40, 1) - assemble_covariance(model, 40)).max() <= 1e-12
+
+
+def test_paired_plan_reads_each_lag_once(monkeypatch):
+    # the paired plan reads the first table, lags 0-3000 at L = 3000, then
+    # only the lags its cycle of 8192 adds
+    from hrex import sampler
+
+    ranges = []
+
+    def recording(model, lags, n):
+        ranges.append(lags)
+        return lag_table(model, lags, n)
+
+    monkeypatch.setattr(sampler, "lag_table", recording)
+    assert _circulant_plan(geometric_model(2, 0.5, 0.3), 3000, n=3000).paths == 2
+    assert ranges == [range(0, 3001), range(3001, 4097)]
+
+
+PAIRED = (ma1_model(2), 37, "circulant")  # a cycle of 80 holds two paths
+
+
+def test_paired_plan_odd_counts_keep_every_replicate(caplog):
+    # an odd count draws its last unit whole and drops that unit's second
+    # path: replicate r has the same bytes at every count, and the debug line
+    # counts the values drawn, 4 units of 2 x 80 at count 7
+    model, length, method = PAIRED
+    key = RngKey(41).child(length)
+    with caplog.at_level(logging.DEBUG, logger="hrex.sampler"):
+        seven = path_values(model, length, key, 7, method)
+    assert caplog.records[-1].getMessage().endswith("count=7 values=%d" % (4 * 80 * 2))
+    assert seven.shape == (7, length, 2)
+    for count in (1, 2, 3, 8):
+        some = path_values(model, length, key, count, method)
+        assert len(some) == count
+        assert some[:7].tobytes() == seven[:count].tobytes()
+
+
+@pytest.mark.parametrize("maxima", [False, True])
+def test_paired_plan_thread_and_batch_invariant(maxima, monkeypatch):
+    # 1 or 3 threads, one batch or batches of one unit: the same bytes, in
+    # replicate order, for paths and for their maxima
+    from hrex import sampler
+
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
+    model, length, method = PAIRED
+    key = RngKey(42).child(length)
+    footprint = make_plan(model, length, method).footprint
+
+    def run(count, threads, per_batch):
+        monkeypatch.setattr(sampler, "_BLOCK_VALUES", per_batch * footprint)
+        blocks = list(iter_path_blocks(model, length, key, count, method, threads=threads, maxima=maxima))
+        assert [first for first, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+        return np.concatenate([b for _, b in blocks])
+
+    for count in (1, 7, 8):
+        one = run(count, 1, 100)
+        assert len(one) == count
+        for threads, per_batch in ((3, 100), (1, 1), (3, 1)):
+            assert run(count, threads, per_batch).tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize(
