@@ -190,7 +190,10 @@ class CorrelationModel:
 
     rho(lags, n)[a, i-1, j-1] gives Corr(X_s^(i), X_{s+k}^(j)), k = lags[a],
     in the row of size n; it is symmetric in (i, j), equals 1 at (i, i, 0),
-    and vanishes for lags beyond max_lag (which may be math.inf).
+    and vanishes for lags beyond max_lag (which may be math.inf).  A model
+    may declare a separable AR(1) row, rho(k, n) = ar1_rate(n)^k rho(0, n)
+    with |ar1_rate(n)| < 1, which the samplers check at lags 1 and 2 before
+    they use it.
     """
 
     d: int
@@ -198,6 +201,7 @@ class CorrelationModel:
     max_lag: float
     name: str = "custom"
     delta_spec: DeltaSpec | None = field(default=None, repr=False)
+    ar1_rate: Callable[[float], float] | None = field(default=None, repr=False)
 
 
 def hr_family(spec: DeltaSpec) -> CorrelationModel:
@@ -259,7 +263,8 @@ def tabulated_model(d: int, table: Mapping[tuple[int, int, int], float]) -> Corr
 
 def geometric_model(d: int, rate: float, cross: float = 0.0) -> CorrelationModel:
     """Geometrically decaying correlations rho_ij(k) = c_ij * rate^k with
-    c_ii = 1 and c_ij = cross off the diagonal.
+    c_ii = 1 and c_ij = cross off the diagonal: a separable AR(1) row, which
+    the model declares.
 
     The cross matrix must be positive semidefinite, which for the
     equicorrelated form means cross in (-1/(d-1), 1]; together with
@@ -272,13 +277,24 @@ def geometric_model(d: int, rate: float, cross: float = 0.0) -> CorrelationModel
         raise ValueError("need cross-correlation in (-1/(d-1), 1]")
 
     base = np.where(np.eye(d, dtype=bool), 1.0, cross)
+    # rate**k underflows to 0.0 at k = zero_from and stays 0.0 beyond, so only
+    # lags below it are evaluated: 0.6**k is 0.0 from k = 1459, and a
+    # circulant plan at L = 1e5 asks for 102,401 lags
+    zero_from = 1 if rate == 0.0 else math.ceil(-1075.0 / math.log2(rate))
+    while zero_from > 1 and rate ** (zero_from - 1) == 0.0:
+        zero_from -= 1
+    while rate**zero_from != 0.0:
+        zero_from += 1
 
     def rho(lags: np.ndarray, n: float) -> np.ndarray:
+        powers = np.zeros(len(lags))
+        live = np.flatnonzero(lags < zero_from)
         # Python's pow: numpy's SIMD power can differ in the last bit, by CPU
-        powers = np.fromiter((rate**k for k in lags.tolist()), float, count=len(lags))
+        powers[live] = np.fromiter((rate**k for k in lags[live].tolist()), float, count=len(live))
         return base * powers[:, None, None]
 
-    return CorrelationModel(d=d, rho=rho, max_lag=(0 if rate == 0.0 else math.inf), name="geometric")
+    return CorrelationModel(d=d, rho=rho, max_lag=(0 if rate == 0.0 else math.inf), name="geometric",
+                            ar1_rate=lambda n: rate)
 
 
 def constant_model(d: int, rho_value: float) -> CorrelationModel:

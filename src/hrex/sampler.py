@@ -11,16 +11,21 @@ from them to paths, the floats per unit by which `iter_path_blocks` sizes
 its batches, the route it took, the draw, `hrex.rng.standard_normal`, and
 the paths per unit, 2 on a paired circulant plan and 1 elsewhere.  The
 lag0, dense and banded routes return time-major (b, L, d) blocks, whose
-rows `write_path` writes as they are; the circulant route gathers the
-windows it keeps of its irfft output into one component-major (b, d, L)
-array and returns its transposed view.  `block_maxima` reduces either
-layout over a contiguous time axis.  The four routes all read the lag
+rows `write_path` writes as they are; the ar1 route returns the
+transposed view of a component-major (b, d, L) array, and the circulant
+route gathers the windows it keeps of its irfft output into one such
+array and returns its transposed view too.  `block_maxima` reduces either
+layout over a contiguous time axis.  The five routes all read the lag
 table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
 to 0 beyond model.max_lag.  Here max_lag only picks routes and bounds the
 lags the banded route reads:
 
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
+* ar1 (method "cholesky"): models that declare a separable AR(1) row,
+  rho(k, n) = a(n)^k rho(0, n), at any length: the Cholesky factor is an
+  AR(1) recursion in time times the d x d factor of the lag-0 block, in
+  O(L d^2) per path;
 * dense: Schur factor of the block-Toeplitz lag table, L*d <= 8192;
 * banded: Cholesky for longer paths of models whose correlation vanishes
   beyond a finite max_lag (the band has width d*k + d - 1, k the last lag
@@ -102,11 +107,11 @@ _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 # (values per draw unit, transform from (u, size) draws to (u * paths, L, d)
 # blocks, floats per unit that size the batches: the draw, the transform's
 # temporaries and the block a part keeps until its next batch, the route that
-# built it: lag0, dense, banded, circulant or lag0-exact, the hrex.rng function
-# it draws from: standard_normal, or uniform_open on the lag0-exact route, and
-# the paths one unit gives: 2 on a paired circulant plan, else 1).  Blocks are
-# time-major, except the circulant route's: a transposed view of its
-# component-major (u * paths, d, L) windows
+# built it: lag0, ar1, dense, banded, circulant or lag0-exact, the hrex.rng
+# function it draws from: standard_normal, or uniform_open on the lag0-exact
+# route, and the paths one unit gives: 2 on a paired circulant plan, else 1).
+# Blocks are time-major, except the ar1 and circulant routes': transposed views
+# of component-major (u * paths, d, L) arrays
 Plan = namedtuple("Plan", "size transform footprint route draw paths")
 
 
@@ -226,6 +231,43 @@ def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     # per replicate: the draw, its block, and the last batch's block, kept until this one is made
     return Plan(length * d, lambda z: (z @ factor_t).reshape(-1, length, d), 3 * length * d, "dense",
                 standard_normal, 1)
+
+
+def _ar1_plan(model: CorrelationModel, length: int, n: float) -> Plan:
+    """Separable AR(1) rows, rho(k, n) = a^k C with C the lag-0 block, as the
+    model declares a = model.ar1_rate(n), checked at lags 1 and 2.  The
+    time-major covariance is T (x) C with T = [a^|t-s|], whose Cholesky factor
+    is chol(T) (x) chol(C), and chol(T) is the recursion y_0 = w_0,
+    y_t = a y_{t-1} + sqrt(1 - a^2) w_t: per replicate, chol(C) (times
+    sqrt(1 - a^2) after the first point) maps each time point's normals into
+    a component-major block, and one unit lower-bidiagonal solve, LAPACK's
+    dtbtrs, runs the recursion on every component in place."""
+    d = model.d
+    table = lag_table(model, range(3), n)
+    a = float(model.ar1_rate(n))
+    gap = float(np.abs(table[1:] - a ** np.arange(1.0, 3.0)[:, None, None] * table[0]).max())
+    if not (-1.0 < a < 1.0 and gap <= 1e-12):
+        raise ValueError("model declares AR(1) rate %r at n=%g, but |rho(k) - rate^k rho(0)| reaches"
+                         " %.3g at lags 1-2" % (a, n, gap))
+    c = _factor_or_jitter(np.linalg.cholesky, table[0], (np.arange(d), np.arange(d)),
+                          "lag-0 block of the AR(1) row")
+    first_t, rest_t = c.T.copy(), math.sqrt((1.0 - a) * (1.0 + a)) * c.T
+    band = np.zeros((2, length), order="F")  # Fortran order, which dtbtrs reads without a copy
+    band[1, :-1] = -a  # the subdiagonal; diag="U" leaves row 0, the unit diagonal, unread
+
+    def transform(z: np.ndarray) -> np.ndarray:
+        z = z.reshape(-1, length, d)
+        w = np.empty((len(z), d, length))
+        # stacked products of a fixed shape per replicate, written through a time-major view
+        times = w.transpose(0, 2, 1)
+        np.matmul(z[:, :1], first_t, out=times[:, :1])
+        np.matmul(z[:, 1:], rest_t, out=times[:, 1:])
+        # info is nonzero only for an illegal argument, which these shapes rule out
+        y, _ = scipy.linalg.lapack.dtbtrs(band, w.reshape(-1, length).T, uplo="L", diag="U", overwrite_b=1)
+        return y.T.reshape(-1, d, length).transpose(0, 2, 1)
+
+    # per replicate: the draw, its block, and the last batch's block, kept until this one is made
+    return Plan(length * d, transform, 3 * length * d, "ar1", standard_normal, 1)
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
@@ -366,7 +408,8 @@ def make_plan(
 ) -> Plan:
     """Pick the sampling route, which the plan names: lag0 whenever the path
     has no serial dependence, or lag0-exact there when maxima are asked for
-    and d <= 2; otherwise circulant when asked for.  Without it, or when the
+    and d <= 2; otherwise circulant when asked for, and else ar1 for a model
+    that declares an AR(1) row (model.ar1_rate).  Without them, or when the
     embedding fails, dense (Schur factor of the block-Toeplitz lag table,
     L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the array-row size
     fed to the correlation function (default: the path length)."""
@@ -383,6 +426,8 @@ def make_plan(
             plan = _lag0_exact_plan(model, length, n)
     elif method == "circulant":
         plan = _circulant_plan(model, length, n)
+    elif model.ar1_rate is not None:
+        plan = _ar1_plan(model, length, n)
     if plan is None:  # the size rule, also where the circulant embedding failed
         failed = "circulant embedding indefinite after %d doublings" % _MAX_DOUBLINGS
         banded = length * model.d > DENSE_CAP

@@ -497,11 +497,37 @@ def test_sample_writes_paths(tmp_path, capsys):
 
 
 def test_sample_logs_its_route(tmp_path, capsys, caplog):
+    # an MA(1) table declares no AR(1) row, so a short path takes the dense route
     caplog.set_level(logging.DEBUG, logger="hrex.sampler")
-    cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "model_n": 100})
+    ma1 = {"name": "tabulated", "d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3}]}
+    cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "model": ma1, "model_n": 100})
     assert run(["sample", "--config", cfg, "--out", str(tmp_path / "paths")], capsys)[0] == 0
     messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
     assert messages == ["iter_path_blocks route=dense length=16 n=100 count=3 values=48"]
+
+
+def test_sample_cholesky_writes_geometric_paths_beyond_the_dense_cap(tmp_path, capsys, caplog):
+    # L * d = 10,000 exceeds the dense cap of 8192, and geometric rows have no
+    # finite band: the ar1 route samples them exactly, in the dump format
+    from hrex.correlation import geometric_model
+    from hrex.rng import RngKey
+    from hrex.sampler import iter_path_blocks, read_path
+
+    caplog.set_level(logging.DEBUG, logger="hrex.sampler")
+    model = {"name": "geometric", "d": 2, "rate": 0.6, "cross": 0.4}
+    cfg = write_json(tmp_path / "cfg.json", {"model": model, "length": 5000, "count": 2, "seed": 3})
+    out_dir = tmp_path / "paths"
+    code, out, _ = run(["sample", "--config", cfg, "--out", str(out_dir), "--sampler", "cholesky"], capsys)
+    assert code == 0 and json.loads(out) == {"paths": 2, "out_dir": str(out_dir)}
+    messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
+    assert messages == ["iter_path_blocks route=ar1 length=5000 n=5000 count=2 values=20000"]
+    (_, block), = iter_path_blocks(geometric_model(2, 0.6, 0.4), 5000, RngKey(3).child(5000), 2)
+    for r in range(2):
+        blob = (out_dir / ("path_%06d.bin" % r)).read_bytes()
+        assert blob[:8] == b"HREXPATH" and len(blob) == 24 + 5000 * 2 * 8
+        with open(out_dir / ("path_%06d.bin" % r), "rb") as fh:
+            values = read_path(fh).values
+        assert values.shape == (5000, 2) and values.tobytes() == np.ascontiguousarray(block[r]).tobytes()
 
 
 def test_sample_deterministic(tmp_path, capsys):

@@ -466,6 +466,19 @@ def test_geometric_model_validates():
         geometric_model(3, 0.5, -0.6)
 
 
+@pytest.mark.parametrize("rate", [0.3, 0.6, 0.99])
+def test_geometric_model_skips_lags_past_underflow_bit_for_bit(rate):
+    # rate**k is evaluated only below its first underflow to 0.0; the table is
+    # the bytes of rate**k at every lag, in order or not, cross term negative too
+    lags = np.arange(200_000)
+    shuffled = np.random.default_rng(5).permutation(lags)
+    for d, cross in ((1, 0.0), (2, -0.4)):
+        base = np.where(np.eye(d, dtype=bool), 1.0, cross)
+        for asked in (lags, shuffled):
+            reference = base * np.fromiter((rate**k for k in asked.tolist()), float)[:, None, None]
+            assert geometric_model(d, rate, cross).rho(asked, 10.0).tobytes() == reference.tobytes()
+
+
 def test_constant_model_values_and_validation():
     model = constant_model(2, 0.4)
     assert rho_at(model, 1, 1, 0, 10) == 1.0

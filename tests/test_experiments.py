@@ -129,7 +129,9 @@ ROUTES = {
     # route: (model, length, replicates, sampler)
     "lag0_exact": (bivariate_hr(1.0), 16, 9, "cholesky"),
     "lag0_path": (iid_model(3), 16, 9, "cholesky"),
-    "dense": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
+    "ar1": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
+    # MA(1) cross terms declare no AR(1) row
+    "dense": (tabulated_model(2, {(1, 1, 1): 0.3, (1, 2, 0): 0.2, (1, 2, 1): 0.1}), 64, 9, "cholesky"),
     "banded": (tabulated_model(1, {(1, 1, 1): 0.3}), 8200, 5, "cholesky"),
     "circulant": (geometric_model(2, 0.5, 0.3), 256, 9, "circulant"),
     # MA(1) cross terms: a cycle of 640 holds two paths, and 9 leaves one odd
@@ -237,13 +239,14 @@ def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_path_blocks_keep_their_layout_and_reduce_to_maxima(route):
     # lag0, dense and banded blocks are time-major, so a dump writes their rows
-    # without a copy; the circulant block is a view of its irfft output with
-    # a contiguous time axis.  block_maxima gives the max over time of either
+    # without a copy; the ar1 and circulant blocks are views of component-major
+    # arrays, with a contiguous time axis.  block_maxima gives the max over time
+    # of either
     model, length, replicates, method = ROUTES[route]
     plan = sampler.make_plan(model, length, method)
     for _, block in iter_path_blocks(model, length, RngKey(31).child(length), replicates, method):
         assert block.shape[1:] == (length, model.d)
-        if plan.route == "circulant":
+        if plan.route in ("ar1", "circulant"):
             assert block.strides[1] == block.itemsize and block.base is not None
         else:
             assert block.flags.c_contiguous
@@ -275,7 +278,7 @@ def test_split_batch_reduces_on_each_part_thread(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method, counted", [("cholesky", "lag_table"), ("circulant", "lag_table")])
 def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
-    # every worker chunk reuses the one plan: the dense or circulant lag
+    # every worker chunk reuses the one plan: the ar1, dense or circulant lag
     # table is built, and factored, once
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
@@ -287,9 +290,13 @@ def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampler, counted, counting)
-    model = geometric_model(2, 0.5, 0.3)
-    maxima_matrix(model, 1000, RngKey(3).child(1000), 8, method, threads=threads)
-    assert len(calls) == 1
+    routes = ["ar1", "dense"] if method == "cholesky" else ["circulant"]
+    for route in routes:
+        model = ROUTES[route][0]
+        assert sampler.make_plan(model, 1000, method).route == route
+        calls.clear()
+        maxima_matrix(model, 1000, RngKey(3).child(1000), 8, method, threads=threads)
+        assert len(calls) == 1
 
 
 def test_maxima_workers_capped_by_cpus_and_replicates(monkeypatch):
@@ -418,10 +425,12 @@ def test_maxima_logs_route_once_per_call(caplog):
     caplog.set_level(logging.DEBUG, logger="hrex.sampler")
     maxima_matrix(bivariate_hr(1.0), 10**6, RngKey(1).child(0), 7)
     maxima_matrix(iid_model(3), 10, RngKey(1).child(0), 7, threads=2)
+    maxima_matrix(geometric_model(2, 0.5, 0.3), 10_000, RngKey(1).child(0), 7)
     messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
     assert messages == [
         "iter_path_blocks route=lag0-exact length=1000000 n=1000000 count=7 values=21",
         "iter_path_blocks route=lag0 length=10 n=10 count=7 values=210",
+        "iter_path_blocks route=ar1 length=10000 n=10000 count=7 values=140000",
     ]
 
 

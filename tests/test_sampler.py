@@ -8,6 +8,7 @@ import math
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from hrex.sampler import (
 )
 from hrex.sampler import (
     _DEFAULT_JITTER,
+    _ar1_plan,
     _banded_plan,
     _circulant_plan,
     _dense_plan,
@@ -181,6 +183,7 @@ def ma1_model(d):
 ROUTE_PLANS = {
     # route: (plan function, model for dimension d)
     "lag0": (_lag0_plan, equicorrelated_lag0),
+    "ar1": (_ar1_plan, lambda d: geometric_model(d, 0.5, 0.3)),
     "dense": (_dense_plan, lambda d: geometric_model(d, 0.5, 0.3)),
     "banded": (_banded_plan, ma1_model),
     "circulant_geometric": (_circulant_plan, lambda d: geometric_model(d, 0.5, 0.3)),
@@ -534,13 +537,14 @@ def test_circulant_footprint_counts_what_a_part_holds(d, batch):
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("route", ["lag0", "dense", "banded"])
+@pytest.mark.parametrize("route", ["lag0", "ar1", "dense", "banded"])
 def test_footprint_counts_what_a_part_holds(route, d, batch):
     # the other path routes count the draw, the product or sum and the kept
     # block too (the banded route also one band row's product), not the draw alone
     model, length = {
         "lag0": (equicorrelated_lag0(d), 100_000),
-        "dense": (geometric_model(d, 0.5, 0.3), 2000 // d),
+        "ar1": (geometric_model(d, 0.5, 0.3), 100_000),
+        "dense": (ma1_model(d), 2000 // d),
         "banded": (ma1_model(d), 100_000),
     }[route]
     plan = make_plan(model, length, "cholesky")
@@ -643,15 +647,18 @@ def test_paired_plan_thread_and_batch_invariant(maxima, monkeypatch):
     [
         ("lag0", equicorrelated_lag0(3), 40, "circulant"),
         ("lag0", geometric_model(2, 0.5, 0.3), 1, "circulant"),
-        ("dense", geometric_model(2, 0.5, 0.3), 40, "cholesky"),
+        ("ar1", geometric_model(2, 0.5, 0.3), 40, "cholesky"),
+        ("ar1", geometric_model(2, 0.5, 0.3), 100_000, "cholesky"),
+        ("dense", ma1_model(2), 40, "cholesky"),
         ("banded", ma1_model(2), 4100, "cholesky"),
         ("circulant", geometric_model(2, 0.5, 0.3), 40, "circulant"),
     ],
-    ids=["lag0_max_lag_0", "lag0_length_1", "dense", "banded", "circulant"],
+    ids=["lag0_max_lag_0", "lag0_length_1", "ar1", "ar1_beyond_dense_cap", "dense", "banded", "circulant"],
 )
 def test_make_plan_names_the_route_it_takes(route, model, length, method):
     # max_lag 0 or a single time point is lag0 whatever the method; a
-    # serially dependent 2 x 4100 path exceeds the dense cap of 8192
+    # serially dependent 2 x 4100 path exceeds the dense cap of 8192, which
+    # does not bind a declared AR(1) row; asked for, circulant keeps its route
     assert make_plan(model, length, method).route == route
 
 
@@ -664,6 +671,47 @@ def test_circulant_fallback_plan_names_the_route_it_takes(cap, route, caplog, mo
     assert _circulant_plan(model, 5, n=5) is None
     assert make_plan(model, 5, "circulant").route == route
     assert "falling back to the %s route" % route in caplog.text
+
+
+# --- ar1 route ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.6, 0.99])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ar1_transform_matches_the_dense_factor(d, rate):
+    # chol(T (x) C) = chol(T) (x) chol(C): on the same time-major normals the
+    # recursion and the Schur factor give the same paths, to rounding
+    model, length = geometric_model(d, rate, 0.3), 200
+    z = standard_normal(RngKey(61).child(d), (5, length * d))
+    ar1 = _ar1_plan(model, length, n=length).transform(z)
+    dense = _dense_plan(model, length, n=length).transform(z)
+    assert np.abs(ar1 - dense).max() <= 1e-12
+
+
+def test_ar1_jitter_goes_on_the_lag0_block():
+    # cross = 1 makes C singular: the jitter goes on C, so the covariance is
+    # T (x) (C + jitter I), not the dense route's Sigma + jitter I
+    model, length = geometric_model(2, 0.6, 1.0), 50
+    plan = _ar1_plan(model, length, n=length)
+    kac = assemble_covariance(geometric_model(1, 0.6), length)
+    sigma = assemble_covariance(model, length) + _DEFAULT_JITTER * np.kron(kac, np.eye(2))
+    assert np.abs(transform_gram(plan, length, 2) - sigma).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        replace(geometric_model(2, 0.5, 0.3), ar1_rate=lambda n: 0.4),
+        replace(tabulated_model(1, {(1, 1, 1): 0.5}), max_lag=math.inf, ar1_rate=lambda n: 0.5),
+        # rho(k) = 1 at lags 0-2 fits rate 1, which no stationary AR(1) row has
+        replace(tabulated_model(1, {(1, 1, 1): 1.0, (1, 1, 2): 1.0}), ar1_rate=lambda n: 1.0),
+    ],
+    ids=["wrong_rate", "wrong_at_lag_2", "unit_rate"],
+)
+def test_ar1_plan_rejects_a_false_declaration(model):
+    # the declaration is checked against the lag table before it is trusted
+    with pytest.raises(ValueError, match=r"declares AR\(1\) rate"):
+        make_plan(model, 100, "cholesky")
 
 
 # --- banded route ------------------------------------------------------------
