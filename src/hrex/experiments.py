@@ -238,7 +238,7 @@ class DiscreteMatrixDistribution:
             raise ValueError("need n >= 1 and d >= 1")
         if len(self.values) != self.n * self.d or len(self.probs) != self.n * self.d:
             raise ValueError("need one atom list per cell")
-        for vals, ps in zip(self.values, self.probs):
+        for vals, ps in dict.fromkeys(zip(self.values, self.probs)):  # each distinct cell once
             if len(vals) != len(ps) or not vals:
                 raise ValueError("cell atoms and probabilities must align")
             if any(p < 0 for p in ps):
@@ -303,6 +303,33 @@ def _enumerated_values(n: int, d: int, radices, cap: int) -> int:
     return values
 
 
+def _realisations(dist: DiscreteMatrixDistribution, max_values: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every realisation s of dist as x[s] (n x d) with its probability
+    prob[s]; cell c's atom index is digit c of s in the mixed radix whose
+    last cell varies fastest.  Atoms and probabilities are gathered from
+    tables with one row per distinct cell, and each probability is the
+    product over cells from the last to the first, in that order."""
+    n, d = dist.n, dist.d
+    cells = list(zip(dist.values, dist.probs))
+    # each distinct (atoms, probabilities) cell, first seen first, to its table row
+    rows = {cell: r for r, cell in enumerate(dict.fromkeys(cells))}
+    which = np.fromiter(map(rows.__getitem__, cells), dtype=np.intp, count=len(cells))
+    radix = np.array([len(vals) for vals, _ in rows])
+    radices = radix[which]
+    size = _enumerated_values(n, d, radices.tolist(), max_values) // (n * d)
+    atom_table = np.zeros((len(rows), radix.max()))
+    prob_table = np.zeros_like(atom_table)
+    for r, (vals, ps) in enumerate(rows):
+        atom_table[r, : len(vals)], prob_table[r, : len(ps)] = vals, ps
+    # digits[c, s]: stride c is the product of the radices after cell c
+    strides = np.append(np.cumprod(radices[:0:-1])[::-1], 1)
+    digits = (np.arange(size) // strides[:, None]) % radices[:, None]
+    x = atom_table[which[:, None], digits].T.reshape(size, n, d)
+    # reduced over axis 0, row by row: the last cell's factor first
+    prob = np.multiply.reduce(prob_table[which[::-1, None], digits[::-1]], axis=0)
+    return x, prob
+
+
 def lemma1_check(
     dist: DiscreteMatrixDistribution, u: Sequence[float], max_values: int = _MAX_VALUES
 ) -> Lemma1Report:
@@ -314,23 +341,10 @@ def lemma1_check(
     keeping the comparison within a 1e-12 budget even for float atom
     probabilities.
     """
-    n, d = dist.n, dist.d
-    if len(u) != d:
+    if len(u) != dist.d:
         raise ValueError("need one threshold per component")
-    radices = [len(vals) for vals in dist.values]
-    size = _enumerated_values(n, d, radices, max_values) // (n * d)
+    x, prob = _realisations(dist, max_values)
     u = np.asarray([float(v) for v in u])
-
-    atoms = np.empty((size, n * d))
-    prob = np.ones(size)
-    index = np.arange(size)
-    stride = 1
-    for cell in range(n * d - 1, -1, -1):
-        digit = (index // stride) % radices[cell]
-        atoms[:, cell] = np.asarray(dist.values[cell])[digit]
-        prob *= np.asarray(dist.probs[cell])[digit]
-        stride *= radices[cell]
-    x = atoms.reshape(size, n, d)
 
     # inclusive suffix maxima over time, then the strict (exclusive) version
     incl = np.maximum.accumulate(x[:, ::-1, :], axis=1)[:, ::-1, :]
@@ -348,7 +362,7 @@ def lemma1_check(
     lhs = math.fsum(prob[union].tolist())
     weighted = prob * counts
     rhs = math.fsum(weighted[counts > 0].tolist())
-    return Lemma1Report(lhs=lhs, rhs=rhs, difference=abs(lhs - rhs), support_size=size)
+    return Lemma1Report(lhs=lhs, rhs=rhs, difference=abs(lhs - rhs), support_size=len(x))
 
 
 @dataclass(frozen=True)

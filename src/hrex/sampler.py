@@ -18,7 +18,8 @@ array and returns its transposed view too.  `block_maxima` reduces either
 layout over a contiguous time axis.  The five routes all read the lag
 table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
 to 0 beyond model.max_lag.  Here max_lag only picks routes and bounds the
-lags the banded route reads:
+lags the banded route reads; the route follows the model's structure, not
+the path length (past L = 1):
 
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -26,10 +27,11 @@ lags the banded route reads:
   rho(k, n) = a(n)^k rho(0, n), at any length: the Cholesky factor is an
   AR(1) recursion in time times the d x d factor of the lag-0 block, in
   O(L d^2) per path;
-* dense: Schur factor of the block-Toeplitz lag table, L*d <= 8192;
-* banded: Cholesky for longer paths of models whose correlation vanishes
+* banded: Cholesky, at any length, for models whose correlation vanishes
   beyond a finite max_lag (the band has width d*k + d - 1, k the last lag
   below L whose block is nonzero);
+* dense: Schur factor of the block-Toeplitz lag table, for models with
+  neither a finite max_lag nor an AR(1) row, L*d <= DENSE_CAP = 8192;
 * circulant (method "circulant"): the lag table is wrapped onto a cycle
   of length m = 2 next_fast_len(L-1), the least even 5-smooth length with
   m >= 2(L-1), whose d x d spectral blocks are factored on the m/2 + 1
@@ -41,9 +43,9 @@ lags the banded route reads:
   embedding), so each path draws m'/2 < m values per component.  The
   embedding is exact whenever the wrapped spectral blocks stay positive
   semidefinite; padding is doubled up to three times before a logged
-  fallback, whose plan names the dense or banded route.  Each plan logs
-  its embedding size, windows, doublings, smallest spectral eigenvalue and
-  clipped eigenvalues at DEBUG.
+  fallback, whose plan names the banded route (finite max_lag) or the
+  dense one.  Each plan logs its embedding size, windows, doublings,
+  smallest spectral eigenvalue and clipped eigenvalues at DEBUG.
 
 `iter_path_blocks` is the one draw loop, for paths and, with `maxima`,
 for their maxima over time, which make_plan then gives lag-0 rows with
@@ -57,8 +59,9 @@ many threads work.  A plan whose draw unit takes s values and gives p
 paths reads replicate r as path r mod p of unit r // p, which reads values
 (r // p)*s ... (r // p + 1)*s - 1 of the one substream key, and a part of
 a batch as one fill, so results are reproducible for a given (seed,
-model, length), whatever the count, and off the dense route (see
-`iter_path_blocks`) however replicates are batched or split.
+model, length), whatever the count, and off the dense route, which only
+infinite-horizon models without an AR(1) row take (see `iter_path_blocks`),
+however replicates are batched or split.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ _BLOCK_VALUES = 4_000_000  # target floats per replicate batch, shared by its pa
 # beat one from about 2^12 floats each on the lag0-exact route and from 2^15 to
 # 2^17 on the path routes
 _SPLIT_FLOATS = 1 << 14
-_MAX_DOUBLINGS = 3  # circulant padding retries before the dense fallback
+_MAX_DOUBLINGS = 3  # circulant padding retries before the banded or dense fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
 # (values per draw unit, transform from (u, size) draws to (u * paths, L, d)
@@ -285,10 +288,16 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     per_comp = table[lag, comp, other]
     ab = per_comp[np.arange(size) % d].T.copy()
     ab[np.arange(bw + 1)[:, None] + np.arange(size) >= size] = 0.0
-    band = _factor_or_jitter(
-        lambda m: scipy.linalg.cholesky_banded(m, lower=True), ab, 0,
-        "banded covariance (length %d, bandwidth %d)" % (length, bw),
-    )
+
+    def factor(m: np.ndarray) -> np.ndarray:
+        # dpbtrf, which scipy.linalg.cholesky_banded wraps, for its info: the
+        # order of the first leading minor that is not positive definite
+        c, info = scipy.linalg.lapack.dpbtrf(m, lower=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("first fails at time block %d" % ((info - 1) // d))
+        return c
+
+    band = _factor_or_jitter(factor, ab, 0, "banded covariance (length %d, bandwidth %d)" % (length, bw))
 
     def transform(z: np.ndarray) -> np.ndarray:
         x = np.zeros_like(z)
@@ -410,9 +419,11 @@ def make_plan(
     has no serial dependence, or lag0-exact there when maxima are asked for
     and d <= 2; otherwise circulant when asked for, and else ar1 for a model
     that declares an AR(1) row (model.ar1_rate).  Without them, or when the
-    embedding fails, dense (Schur factor of the block-Toeplitz lag table,
-    L*d <= DENSE_CAP) and banded Cholesky beyond.  n is the array-row size
-    fed to the correlation function (default: the path length)."""
+    embedding fails, the model's horizon picks: banded Cholesky for a finite
+    max_lag, at every length, and else dense (Schur factor of the
+    block-Toeplitz lag table), which holds L*d <= DENSE_CAP and raises
+    ValueError beyond.  n is the array-row size fed to the correlation
+    function (default: the path length)."""
     if method not in METHODS:
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:
@@ -428,10 +439,10 @@ def make_plan(
         plan = _circulant_plan(model, length, n)
     elif model.ar1_rate is not None:
         plan = _ar1_plan(model, length, n)
-    if plan is None:  # the size rule, also where the circulant embedding failed
+    if plan is None:  # the horizon rule, also where the circulant embedding failed
         failed = "circulant embedding indefinite after %d doublings" % _MAX_DOUBLINGS
-        banded = length * model.d > DENSE_CAP
-        if banded and not math.isfinite(model.max_lag):
+        banded = math.isfinite(model.max_lag)
+        if not banded and length * model.d > DENSE_CAP:
             why = "path of size %d exceeds the dense cap and the model has no finite band"
             raise ValueError((failed + ", and the " + why if method == "circulant"
                               else why + "; use the circulant sampler") % (length * model.d))
@@ -474,8 +485,9 @@ def iter_path_blocks(
     unit.  A reduced part's block is kept until that part's next block
     is made, as a consumer of unreduced blocks keeps its last one.  Values
     are independent of the batching and the split, except on the dense
-    route: BLAS picks the kernel of its z @ factor_t by the part's row
-    count, so a replicate's last bit can move with count and threads."""
+    route, which only infinite-horizon models without an AR(1) row take:
+    BLAS picks the kernel of its z @ factor_t by the part's row count, so a
+    replicate's last bit can move with count and threads."""
     size, transform, footprint, route, draw, paths = make_plan(model, length, method, n, maxima)
     units = -(-count // paths)
     log.debug("iter_path_blocks route=%s length=%d n=%s count=%d values=%d",

@@ -497,13 +497,35 @@ def test_sample_writes_paths(tmp_path, capsys):
 
 
 def test_sample_logs_its_route(tmp_path, capsys, caplog):
-    # an MA(1) table declares no AR(1) row, so a short path takes the dense route
+    # an MA(1) table declares no AR(1) row but a finite horizon, so even a
+    # short path takes the banded route
     caplog.set_level(logging.DEBUG, logger="hrex.sampler")
     ma1 = {"name": "tabulated", "d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3}]}
     cfg = write_json(tmp_path / "cfg.json", {**SAMPLE_CFG, "model": ma1, "model_n": 100})
     assert run(["sample", "--config", cfg, "--out", str(tmp_path / "paths")], capsys)[0] == 0
     messages = [r.getMessage() for r in caplog.records if r.name == "hrex.sampler"]
-    assert messages == ["iter_path_blocks route=dense length=16 n=100 count=3 values=48"]
+    assert messages == ["iter_path_blocks route=banded length=16 n=100 count=3 values=48"]
+
+
+def test_sample_short_ma1_dump_does_not_depend_on_count_or_threads(tmp_path, capsys, pool_sizes, monkeypatch):
+    # L * d = 600 is far below the dense cap, where this MA(1) table once took
+    # the dense route, whose path 0 moved by 4.4e-16 between count 1 and 7;
+    # the banded route writes the same bytes at every count, and at count 23
+    # --threads 2 splits the batch into two parts
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    ma1 = {"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3},
+                                                    {"i": 1, "j": 2, "k": 0, "rho": 0.2},
+                                                    {"i": 1, "j": 2, "k": 1, "rho": 0.1}]}
+    dumps = []
+    for count, threads in ((1, "1"), (7, "1"), (23, "1"), (23, "2")):
+        cfg = write_json(tmp_path / "cfg.json", {"model": ma1, "length": 300, "count": count, "seed": 3})
+        out_dir = tmp_path / ("c%d_t%s" % (count, threads))
+        pool_sizes.clear()
+        argv = ["sample", "--config", cfg, "--out", str(out_dir), "--sampler", "cholesky", "--threads", threads]
+        assert run(argv, capsys)[0] == 0
+        assert pool_sizes == ([2] if threads == "2" else [])
+        dumps.append((out_dir / "path_000000.bin").read_bytes())
+    assert len(dumps[0]) == 24 + 300 * 2 * 8 and dumps == [dumps[0]] * 4
 
 
 def test_sample_cholesky_writes_geometric_paths_beyond_the_dense_cap(tmp_path, capsys, caplog):

@@ -22,6 +22,7 @@ from hrex import sampler
 from hrex.correlation import (
     CorrelationModel,
     DeltaSpec,
+    constant_model,
     geometric_model,
     hr_family,
     iid_model,
@@ -46,6 +47,7 @@ from hrex.experiments import (
     write_convergence_csv,
     write_convergence_json,
 )
+from hrex.experiments import _realisations
 from hrex.norming import lag0_max_cdf, limit_cdf, norming_constants, std_normal_cdf, threshold
 from hrex.rng import RngKey, uniform_open
 from hrex.sampler import iter_path_blocks
@@ -130,8 +132,8 @@ ROUTES = {
     "lag0_exact": (bivariate_hr(1.0), 16, 9, "cholesky"),
     "lag0_path": (iid_model(3), 16, 9, "cholesky"),
     "ar1": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
-    # MA(1) cross terms declare no AR(1) row
-    "dense": (tabulated_model(2, {(1, 1, 1): 0.3, (1, 2, 0): 0.2, (1, 2, 1): 0.1}), 64, 9, "cholesky"),
+    # constant correlation has neither a finite horizon nor an AR(1) row
+    "dense": (constant_model(2, 0.3), 64, 9, "cholesky"),
     "banded": (tabulated_model(1, {(1, 1, 1): 0.3}), 8200, 5, "cholesky"),
     "circulant": (geometric_model(2, 0.5, 0.3), 256, 9, "circulant"),
     # MA(1) cross terms: a cycle of 640 holds two paths, and 9 leaves one odd
@@ -639,6 +641,32 @@ def test_lemma1_rhs_matches_a_loop_over_times_and_components():
                         for k in range(n) for c in range(d))
             terms.append(math.prod(dist.probs[c][a] for c, a in enumerate(cells)) * count)
         assert lemma1_check(dist, u).rhs == pytest.approx(math.fsum(terms), rel=0.0, abs=1e-14)
+
+
+def test_realisations_match_the_per_cell_loop():
+    # the reference builds each cell's digits, atoms and probabilities one
+    # cell at a time, last cell first; the gather from the distinct-cell
+    # tables gives the same bytes, with cells of mixed and repeated laws
+    gen = np.random.Generator(np.random.PCG64(29))
+    for _ in range(60):
+        n, d = int(gen.integers(1, 5)), int(gen.integers(1, 4))
+        dist = random_matrix_distribution(gen, n, d, max_atoms=3)
+        if gen.integers(2):  # repeat one cell's law across a run of cells
+            first, last = sorted(gen.integers(0, n * d, size=2).tolist())
+            values, probs = list(dist.values), list(dist.probs)
+            values[first : last + 1] = [values[first]] * (last + 1 - first)
+            probs[first : last + 1] = [probs[first]] * (last + 1 - first)
+            dist = DiscreteMatrixDistribution(n, d, tuple(values), tuple(probs))
+        radices = [len(vals) for vals in dist.values]
+        size = math.prod(radices)
+        atoms, prob, index, stride = np.empty((size, n * d)), np.ones(size), np.arange(size), 1
+        for cell in range(n * d - 1, -1, -1):
+            digit = (index // stride) % radices[cell]
+            atoms[:, cell] = np.asarray(dist.values[cell])[digit]
+            prob *= np.asarray(dist.probs[cell])[digit]
+            stride *= radices[cell]
+        x, got = _realisations(dist, 10**6)
+        assert x.tobytes() == atoms.reshape(size, n, d).tobytes() and got.tobytes() == prob.tobytes()
 
 
 def test_matrix_distribution_validation():

@@ -141,19 +141,29 @@ def test_dense_factor_matches_lapack_cholesky(model, length):
 
 
 @pytest.mark.parametrize(
-    "model, length",
-    [(hr_family(serial_spec(**{"1": 1.0})), 1000), (tabulated_model(1, {(1, 1, 1): 0.9}), 40)],
-    ids=["criterion7_n1e3", "ma1_rho09_L40"],
+    "model, length, block",
+    [
+        (hr_family(serial_spec(**{"1": 1.0})), 1000, 2),
+        (tabulated_model(1, {(1, 1, 1): 0.9}), 40, 2),
+        (hr_family(DeltaSpec.from_entries(2, {(1, 2, 0): 0.5, (1, 1, 1): 0.5})), 50, 1),
+    ],
+    ids=["criterion7_n1e3", "ma1_rho09_L40", "serial_d2_L50"],
 )
-def test_dense_factor_raises_where_cholesky_does(model, length):
-    # both have lag-1 correlation above 1/sqrt(2), so the leading 3 x 3
-    # block (time blocks 0 to 2) is already indefinite
+def test_dense_factor_raises_where_cholesky_does(model, length, block):
+    # the first two have lag-1 correlation above 1/sqrt(2), so the leading
+    # 3 x 3 block (time blocks 0 to 2) is already indefinite; in the d = 2
+    # spec rho_12(0) = rho_11(1) = 0.87 with rho_21(1) = 0 make the leading
+    # 3 x 3 block indefinite, inside time block 1.  The banded factor, which
+    # reports the order of the failing leading minor, names the same block
     cov = assemble_covariance(model, length)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov + _DEFAULT_JITTER * np.eye(len(cov)))
-    match = r"covariance \(size %d\).*first fails at time block 2$" % len(cov)
+    match = r"covariance \(size %d\).*first fails at time block %d$" % (len(cov), block)
     with pytest.raises(NotPositiveSemidefinite, match=match):
         dense_factor(model, length)
+    match = r"^banded covariance \(length %d, .*first fails at time block %d$" % (length, block)
+    with pytest.raises(NotPositiveSemidefinite, match=match):
+        _banded_plan(model, length, n=length)
 
 
 def test_banded_failure_names_length_and_bandwidth():
@@ -380,36 +390,20 @@ def test_circulant_single_point_paths():
     assert values[0].shape == (1, 2)
 
 
+# Brownian lags delta(k) = k: no finite band and no AR(1) row; at n = 1e4,
+# rho(k) = 1 - k / ln n goes negative past lag 9, and no Gaussian path of
+# 64 points or more realises it
+BROWNIAN = hr_family(DeltaSpec.from_function(1, lambda i, j, k: float(k), math.inf))
+
+
 def test_circulant_embedding_failure_falls_back_to_dense(caplog):
-    # the left-over serial family is not PSD at realistic n, so every
-    # padded spectrum stays negative: the circulant plan gives up, the
-    # sampler logs the fallback, and the dense factor throws
-    model = hr_family(serial_spec(**{"1": 1.0}))
-    assert _circulant_plan(model, 64, n=10**4) is None
-    with pytest.raises(NotPositiveSemidefinite):
-        list(iter_path_blocks(model, 64, RngKey(0).child(0), 1, method="circulant", n=10**4))
+    # every padded spectrum of the Brownian rows stays negative: the
+    # circulant plan gives up, the sampler logs the fallback, and the dense
+    # factor throws
+    assert _circulant_plan(BROWNIAN, 64, n=10**4) is None
+    with pytest.raises(NotPositiveSemidefinite, match=r"^covariance \(size 64\)"):
+        list(iter_path_blocks(BROWNIAN, 64, RngKey(0).child(0), 1, method="circulant", n=10**4))
     assert "falling back to the dense route" in caplog.text
-
-
-def test_circulant_fallback_takes_the_banded_route_beyond_the_cap(caplog, monkeypatch):
-    # beyond the dense cap a failed embedding falls back by the same size
-    # rule as the cholesky method: the serial family has a band of width 1
-    monkeypatch.setattr("hrex.sampler.DENSE_CAP", 64)
-    model = hr_family(serial_spec(**{"1": 1.0}))
-    with pytest.raises(NotPositiveSemidefinite, match=r"banded covariance \(length 100"):
-        make_plan(model, 100, "circulant", n=10**4)
-    assert "falling back to the banded route" in caplog.text
-
-
-def test_circulant_fallback_respects_the_dense_cap(monkeypatch):
-    # Brownian lags delta(k) = k have no finite band, so beyond the cap there
-    # is no route left: the error names the embedding and the cap
-    monkeypatch.setattr("hrex.sampler.DENSE_CAP", 64)
-    model = hr_family(DeltaSpec.from_function(1, lambda i, j, k: float(k), math.inf))
-    with pytest.raises(ValueError, match="circulant embedding indefinite.*exceeds the dense cap"):
-        make_plan(model, 100, "circulant", n=10**4)
-    with pytest.raises(ValueError, match="exceeds the dense cap"):
-        make_plan(model, 100, "cholesky", n=10**4)
 
 
 def gaussian_correlation(scale):
@@ -544,7 +538,7 @@ def test_footprint_counts_what_a_part_holds(route, d, batch):
     model, length = {
         "lag0": (equicorrelated_lag0(d), 100_000),
         "ar1": (geometric_model(d, 0.5, 0.3), 100_000),
-        "dense": (ma1_model(d), 2000 // d),
+        "dense": (constant_model(d, 0.3), 2000 // d),
         "banded": (ma1_model(d), 100_000),
     }[route]
     plan = make_plan(model, length, "cholesky")
@@ -642,35 +636,51 @@ def test_paired_plan_thread_and_batch_invariant(maxima, monkeypatch):
             assert run(count, threads, per_batch).tobytes() == one.tobytes()
 
 
+SERIAL_HR = hr_family(serial_spec(**{"1": 1.0}))  # rho(1) = 0.89 at n = 1e4: indefinite
+
+
 @pytest.mark.parametrize(
-    "route, model, length, method",
+    "model, length, method, route, error",
     [
-        ("lag0", equicorrelated_lag0(3), 40, "circulant"),
-        ("lag0", geometric_model(2, 0.5, 0.3), 1, "circulant"),
-        ("ar1", geometric_model(2, 0.5, 0.3), 40, "cholesky"),
-        ("ar1", geometric_model(2, 0.5, 0.3), 100_000, "cholesky"),
-        ("dense", ma1_model(2), 40, "cholesky"),
-        ("banded", ma1_model(2), 4100, "cholesky"),
-        ("circulant", geometric_model(2, 0.5, 0.3), 40, "circulant"),
+        (equicorrelated_lag0(3), 40, "circulant", "lag0", None),
+        (geometric_model(2, 0.5, 0.3), 1, "circulant", "lag0", None),
+        (geometric_model(2, 0.5, 0.3), 40, "cholesky", "ar1", None),
+        (geometric_model(2, 0.5, 0.3), 100_000, "cholesky", "ar1", None),
+        (constant_model(2, 0.3), 40, "cholesky", "dense", None),
+        (ma1_model(2), 4100, "cholesky", "banded", None),
+        (geometric_model(2, 0.5, 0.3), 40, "circulant", "circulant", None),
+        (ma1_model(2), 300, "cholesky", "banded", None),
+        (hr_family(serial_spec(**{"1": 5.0})), 300, "cholesky", "banded", None),
+        (gaussian_correlation(8), 5, "circulant", "banded", None),
+        (SERIAL_HR, 300, "circulant", "banded",
+         (NotPositiveSemidefinite, r"^banded covariance \(length 300, bandwidth 1\).*time block 2$")),
+        (SERIAL_HR, 4100, "circulant", "banded",
+         (NotPositiveSemidefinite, r"^banded covariance \(length 4100, bandwidth 1\).*time block 2$")),
+        (BROWNIAN, 5, "cholesky", "dense", None),
+        (BROWNIAN, 64, "circulant", "dense", (NotPositiveSemidefinite, r"^covariance \(size 64\)")),
+        (BROWNIAN, 8200, "cholesky", None, (ValueError, r"exceeds the dense cap.*use the circulant sampler$")),
+        (BROWNIAN, 8200, "circulant", None, (ValueError, r"^circulant embedding indefinite.*exceeds the dense cap")),
     ],
-    ids=["lag0_max_lag_0", "lag0_length_1", "ar1", "ar1_beyond_dense_cap", "dense", "banded", "circulant"],
+    ids=["lag0_max_lag_0", "lag0_length_1", "ar1", "ar1_beyond_dense_cap", "dense", "banded", "circulant",
+         "ma1_below_dense_cap", "hr_serial", "smooth_fallback", "ma1_fallback_below_dense_cap",
+         "ma1_fallback_beyond_dense_cap", "brownian", "brownian_fallback", "brownian_beyond_dense_cap",
+         "brownian_fallback_beyond_dense_cap"],
 )
-def test_make_plan_names_the_route_it_takes(route, model, length, method):
-    # max_lag 0 or a single time point is lag0 whatever the method; a
-    # serially dependent 2 x 4100 path exceeds the dense cap of 8192, which
-    # does not bind a declared AR(1) row; asked for, circulant keeps its route
-    assert make_plan(model, length, method).route == route
-
-
-@pytest.mark.parametrize("cap, route", [(8192, "dense"), (4, "banded")])
-def test_circulant_fallback_plan_names_the_route_it_takes(cap, route, caplog, monkeypatch):
-    # this smooth correlation stays indefinite at L = 5 up to m = 64, so the
-    # plan falls back by the size rule and carries that route's name
-    monkeypatch.setattr("hrex.sampler.DENSE_CAP", cap)
-    model = gaussian_correlation(8)
-    assert _circulant_plan(model, 5, n=5) is None
-    assert make_plan(model, 5, "circulant").route == route
-    assert "falling back to the %s route" % route in caplog.text
+def test_make_plan_names_the_route_it_takes(model, length, method, route, error, caplog):
+    # max_lag 0 or a single time point is lag0 whatever the method; asked
+    # for, circulant keeps its route; otherwise the model's horizon, not the
+    # path length, picks: ar1 for a declared AR(1) row, banded for a finite
+    # max_lag, at any length and where the embedding failed (the smooth
+    # correlation stays indefinite at L = 5 up to m = 64, the MA(1) row at
+    # every m), and dense for the rest, up to the cap.  `route` is the route
+    # taken or fallen back to, `error` what it raises there
+    if error is None:
+        assert make_plan(model, length, method, n=10**4).route == route
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            make_plan(model, length, method, n=10**4)
+    fell_back = method == "circulant" and route in ("banded", "dense")
+    assert ("falling back to the %s route" % route in caplog.text) == fell_back
 
 
 # --- ar1 route ----------------------------------------------------------------
@@ -742,13 +752,13 @@ def test_band_stops_at_the_last_lag_the_path_reads(monkeypatch):
     # a lag-12000 entry never enters Sigma at L = 8300: the band keeps 2 rows,
     # not 12,001, and the paths keep their bits
     shapes = []
-    factor = scipy.linalg.cholesky_banded
+    factor = scipy.linalg.lapack.dpbtrf
 
     def recording(ab, lower):
         shapes.append(ab.shape)
         return factor(ab, lower=lower)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recording)
     near = tabulated_model(1, {(1, 1, 1): 0.3})
     far = tabulated_model(1, {(1, 1, 1): 0.3, (1, 1, 12000): 0.01})
     key = RngKey(18).child(8300)
