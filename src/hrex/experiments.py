@@ -131,7 +131,7 @@ def maxima_matrix(
     hrex.sampler.iter_path_blocks streams them with `maxima`: it plans and
     logs the route, takes the exact plan of lag-0 rows with d <= 2, which
     draws 2d - 1 uniforms per replicate at a cost free of n, and gives the
-    same bytes for every thread count bar the dense route's last bit."""
+    same bytes for every thread count."""
     out = np.empty((replicates, model.d))
     for first, maxima in iter_path_blocks(model, n, key, replicates, sampler, threads=threads, maxima=True):
         out[first : first + len(maxima)] = maxima
@@ -157,7 +157,7 @@ def run_maxima_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[Empir
     """One EmpiricalCdf per n.  Replicate r of the run at size n reads values
     r*s ... (r+1)*s - 1 of substream (seed, n), s the uniforms its plan draws
     per replicate, so results do not depend on which other sizes are in the
-    sweep, nor (bar the dense route) on batching or threads."""
+    sweep, nor on batching or threads."""
     root = RngKey(cfg.seed)
     out = []
     for n in cfg.n_list:

@@ -10,16 +10,16 @@ method, maxima) into a Plan: the normals a draw unit consumes, a transform
 from them to paths, the floats per unit by which `iter_path_blocks` sizes
 its batches, the route it took, the draw, `hrex.rng.standard_normal`, and
 the paths per unit, 2 on a paired circulant plan and 1 elsewhere.  The
-lag0, dense and banded routes return time-major (b, L, d) blocks, whose
+lag0 and banded routes return time-major (b, L, d) blocks, whose
 rows `write_path` writes as they are; the ar1 route returns the
 transposed view of a component-major (b, d, L) array, and the circulant
 route gathers the windows it keeps of its irfft output into one such
 array and returns its transposed view too.  `block_maxima` reduces either
-layout over a contiguous time axis.  The five routes all read the lag
+layout over a contiguous time axis.  The four routes all read the lag
 table rho_ij(k, n) of `hrex.correlation.lag_table`, which makes the cut
-to 0 beyond model.max_lag.  Here max_lag only picks routes and bounds the
-lags the banded route reads; the route follows the model's structure, not
-the path length (past L = 1):
+to 0 beyond model.max_lag.  Here max_lag only picks the lag-0 route and
+bounds the lags the banded route reads; the route follows the model's
+structure, not the path length (past L = 1):
 
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
@@ -27,11 +27,11 @@ the path length (past L = 1):
   rho(k, n) = a(n)^k rho(0, n), at any length: the Cholesky factor is an
   AR(1) recursion in time times the d x d factor of the lag-0 block, in
   O(L d^2) per path;
-* banded: Cholesky, at any length, for models whose correlation vanishes
-  beyond a finite max_lag (the band has width d*k + d - 1, k the last lag
-  below L whose block is nonzero);
-* dense: Schur factor of the block-Toeplitz lag table, for models with
-  neither a finite max_lag nor an AR(1) row, L*d <= DENSE_CAP = 8192;
+* banded: Cholesky, at any length, for every other serial model (the
+  band has width d*k + d - 1, k the last lag below L whose block is
+  nonzero: L - 1 for a table that never vanishes), applied by one BLAS
+  dtbmv of a fixed shape per replicate; a band of more than DENSE_CAP**2
+  floats (512 MiB) is refused;
 * circulant (method "circulant"): the lag table is wrapped onto a cycle
   of length m = 2 next_fast_len(L-1), the least even 5-smooth length with
   m >= 2(L-1), whose d x d spectral blocks are factored on the m/2 + 1
@@ -43,9 +43,9 @@ the path length (past L = 1):
   embedding), so each path draws m'/2 < m values per component.  The
   embedding is exact whenever the wrapped spectral blocks stay positive
   semidefinite; padding is doubled up to three times before a logged
-  fallback, whose plan names the banded route (finite max_lag) or the
-  dense one.  Each plan logs its embedding size, windows, doublings,
-  smallest spectral eigenvalue and clipped eigenvalues at DEBUG.
+  fallback to the banded route.  Each plan logs its embedding size,
+  windows, doublings, smallest spectral eigenvalue and clipped eigenvalues
+  at DEBUG.
 
 `iter_path_blocks` is the one draw loop, for paths and, with `maxima`,
 for their maxima over time, which make_plan then gives lag-0 rows with
@@ -58,9 +58,9 @@ one plan, so the covariance, factor or spectrum is built once however
 many threads work.  A plan whose draw unit takes s values and gives p
 paths reads replicate r as path r mod p of unit r // p, which reads values
 (r // p)*s ... (r // p + 1)*s - 1 of the one substream key, and a part of
-a batch as one fill, so results are reproducible for a given (seed,
-model, length), whatever the count, and off the dense route, which only
-infinite-horizon models without an AR(1) row take (see `iter_path_blocks`),
+a batch as one fill, and every route's transform works on one
+replicate's values in kernels of a fixed shape, so results are
+reproducible for a given (seed, model, length), whatever the count, and
 however replicates are batched or split.
 """
 
@@ -94,7 +94,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DENSE_CAP = 8192
+DENSE_CAP = 8192  # a band holds at most DENSE_CAP**2 floats (512 MiB): L*d <= DENSE_CAP for a full one
 METHODS = ("cholesky", "circulant")  # the sampling methods a caller may ask for
 PATH_MAGIC = b"HREXPATH"
 
@@ -104,13 +104,13 @@ _BLOCK_VALUES = 4_000_000  # target floats per replicate batch, shared by its pa
 # beat one from about 2^12 floats each on the lag0-exact route and from 2^15 to
 # 2^17 on the path routes
 _SPLIT_FLOATS = 1 << 14
-_MAX_DOUBLINGS = 3  # circulant padding retries before the banded or dense fallback
+_MAX_DOUBLINGS = 3  # circulant padding retries before the banded fallback
 _READ_CHUNK = 1 << 20  # bytes per read of a path dump
 
 # (values per draw unit, transform from (u, size) draws to (u * paths, L, d)
 # blocks, floats per unit that size the batches: the draw, the transform's
 # temporaries and the block a part keeps until its next batch, the route that
-# built it: lag0, ar1, dense, banded, circulant or lag0-exact, the hrex.rng
+# built it: lag0, ar1, banded, circulant or lag0-exact, the hrex.rng
 # function it draws from: standard_normal, or uniform_open on the lag0-exact
 # route, and the paths one unit gives: 2 on a paired circulant plan, else 1).
 # Blocks are time-major, except the ar1 and circulant routes': transposed views
@@ -152,53 +152,20 @@ def assemble_covariance(
     return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(size, size)
 
 
-def _factor_or_jitter(factor, matrix: np.ndarray, diagonal, what: str) -> np.ndarray:
-    """factor(matrix), retried once with _DEFAULT_JITTER added to
-    matrix[diagonal] (on a copy).
+def _factor_or_jitter(factor, what: str) -> np.ndarray:
+    """factor(0.0), retried once as factor(_DEFAULT_JITTER): the factor of
+    the matrix with that jitter added to its diagonal, built afresh.
 
     Raises NotPositiveSemidefinite when both attempts fail; that is an
     invalid correlation model, not a numerical accident.
     """
-    try:
-        return factor(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    bumped = matrix.copy()
-    bumped[diagonal] += _DEFAULT_JITTER
-    try:
-        return factor(bumped)
-    except np.linalg.LinAlgError as exc:
-        msg = "%s is not positive semidefinite, even with jitter %g" % (what, _DEFAULT_JITTER)
-        raise NotPositiveSemidefinite("%s; %s" % (msg, exc)) from None
-
-
-def _schur_factor(table: np.ndarray) -> np.ndarray:
-    """Upper factor R (R^T R = Sigma) of the block-Toeplitz covariance of a
-    lag table, by the generalized Schur algorithm in O(L^2 d^3): the
-    generator u = c^-T [T0 ... T_{L-1}] (c^T c = T0), v = u gives row block 0;
-    each later one is u shifted a block right after d^2 mixed-form hyperbolic
-    rotations zero v's leading block.  LinAlgError names the first time block
-    whose leading principal submatrix is not positive definite."""
-    length, d = table.shape[:2]
-    try:
-        c = np.linalg.cholesky(table[0]).T
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("first fails at time block 0") from None
-    r = np.zeros((length * d, length * d))
-    r[:d] = scipy.linalg.solve_triangular(c, table.transpose(1, 0, 2).reshape(d, -1), trans="T")
-    v = r[:d].copy()
-    for k in range(1, length):
-        u, v = r[k * d : (k + 1) * d, k * d :], v[:, d:]
-        u[:] = r[(k - 1) * d : k * d, (k - 1) * d : -d]
-        for j in range(d):
-            for i in range(d):
-                rho = v[i, j] / u[j, j]
-                if not abs(rho) < 1.0:
-                    raise np.linalg.LinAlgError("first fails at time block %d" % k)
-                cos = math.sqrt(1.0 - rho * rho)
-                u[j] = (u[j] - rho * v[i]) / cos
-                v[i] = cos * v[i] - rho * u[j]
-    return r
+    for jitter in (0.0, _DEFAULT_JITTER):
+        try:
+            return factor(jitter)
+        except np.linalg.LinAlgError as exc:
+            failure = str(exc)  # not exc, whose frames would keep the failed matrix alive
+    msg = "%s is not positive semidefinite, even with jitter %g" % (what, _DEFAULT_JITTER)
+    raise NotPositiveSemidefinite("%s; %s" % (msg, failure)) from None
 
 
 def _factor_spectrum(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -225,17 +192,6 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
                 standard_normal, 1)
 
 
-def _dense_plan(model: CorrelationModel, length: int, n: float) -> Plan:
-    d = model.d
-    factor_t = _factor_or_jitter(
-        _schur_factor, lag_table(model, range(length), n), (0, np.arange(d), np.arange(d)),
-        "covariance (size %d)" % (length * d),
-    )
-    # per replicate: the draw, its block, and the last batch's block, kept until this one is made
-    return Plan(length * d, lambda z: (z @ factor_t).reshape(-1, length, d), 3 * length * d, "dense",
-                standard_normal, 1)
-
-
 def _ar1_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     """Separable AR(1) rows, rho(k, n) = a^k C with C the lag-0 block, as the
     model declares a = model.ar1_rate(n), checked at lags 1 and 2.  The
@@ -252,8 +208,13 @@ def _ar1_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     if not (-1.0 < a < 1.0 and gap <= 1e-12):
         raise ValueError("model declares AR(1) rate %r at n=%g, but |rho(k) - rate^k rho(0)| reaches"
                          " %.3g at lags 1-2" % (a, n, gap))
-    c = _factor_or_jitter(np.linalg.cholesky, table[0], (np.arange(d), np.arange(d)),
-                          "lag-0 block of the AR(1) row")
+
+    def factor(jitter: float) -> np.ndarray:
+        block = table[0].copy()
+        block.flat[:: d + 1] += jitter
+        return np.linalg.cholesky(block)
+
+    c = _factor_or_jitter(factor, "lag-0 block of the AR(1) row")
     first_t, rest_t = c.T.copy(), math.sqrt((1.0 - a) * (1.0 + a)) * c.T
     band = np.zeros((2, length), order="F")  # Fortran order, which dtbtrs reads without a copy
     band[1, :-1] = -a  # the subdiagonal; diag="U" leaves row 0, the unit diagonal, unread
@@ -274,40 +235,57 @@ def _ar1_plan(model: CorrelationModel, length: int, n: float) -> Plan:
 
 
 def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
-    """Cholesky of the lower band storage ab[o, a] = Sigma[a + o, a].  The
-    band reaches the last lag below the path length whose block is nonzero:
-    a lag the path never reads, or reads as 0, would only widen it."""
+    """Cholesky of the upper band storage ab[bw - o, a] = Sigma[a - o, a],
+    Sigma = U^T U, and paths U^T z.  The band reaches the last lag below the
+    path length whose block is nonzero, L - 1 for a table that never
+    vanishes: a lag the path never reads, or reads as 0, would only widen it.
+    A band of more than DENSE_CAP**2 floats is refused before it is built,
+    and the plan holds one band at a time."""
     d = model.d
-    table = lag_table(model, range(min(int(model.max_lag), length - 1) + 2), n)
+    table = lag_table(model, range(int(min(model.max_lag, length - 1)) + 2), n)
     last = int(np.flatnonzero(table[:-1].any(axis=(1, 2)))[-1])
     bw = last * d + (d - 1)
     size = length * d
-    # the band reaches lag last + 1 at most: a zero block, or lag L, which the mask below drops
+    what = "banded covariance (length %d, bandwidth %d)" % (length, bw)
+    if (bw + 1) * size > DENSE_CAP**2:
+        raise ValueError("%s holds %d floats, beyond the cap of DENSE_CAP**2 = %d; a circulant embedding,"
+                         " where one exists, needs no band" % (what, (bw + 1) * size, DENSE_CAP**2))
+    # per_comp[i, bw - o] = Sigma[a - o, a] at every a = i mod d, that is
+    # rho_ri(-q) for q, r = divmod(i - o, d); -q reaches lag last + 1 at most,
+    # a zero block or lag L, which lies in the head triangle (a < o)
     comp = np.arange(d)[:, None]
-    lag, other = np.divmod(comp + np.arange(bw + 1), d)
-    per_comp = table[lag, comp, other]
-    ab = per_comp[np.arange(size) % d].T.copy()
-    ab[np.arange(bw + 1)[:, None] + np.arange(size) >= size] = 0.0
+    back, other = np.divmod(comp - bw + np.arange(bw + 1), d)
+    per_comp = table[-back, other, comp]
 
-    def factor(m: np.ndarray) -> np.ndarray:
+    def factor(jitter: float) -> np.ndarray:
+        rows = np.empty((length, d, bw + 1))
+        rows[:] = per_comp
+        # Fortran order, which dpbtrf factors in place and dtbmv reads without a copy
+        ab = rows.reshape(size, bw + 1).T
+        for o in range(1, bw + 1):  # the head triangle, a - o before the first row
+            ab[bw - o, :o] = 0.0
+        ab[bw] += jitter
         # dpbtrf, which scipy.linalg.cholesky_banded wraps, for its info: the
         # order of the first leading minor that is not positive definite
-        c, info = scipy.linalg.lapack.dpbtrf(m, lower=1)
+        u, info = scipy.linalg.lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError("first fails at time block %d" % ((info - 1) // d))
-        return c
+        return u
 
-    band = _factor_or_jitter(factor, ab, 0, "banded covariance (length %d, bandwidth %d)" % (length, bw))
+    band = _factor_or_jitter(factor, what)
 
     def transform(z: np.ndarray) -> np.ndarray:
-        x = np.zeros_like(z)
-        for o in range(bw + 1):
-            x[:, o:] += band[o, : size - o] * z[:, : size - o]
+        x = z.reshape(-1, size).copy()
+        # one product of a fixed shape per replicate, in place; U^T z makes each
+        # value one dot product, whose bits OpenBLAS keeps at any thread count of
+        # its own (L z sums partial products per BLAS thread)
+        for row in x:
+            scipy.linalg.blas.dtbmv(bw, band, row, trans=1, overwrite_x=1)
         return x.reshape(-1, length, d)
 
-    # per replicate: the draw, the block it sums into, one band row's product,
-    # and the last batch's block, kept until this one is made
-    return Plan(size, transform, 4 * size, "banded", standard_normal, 1)
+    # per replicate: the draw, the copy multiplied in place, and the last
+    # batch's block, kept until this one is made
+    return Plan(size, transform, 3 * size, "banded", standard_normal, 1)
 
 
 def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | None:
@@ -418,12 +396,11 @@ def make_plan(
     """Pick the sampling route, which the plan names: lag0 whenever the path
     has no serial dependence, or lag0-exact there when maxima are asked for
     and d <= 2; otherwise circulant when asked for, and else ar1 for a model
-    that declares an AR(1) row (model.ar1_rate).  Without them, or when the
-    embedding fails, the model's horizon picks: banded Cholesky for a finite
-    max_lag, at every length, and else dense (Schur factor of the
-    block-Toeplitz lag table), which holds L*d <= DENSE_CAP and raises
-    ValueError beyond.  n is the array-row size fed to the correlation
-    function (default: the path length)."""
+    that declares an AR(1) row (model.ar1_rate).  Every other model, and
+    every model whose embedding fails, takes banded Cholesky at every length,
+    which raises ValueError for a band of more than DENSE_CAP**2 floats.  n is
+    the array-row size fed to the correlation function (default: the path
+    length)."""
     if method not in METHODS:
         raise ValueError("unknown sampling method %r" % (method,))
     if length < 1:
@@ -437,18 +414,13 @@ def make_plan(
             plan = _lag0_exact_plan(model, length, n)
     elif method == "circulant":
         plan = _circulant_plan(model, length, n)
+        if plan is None:
+            log.warning("circulant embedding indefinite after %d doublings; falling back to the banded route",
+                        _MAX_DOUBLINGS)
     elif model.ar1_rate is not None:
         plan = _ar1_plan(model, length, n)
-    if plan is None:  # the horizon rule, also where the circulant embedding failed
-        failed = "circulant embedding indefinite after %d doublings" % _MAX_DOUBLINGS
-        banded = math.isfinite(model.max_lag)
-        if not banded and length * model.d > DENSE_CAP:
-            why = "path of size %d exceeds the dense cap and the model has no finite band"
-            raise ValueError((failed + ", and the " + why if method == "circulant"
-                              else why + "; use the circulant sampler") % (length * model.d))
-        if method == "circulant":
-            log.warning("%s; falling back to the %s route", failed, "banded" if banded else "dense")
-        plan = (_banded_plan if banded else _dense_plan)(model, length, n)
+    if plan is None:
+        plan = _banded_plan(model, length, n)
     return plan
 
 
@@ -484,10 +456,7 @@ def iter_path_blocks(
     while footprint * parts <= _BLOCK_VALUES; past that, each part holds one
     unit.  A reduced part's block is kept until that part's next block
     is made, as a consumer of unreduced blocks keeps its last one.  Values
-    are independent of the batching and the split, except on the dense
-    route, which only infinite-horizon models without an AR(1) row take:
-    BLAS picks the kernel of its z @ factor_t by the part's row count, so a
-    replicate's last bit can move with count and threads."""
+    are independent of the batching and the split on every route."""
     size, transform, footprint, route, draw, paths = make_plan(model, length, method, n, maxima)
     units = -(-count // paths)
     log.debug("iter_path_blocks route=%s length=%d n=%s count=%d values=%d",

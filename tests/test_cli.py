@@ -507,30 +507,49 @@ def test_sample_logs_its_route(tmp_path, capsys, caplog):
     assert messages == ["iter_path_blocks route=banded length=16 n=100 count=3 values=48"]
 
 
-def test_sample_short_ma1_dump_does_not_depend_on_count_or_threads(tmp_path, capsys, pool_sizes, monkeypatch):
-    # L * d = 600 is far below the dense cap, where this MA(1) table once took
-    # the dense route, whose path 0 moved by 4.4e-16 between count 1 and 7;
-    # the banded route writes the same bytes at every count, and at count 23
-    # --threads 2 splits the batch into two parts
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
-    ma1 = {"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3},
-                                                    {"i": 1, "j": 2, "k": 0, "rho": 0.2},
-                                                    {"i": 1, "j": 2, "k": 1, "rho": 0.1}]}
+def path0_dumps_by_count_and_threads(model, tmp_path, capsys, pool_sizes):
+    """path_000000.bin of `hrex sample` on a length-300 d = 2 model, seed 3,
+    at count 1, 7 and 23 with --threads 1, and at count 23 with --threads 2,
+    which splits the batch into two parts."""
     dumps = []
     for count, threads in ((1, "1"), (7, "1"), (23, "1"), (23, "2")):
-        cfg = write_json(tmp_path / "cfg.json", {"model": ma1, "length": 300, "count": count, "seed": 3})
+        cfg = write_json(tmp_path / "cfg.json", {"model": model, "length": 300, "count": count, "seed": 3})
         out_dir = tmp_path / ("c%d_t%s" % (count, threads))
         pool_sizes.clear()
         argv = ["sample", "--config", cfg, "--out", str(out_dir), "--sampler", "cholesky", "--threads", threads]
         assert run(argv, capsys)[0] == 0
         assert pool_sizes == ([2] if threads == "2" else [])
         dumps.append((out_dir / "path_000000.bin").read_bytes())
-    assert len(dumps[0]) == 24 + 300 * 2 * 8 and dumps == [dumps[0]] * 4
+    assert len(dumps[0]) == 24 + 300 * 2 * 8
+    return dumps
+
+
+def test_sample_short_ma1_dump_does_not_depend_on_count_or_threads(tmp_path, capsys, pool_sizes, monkeypatch):
+    # L * d = 600: this MA(1) table once took the dense route, whose path 0
+    # moved by 4.4e-16 between count 1 and 7; the banded route writes the
+    # same bytes at every count and thread count
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    ma1 = {"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3},
+                                                    {"i": 1, "j": 2, "k": 0, "rho": 0.2},
+                                                    {"i": 1, "j": 2, "k": 1, "rho": 0.1}]}
+    dumps = path0_dumps_by_count_and_threads(ma1, tmp_path, capsys, pool_sizes)
+    assert dumps == [dumps[0]] * 4
+
+
+def test_sample_constant_dump_does_not_depend_on_count_or_threads(tmp_path, capsys, pool_sizes, monkeypatch):
+    # the constant model never vanishes, so the banded route factors its full
+    # band, 600 rows wide, and applies it by one dtbmv per path: the bytes the
+    # dense route moved by 8.9e-16 between count 1 and 7 stay put
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    constant = {"name": "constant", "d": 2, "rho": 0.3}
+    dumps = path0_dumps_by_count_and_threads(constant, tmp_path, capsys, pool_sizes)
+    assert dumps == [dumps[0]] * 4
 
 
 def test_sample_cholesky_writes_geometric_paths_beyond_the_dense_cap(tmp_path, capsys, caplog):
-    # L * d = 10,000 exceeds the dense cap of 8192, and geometric rows have no
-    # finite band: the ar1 route samples them exactly, in the dump format
+    # L * d = 10,000 exceeds DENSE_CAP = 8192, and geometric rows have no
+    # finite band, so their full band would be refused: the ar1 route
+    # samples them exactly, in the dump format
     from hrex.correlation import geometric_model
     from hrex.rng import RngKey
     from hrex.sampler import iter_path_blocks, read_path
@@ -615,7 +634,7 @@ def test_sample_rejects_threads_below_one(threads, tmp_path, capsys):
     # circulant: two paths per cycle of 9000 on d = 2, 60000 floats of footprint per cycle
     {"model": {"name": "geometric", "d": 2, "rate": 0.6, "cross": 0.4}, "length": 3000, "count": 6,
      "sampler": "circulant", "seed": 5},
-    # banded: L * d = 10000 exceeds the dense cap of 8192
+    # banded: a bandwidth of 3 on L * d = 10000
     {"model": {"name": "tabulated", "d": 2, "entries": [{"i": 1, "j": 1, "k": 1, "rho": 0.3},
                                                         {"i": 1, "j": 2, "k": 0, "rho": 0.2}]},
      "length": 5000, "count": 5, "seed": 6},

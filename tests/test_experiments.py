@@ -132,7 +132,8 @@ ROUTES = {
     "lag0_exact": (bivariate_hr(1.0), 16, 9, "cholesky"),
     "lag0_path": (iid_model(3), 16, 9, "cholesky"),
     "ar1": (geometric_model(2, 0.5, 0.3), 64, 9, "cholesky"),
-    # constant correlation has neither a finite horizon nor an AR(1) row
+    # constant correlation has no zero lag and no AR(1) row: a dense
+    # covariance, which the banded route factors as its full band
     "dense": (constant_model(2, 0.3), 64, 9, "cholesky"),
     "banded": (tabulated_model(1, {(1, 1, 1): 0.3}), 8200, 5, "cholesky"),
     "circulant": (geometric_model(2, 0.5, 0.3), 256, 9, "circulant"),
@@ -144,9 +145,9 @@ ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_every_route_entry_takes_the_route_it_names(route):
-    # a banded entry that quietly planned dense would test dense twice
+    # an entry that quietly planned another route would test that route twice
     model, length, _, method = ROUTES[route]
-    named = {"lag0_exact": "lag0-exact", "lag0_path": "lag0", "circulant_paired": "circulant"}
+    named = {"lag0_exact": "lag0-exact", "lag0_path": "lag0", "dense": "banded", "circulant_paired": "circulant"}
     named = named.get(route, route)
     plan = sampler.make_plan(model, length, method, maxima=True)
     assert (plan.route, plan.paths) == (named, 2 if route == "circulant_paired" else 1)
@@ -210,8 +211,7 @@ def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
     # each part of a split batch reads its replicates' own values of the
     # substream on its own thread, so blocks from 1, 2 or 7 threads hold the
     # same bytes, in replicate order; the floor is lifted so that parts of a
-    # single replicate split too.  On the dense route BLAS picks its kernel
-    # by a part's row count, and parts of one or two rows move the last bit
+    # single replicate split too
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
     model, length, _, method = ROUTES[route]
@@ -220,7 +220,6 @@ def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for maxima in (False, True):
-            plan = sampler.make_plan(model, length, method, maxima=maxima)
             for count in (1, 3, 7, 23):
                 got = {}
                 for threads in (1, 2, 7):
@@ -230,17 +229,14 @@ def test_path_blocks_thread_invariant_on_every_route(route, monkeypatch):
                     assert firsts == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
                     got[threads] = np.concatenate([b for _, b in blocks])
                 for threads in (2, 7):
-                    if plan.route == "dense":
-                        assert np.allclose(got[threads], got[1], rtol=0.0, atol=1e-12)
-                    else:
-                        assert got[threads].tobytes() == got[1].tobytes()
+                    assert got[threads].tobytes() == got[1].tobytes()
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_path_blocks_keep_their_layout_and_reduce_to_maxima(route):
-    # lag0, dense and banded blocks are time-major, so a dump writes their rows
+    # lag0 and banded blocks are time-major, so a dump writes their rows
     # without a copy; the ar1 and circulant blocks are views of component-major
     # arrays, with a contiguous time axis.  block_maxima gives the max over time
     # of either
@@ -280,7 +276,7 @@ def test_split_batch_reduces_on_each_part_thread(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method, counted", [("cholesky", "lag_table"), ("circulant", "lag_table")])
 def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
-    # every worker chunk reuses the one plan: the ar1, dense or circulant lag
+    # every worker chunk reuses the one plan: the ar1, banded or circulant lag
     # table is built, and factored, once
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
@@ -292,9 +288,9 @@ def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampler, counted, counting)
-    routes = ["ar1", "dense"] if method == "cholesky" else ["circulant"]
-    for route in routes:
-        model = ROUTES[route][0]
+    routes = {"ar1": "ar1", "dense": "banded"} if method == "cholesky" else {"circulant": "circulant"}
+    for entry, route in routes.items():
+        model = ROUTES[entry][0]
         assert sampler.make_plan(model, 1000, method).route == route
         calls.clear()
         maxima_matrix(model, 1000, RngKey(3).child(1000), 8, method, threads=threads)

@@ -1,12 +1,15 @@
-"""Covariance assembly, the dense Schur factor, the two exact sampling routes,
+"""Covariance assembly, the banded Cholesky factor, the exact sampling routes,
 maxima extraction, and the binary path dump format.
 """
 
 import io
 import logging
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrex.correlation import (
+    CorrelationModel,
     DeltaSpec,
     constant_model,
     geometric_model,
@@ -41,9 +45,7 @@ from hrex.sampler import (
     _ar1_plan,
     _banded_plan,
     _circulant_plan,
-    _dense_plan,
     _lag0_plan,
-    _schur_factor,
 )
 
 
@@ -92,9 +94,9 @@ def test_assemble_respects_size_cap():
 
 
 def dense_factor(model, length):
-    """The dense plan's upper factor R (R^T R = Sigma), read off its
-    transform of the identity."""
-    plan = _dense_plan(model, length, n=length)
+    """The banded plan's upper factor R (R^T R = Sigma) as a dense matrix,
+    read off its transform of the identity."""
+    plan = _banded_plan(model, length, n=length)
     return plan.transform(np.eye(plan.size)).reshape(plan.size, plan.size)
 
 
@@ -106,16 +108,17 @@ def test_dense_factor_identity_no_jitter():
 def test_dense_factor_rejects_invalid():
     # |rho(1)| = 0.9 > 1/sqrt(2): the first three time points are indefinite
     model = tabulated_model(1, {(1, 1, 1): 0.9})
-    with pytest.raises(NotPositiveSemidefinite, match=r"covariance \(size 3\).*time block 2$"):
+    with pytest.raises(NotPositiveSemidefinite, match=r"^banded covariance \(length 3, bandwidth 1\).*time block 2$"):
         dense_factor(model, 3)
-    # an indefinite lag-0 block fails before any rotation
+    # an indefinite lag-0 block fails in the first time block
     model = tabulated_model(3, {(1, 2, 0): 0.9, (1, 3, 0): 0.9, (2, 3, 0): -0.9})
-    with pytest.raises(NotPositiveSemidefinite, match=r"covariance \(size 6\).*time block 0$"):
+    with pytest.raises(NotPositiveSemidefinite, match=r"^banded covariance \(length 2, bandwidth 2\).*time block 0$"):
         dense_factor(model, 2)
 
 
 def test_dense_factor_rank_deficient_needs_jitter():
-    # rho(1) = 1: eigenvalues {2, 0}; the jitter retry must engage
+    # rho(1) = 1: eigenvalues {2, 0}; the jitter retry must engage, and shows
+    # as the band's first entry
     factor = dense_factor(tabulated_model(1, {(1, 1, 1): 1.0}), 2)
     assert factor[0, 0] == math.sqrt(1.0 + _DEFAULT_JITTER)
     ones = np.ones((2, 2))
@@ -131,13 +134,28 @@ MA1 = tabulated_model(2, {(1, 1, 1): 0.3, (2, 2, 1): 0.2, (1, 2, 0): 0.4, (1, 2,
     + [(MA1, 50), (geometric_model(2, 0.99, 0.9), 2000)],
     ids=["geometric_d%d" % d for d in (1, 2, 3, 4)] + ["ma1_d2", "geometric_near_unit"],
 )
-def test_dense_factor_matches_lapack_cholesky(model, length):
-    # the Schur factor of the lag table is the Cholesky factor of the
-    # assembled block-Toeplitz matrix, to rounding
+def test_dense_factor_matches_lapack_cholesky(model, length, monkeypatch):
+    # the upper band dpbtrf factors, unpacked, is the Cholesky factor of the
+    # assembled block-Toeplitz matrix, to rounding; 0.99^k never vanishes
+    # within 2000 lags, so that band is full
+    bands = []
+    factor = scipy.linalg.lapack.dpbtrf
+
+    def recording(ab, **kwargs):
+        band, info = factor(ab, **kwargs)
+        bands.append(band)
+        return band, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recording)
+    _banded_plan(model, length, n=length)
+    (band,) = bands
+    size, bw = length * model.d, len(band) - 1
+    upper = np.zeros((size, size))
+    for o in range(bw + 1):  # band[bw - o, a] = U[a - o, a]
+        upper[np.arange(size - o), np.arange(o, size)] = band[bw - o, o:]
     cov = assemble_covariance(model, length)
-    factor = _schur_factor(lag_table(model, range(length), length))
-    assert np.abs(factor - np.linalg.cholesky(cov).T).max() <= 1e-12
-    assert np.abs(factor.T @ factor - cov).max() <= 1e-12
+    assert np.abs(upper - np.linalg.cholesky(cov).T).max() <= 1e-12
+    assert np.abs(upper.T @ upper - cov).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -153,14 +171,11 @@ def test_dense_factor_raises_where_cholesky_does(model, length, block):
     # the first two have lag-1 correlation above 1/sqrt(2), so the leading
     # 3 x 3 block (time blocks 0 to 2) is already indefinite; in the d = 2
     # spec rho_12(0) = rho_11(1) = 0.87 with rho_21(1) = 0 make the leading
-    # 3 x 3 block indefinite, inside time block 1.  The banded factor, which
-    # reports the order of the failing leading minor, names the same block
+    # 3 x 3 block indefinite, inside time block 1.  The banded factor
+    # reports the order of the failing leading minor, and so its time block
     cov = assemble_covariance(model, length)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov + _DEFAULT_JITTER * np.eye(len(cov)))
-    match = r"covariance \(size %d\).*first fails at time block %d$" % (len(cov), block)
-    with pytest.raises(NotPositiveSemidefinite, match=match):
-        dense_factor(model, length)
     match = r"^banded covariance \(length %d, .*first fails at time block %d$" % (length, block)
     with pytest.raises(NotPositiveSemidefinite, match=match):
         _banded_plan(model, length, n=length)
@@ -194,7 +209,8 @@ ROUTE_PLANS = {
     # route: (plan function, model for dimension d)
     "lag0": (_lag0_plan, equicorrelated_lag0),
     "ar1": (_ar1_plan, lambda d: geometric_model(d, 0.5, 0.3)),
-    "dense": (_dense_plan, lambda d: geometric_model(d, 0.5, 0.3)),
+    # a covariance with no zero lag: the banded route factors its full band
+    "dense": (_banded_plan, lambda d: constant_model(d, 0.3)),
     "banded": (_banded_plan, ma1_model),
     "circulant_geometric": (_circulant_plan, lambda d: geometric_model(d, 0.5, 0.3)),
     "circulant_ma1": (_circulant_plan, ma1_model),
@@ -398,12 +414,21 @@ BROWNIAN = hr_family(DeltaSpec.from_function(1, lambda i, j, k: float(k), math.i
 
 def test_circulant_embedding_failure_falls_back_to_dense(caplog):
     # every padded spectrum of the Brownian rows stays negative: the
-    # circulant plan gives up, the sampler logs the fallback, and the dense
-    # factor throws
+    # circulant plan gives up, the sampler logs the fallback, and the factor
+    # of the dense covariance, its full band, throws
     assert _circulant_plan(BROWNIAN, 64, n=10**4) is None
-    with pytest.raises(NotPositiveSemidefinite, match=r"^covariance \(size 64\)"):
+    with pytest.raises(NotPositiveSemidefinite, match=r"^banded covariance \(length 64, bandwidth 63\)"):
         list(iter_path_blocks(BROWNIAN, 64, RngKey(0).child(0), 1, method="circulant", n=10**4))
-    assert "falling back to the dense route" in caplog.text
+    assert "falling back to the banded route" in caplog.text
+
+
+@pytest.mark.parametrize("length, n, block", [(64, 10**3, 14), (64, 10**4, 19), (200, 10**5, 24)])
+def test_brownian_rows_fail_at_their_first_indefinite_time_block(length, n, block):
+    # rho(k) = 1 - k / ln n, clamped at -1: the full band fails at the time
+    # block where the leading principal submatrix first turns indefinite
+    match = r"^banded covariance \(length %d, bandwidth %d\).*time block %d$" % (length, length - 1, block)
+    with pytest.raises(NotPositiveSemidefinite, match=match):
+        make_plan(BROWNIAN, length, "cholesky", n=n)
 
 
 def gaussian_correlation(scale):
@@ -533,8 +558,8 @@ def test_circulant_footprint_counts_what_a_part_holds(d, batch):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("route", ["lag0", "ar1", "dense", "banded"])
 def test_footprint_counts_what_a_part_holds(route, d, batch):
-    # the other path routes count the draw, the product or sum and the kept
-    # block too (the banded route also one band row's product), not the draw alone
+    # the other path routes count the draw, the product and the kept block
+    # too, not the draw alone; "dense" is the banded route on a full band
     model, length = {
         "lag0": (equicorrelated_lag0(d), 100_000),
         "ar1": (geometric_model(d, 0.5, 0.3), 100_000),
@@ -542,7 +567,7 @@ def test_footprint_counts_what_a_part_holds(route, d, batch):
         "banded": (ma1_model(d), 100_000),
     }[route]
     plan = make_plan(model, length, "cholesky")
-    assert (plan.route, plan.paths) == (route, 1)
+    assert (plan.route, plan.paths) == ("banded" if route == "dense" else route, 1)
     held, declared = part_holds(plan, d, batch)
     assert 0.99 * declared <= held <= declared + (64 << 10)
 
@@ -637,6 +662,7 @@ def test_paired_plan_thread_and_batch_invariant(maxima, monkeypatch):
 
 
 SERIAL_HR = hr_family(serial_spec(**{"1": 1.0}))  # rho(1) = 0.89 at n = 1e4: indefinite
+BEYOND_CAP = r"cap of DENSE_CAP\*\*2 = 67108864; a circulant embedding, where one exists, needs no band$"
 
 
 @pytest.mark.parametrize(
@@ -646,7 +672,7 @@ SERIAL_HR = hr_family(serial_spec(**{"1": 1.0}))  # rho(1) = 0.89 at n = 1e4: in
         (geometric_model(2, 0.5, 0.3), 1, "circulant", "lag0", None),
         (geometric_model(2, 0.5, 0.3), 40, "cholesky", "ar1", None),
         (geometric_model(2, 0.5, 0.3), 100_000, "cholesky", "ar1", None),
-        (constant_model(2, 0.3), 40, "cholesky", "dense", None),
+        (constant_model(2, 0.3), 40, "cholesky", "banded", None),
         (ma1_model(2), 4100, "cholesky", "banded", None),
         (geometric_model(2, 0.5, 0.3), 40, "circulant", "circulant", None),
         (ma1_model(2), 300, "cholesky", "banded", None),
@@ -656,10 +682,13 @@ SERIAL_HR = hr_family(serial_spec(**{"1": 1.0}))  # rho(1) = 0.89 at n = 1e4: in
          (NotPositiveSemidefinite, r"^banded covariance \(length 300, bandwidth 1\).*time block 2$")),
         (SERIAL_HR, 4100, "circulant", "banded",
          (NotPositiveSemidefinite, r"^banded covariance \(length 4100, bandwidth 1\).*time block 2$")),
-        (BROWNIAN, 5, "cholesky", "dense", None),
-        (BROWNIAN, 64, "circulant", "dense", (NotPositiveSemidefinite, r"^covariance \(size 64\)")),
-        (BROWNIAN, 8200, "cholesky", None, (ValueError, r"exceeds the dense cap.*use the circulant sampler$")),
-        (BROWNIAN, 8200, "circulant", None, (ValueError, r"^circulant embedding indefinite.*exceeds the dense cap")),
+        (BROWNIAN, 5, "cholesky", "banded", None),
+        (BROWNIAN, 64, "circulant", "banded",
+         (NotPositiveSemidefinite, r"^banded covariance \(length 64, bandwidth 63\).*time block 19$")),
+        (BROWNIAN, 8200, "cholesky", "banded",
+         (ValueError, r"^banded covariance \(length 8200, bandwidth 8199\) .* " + BEYOND_CAP)),
+        (BROWNIAN, 8200, "circulant", "banded",
+         (ValueError, r"^banded covariance \(length 8200, bandwidth 8199\) .* " + BEYOND_CAP)),
     ],
     ids=["lag0_max_lag_0", "lag0_length_1", "ar1", "ar1_beyond_dense_cap", "dense", "banded", "circulant",
          "ma1_below_dense_cap", "hr_serial", "smooth_fallback", "ma1_fallback_below_dense_cap",
@@ -668,18 +697,18 @@ SERIAL_HR = hr_family(serial_spec(**{"1": 1.0}))  # rho(1) = 0.89 at n = 1e4: in
 )
 def test_make_plan_names_the_route_it_takes(model, length, method, route, error, caplog):
     # max_lag 0 or a single time point is lag0 whatever the method; asked
-    # for, circulant keeps its route; otherwise the model's horizon, not the
-    # path length, picks: ar1 for a declared AR(1) row, banded for a finite
-    # max_lag, at any length and where the embedding failed (the smooth
+    # for, circulant keeps its route; otherwise the model's structure, not
+    # the path length, picks: ar1 for a declared AR(1) row, and banded for
+    # the rest, at any length and where the embedding failed (the smooth
     # correlation stays indefinite at L = 5 up to m = 64, the MA(1) row at
-    # every m), and dense for the rest, up to the cap.  `route` is the route
+    # every m), up to a band of DENSE_CAP**2 floats.  `route` is the route
     # taken or fallen back to, `error` what it raises there
     if error is None:
         assert make_plan(model, length, method, n=10**4).route == route
     else:
         with pytest.raises(error[0], match=error[1]):
             make_plan(model, length, method, n=10**4)
-    fell_back = method == "circulant" and route in ("banded", "dense")
+    fell_back = method == "circulant" and route == "banded"
     assert ("falling back to the %s route" % route in caplog.text) == fell_back
 
 
@@ -690,17 +719,17 @@ def test_make_plan_names_the_route_it_takes(model, length, method, route, error,
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_ar1_transform_matches_the_dense_factor(d, rate):
     # chol(T (x) C) = chol(T) (x) chol(C): on the same time-major normals the
-    # recursion and the Schur factor give the same paths, to rounding
+    # recursion and the Cholesky factor of Sigma give the same paths, to rounding
     model, length = geometric_model(d, rate, 0.3), 200
     z = standard_normal(RngKey(61).child(d), (5, length * d))
     ar1 = _ar1_plan(model, length, n=length).transform(z)
-    dense = _dense_plan(model, length, n=length).transform(z)
-    assert np.abs(ar1 - dense).max() <= 1e-12
+    dense = z @ np.linalg.cholesky(assemble_covariance(model, length)).T
+    assert np.abs(ar1.reshape(5, -1) - dense).max() <= 1e-12
 
 
 def test_ar1_jitter_goes_on_the_lag0_block():
     # cross = 1 makes C singular: the jitter goes on C, so the covariance is
-    # T (x) (C + jitter I), not the dense route's Sigma + jitter I
+    # T (x) (C + jitter I), not Sigma + jitter I
     model, length = geometric_model(2, 0.6, 1.0), 50
     plan = _ar1_plan(model, length, n=length)
     kac = assemble_covariance(geometric_model(1, 0.6), length)
@@ -728,15 +757,15 @@ def test_ar1_plan_rejects_a_false_declaration(model):
 
 
 def test_banded_matches_dense_exactly():
-    # both routes factor the same matrix and consume the same substreams;
+    # the band and the dense Cholesky factor of Sigma are the same matrix;
     # only the multiply order differs, so agreement is at rounding level
     model = tabulated_model(1, {(1, 1, 1): 0.3})
     length, count = 60, 5
     key = RngKey(21).child(length)
     z = np.stack([standard_normal(key.child(r), length) for r in range(count)])
-    dense = _dense_plan(model, length, n=length)[1](z)
+    dense = z @ np.linalg.cholesky(assemble_covariance(model, length)).T
     banded = _banded_plan(model, length, n=length)[1](z)
-    assert np.allclose(dense, banded, rtol=0.0, atol=1e-12)
+    assert np.allclose(dense, banded.reshape(count, length), rtol=0.0, atol=1e-12)
 
 
 def test_banded_handles_lengths_beyond_dense_cap():
@@ -754,9 +783,9 @@ def test_band_stops_at_the_last_lag_the_path_reads(monkeypatch):
     shapes = []
     factor = scipy.linalg.lapack.dpbtrf
 
-    def recording(ab, lower):
+    def recording(ab, **kwargs):
         shapes.append(ab.shape)
-        return factor(ab, lower=lower)
+        return factor(ab, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", recording)
     near = tabulated_model(1, {(1, 1, 1): 0.3})
@@ -767,14 +796,87 @@ def test_band_stops_at_the_last_lag_the_path_reads(monkeypatch):
 
 
 def test_dense_cap_without_finite_horizon_rejected():
-    with pytest.raises(ValueError):
-        path_values(constant_like_model(), 9000, RngKey(0).child(9000), 1)
+    with pytest.raises(ValueError, match=r"cap of DENSE_CAP\*\*2"):
+        path_values(constant_model(1, 0.2), 9000, RngKey(0).child(9000), 1)
 
 
-def constant_like_model():
-    from hrex.correlation import constant_model
+@pytest.mark.parametrize(
+    "model, length",
+    [(constant_model(1, 0.2), 8193), (tabulated_model(1, {(1, 1, 1): 0.3, (1, 1, 5000): 0.01}), 20_000)],
+    ids=["full_band", "finite_band"],
+)
+def test_band_beyond_the_cap_is_refused_before_it_is_built(model, length):
+    # 8193^2 and 5001 x 20,000 floats pass DENSE_CAP**2 = 8192^2: the plan
+    # refuses before it builds the band (800 MB on the finite one)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=BEYOND_CAP):
+            make_plan(model, length, "cholesky")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
 
-    return constant_model(1, 0.2)
+
+ONES = CorrelationModel(d=1, rho=lambda lags, n: np.ones((len(lags), 1, 1)), max_lag=math.inf)
+
+
+@pytest.mark.parametrize("model", [constant_model(2, 0.3), ONES], ids=["constant", "jitter"])
+def test_banded_plan_holds_one_band_at_its_peak(model):
+    # the band is built in place, factored in place, and on the jitter retry
+    # (rho = 1 everywhere is singular) rebuilt once the first one is freed
+    length = 1200 // model.d
+    tracemalloc.start()
+    try:
+        plan = _banded_plan(model, length, n=length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = 1200 * 1200 * 8
+    assert band <= peak <= 1.1 * band
+    first = plan.transform(np.eye(1, plan.size))[0, 0, 0]
+    assert first == (math.sqrt(1.0 + _DEFAULT_JITTER) if model is ONES else 1.0)
+
+
+def test_full_band_paths_do_not_depend_on_count_or_threads(pool_sizes, monkeypatch):
+    # one dtbmv of a fixed shape per replicate: path 0 has the same bytes
+    # alone, among 7 or 23, and from one thread or two parts
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    model, length = constant_model(2, 0.3), 300
+    key = RngKey(3).child(length)
+    assert make_plan(model, length, "cholesky").route == "banded"
+    paths = [np.concatenate([b for _, b in iter_path_blocks(model, length, key, count, threads=threads)])
+             for count, threads in ((1, 1), (7, 1), (23, 1), (23, 2))]
+    assert pool_sizes == [2]
+    assert [p[0].tobytes() for p in paths[1:]] == [paths[0][0].tobytes()] * 3
+
+
+BLAS_DIGEST = """
+import hashlib
+from hrex.correlation import constant_model, tabulated_model
+from hrex.rng import RngKey
+from hrex.sampler import iter_path_blocks
+digest = hashlib.sha256()
+for model, length in ((constant_model(2, 0.3), 300), (tabulated_model(1, {(1, 1, 1): 0.3}), 5000)):
+    for _, block in iter_path_blocks(model, length, RngKey(3).child(length), 3):
+        digest.update(block.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_banded_paths_do_not_depend_on_blas_threads():
+    # OpenBLAS sums dtbmv's L z from partial products, one per thread of its
+    # own, so those bits follow OPENBLAS_NUM_THREADS; the plan's U^T z makes
+    # each value one dot product, the same at any BLAS thread count
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", BLAS_DIGEST], capture_output=True, text=True, check=True,
+                              env=env, timeout=120)
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 # --- maxima and dump format ---------------------------------------------------
