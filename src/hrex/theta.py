@@ -68,9 +68,11 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _BATCH = 1 << 16
-# smallest part of a split batch draw: on 2 cores, alternated in one process,
-# halves of 2^18 values ran slower than one fill and halves of 2^20 faster
-_PART_VALUES = 1 << 20
+_TILE = 1 << 13  # columns of a part's slack tile, which divides _BATCH
+# smallest part of a split estimate, in normals (q * samples): on 2 cores,
+# alternated in one process, two parts of 2^17 ran from 21 % faster to 10 %
+# slower than one, and two of 2^18 14-30 % faster
+_PART_VALUES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +130,16 @@ def _resolve_lag(spec: DeltaSpec, max_lag: int | None) -> int:
                 "spec has no finite horizon; supply an explicit truncation lag"
             )
         return int(spec.finite_horizon)
+    _check_integer(max_lag, "max_lag")
     if max_lag < 0:
         raise ValueError("need truncation lag >= 0")
     return int(max_lag)
+
+
+def _check_integer(value, name: str) -> None:
+    # a bool or a float would pass the range checks and be cut to an int
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 def build_constraints(
@@ -230,10 +239,13 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     When no row reads W the value is exact and the standard error 0.
     Otherwise each row's slack bound - scale * W[column] is bound +
     loading @ z, with z standard normal and a zero loading for a pure-A row;
-    batch b draws its (q, b) block of z, a row per W slot, from substream
-    key.child(b).  The standard error is the per-sample probabilities'
-    standard deviation over sqrt(samples).  This is the one-set case of
-    theta_for_spec's estimate of two sets on the same draws.
+    batch b of 2^16 samples draws its (q, b) block of z, a row per W slot,
+    from substream key.child(b).  The standard error is the per-sample
+    probabilities' standard deviation over sqrt(samples).  An estimate of
+    at least 2^19 normals splits its batches into up to one part per CPU,
+    with the same bits.  samples must be a positive integer (not a bool).
+    This is the one-set case of theta_for_spec's estimate of two sets on
+    the same draws.
     """
     return _estimate((cs,), samples, key)[0]
 
@@ -244,48 +256,74 @@ def _estimate(
     """estimate_theta of each set, all read from one draw per batch: batch b
     draws a (q, b) block of z from key.child(b), q the most W slots of any
     set that reads W, and each set reads its leading len(cs.indices) rows.
-    A draw of at least 2 * _PART_VALUES values splits its rows into up to
-    one part per CPU, and at most `threads` (None: no bound), on
-    hrex.rng.run_parts, with the same bits.  A set's estimate is the one it
-    gets alone on the same key."""
+    An estimate of at least 2 * _PART_VALUES normals (q * samples) splits
+    its batches into contiguous ranges, up to one per CPU and at most
+    `threads` (None: no bound), on hrex.rng.run_parts.  Each part draws its
+    batches and reduces them to per-batch means and squared deviations; the
+    caller combines those in batch order, so any split gives the same bits.
+    A set's estimate is the one it gets alone on the same key."""
+    _check_integer(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
     loadings = [None if (cs.rows.column < 0).all() else -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
                 for cs in sets]
     q = max((len(cs.indices) for cs, loading in zip(sets, loadings) if loading is not None), default=0)
-    # per set: batch means, and squared deviations from each batch's mean
-    # here, of the batch means below
-    counts, means, squares = [], [[] for _ in sets], [0.0] * len(sets)
-    for batch_index, start in enumerate(range(0, samples if q else 0, _BATCH)):
-        b = min(_BATCH, samples - start)
-        z, sub = np.empty((q, b)), key.child(batch_index)
-        # rows split per CPU and at most `threads` ways, row a read at value a*b: any
-        # split gives one fill's bits
-        parts = min(q if threads is None else threads, q * b // _PART_VALUES)
-        run_parts(q, parts, lambda a, e: standard_normal(sub, (e - a, b), a * b, z[a:e]))
-        counts.append(b)
-        for n, (cs, loading) in enumerate(zip(sets, loadings)):
-            if loading is None:
-                continue
-            slack = loading @ z[: len(cs.indices)]
-            slack += cs.rows.bound[:, None]
-            p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
-            del slack  # free the (rows, b) block before the next set or batch
-            means[n].append(p.mean())
-            squares[n] += float(np.square(p - means[n][-1]).sum())
-        del z  # and the (q, b) draw before the next batch draws
+    rows = max((len(loading) for loading in loadings if loading is not None), default=0)
+    sizes = [min(_BATCH, samples - start) for start in range(0, samples if q else 0, _BATCH)]
+    # per set and batch: the batch mean, and the squared deviations from it
+    means, squares = np.zeros((2, len(sets), len(sizes)))
+
+    def work(first: int, stop: int) -> None:
+        # one draw, p and slack tile per part, reused by its batches: buffers
+        # allocated per batch on pool threads stay in glibc's per-thread arenas
+        draw, p = np.empty(q * sizes[first]), np.empty(sizes[first])
+        slack_buffer = np.empty(rows * max(map(_tile, sizes[first:stop])))
+        for batch_index in range(first, stop):
+            b = sizes[batch_index]
+            z = standard_normal(key.child(batch_index), (q, b), out=draw[: q * b].reshape(q, b))
+            batch_p, w = p[:b], _tile(b)
+            for n, (cs, loading) in enumerate(zip(sets, loadings)):
+                if loading is None:
+                    continue
+                # m(W) tile by tile: each column's slack is bound + loading @ z
+                slack = slack_buffer[: len(loading) * w].reshape(-1, w)
+                for c in range(0, b, w):
+                    np.matmul(loading, z[: len(cs.indices), c : c + w], out=slack)
+                    slack += cs.rows.bound[:, None]
+                    slack.min(axis=0, out=batch_p[c : c + w])
+                np.maximum(batch_p, 0.0, out=batch_p)
+                batch_p *= -2.0
+                np.expm1(batch_p, out=batch_p)
+                np.negative(batch_p, out=batch_p)
+                means[n, batch_index] = batch_p.mean()
+                batch_p -= means[n, batch_index]
+                squares[n, batch_index] = np.square(batch_p, out=batch_p).sum()
+
+    if sizes:
+        run_parts(len(sizes), min(len(sizes) if threads is None else threads, q * samples // _PART_VALUES), work)
+    counts = np.array(sizes)
     out = []
-    counts = np.array(counts)
-    for cs, loading, batch_means, square in zip(sets, loadings, means, squares):
+    for cs, loading, batch_means, batch_squares in zip(sets, loadings, means, squares):
         if loading is None:
             value = -math.expm1(-2.0 * max(cs.rows.bound.min(initial=math.inf), 0.0))
             out.append(ThetaEstimate(value, 0.0, samples, cs.truncation_lag))
             continue
-        batch_means = np.array(batch_means)
         value = float(counts @ batch_means) / samples
+        square = 0.0
+        for s in batch_squares.tolist():  # one float add at a time: sum() compensates from Python 3.12
+            square += s
         square += float(counts @ np.square(batch_means - value))
         out.append(ThetaEstimate(value, math.sqrt(square) / samples, samples, cs.truncation_lag))
     return out
+
+
+def _tile(b: int) -> int:
+    """Columns of each slack product in a batch of b samples: _TILE when b
+    is a whole number of tiles, else b.  OpenBLAS computes the last columns
+    of a product whose width is not a multiple of its unroll with other
+    kernels for small products than for large ones, so only a batch cut
+    into whole tiles gives the bits of one product over the batch."""
+    return _TILE if b % _TILE == 0 else b
 
 
 def theta_for_spec(
@@ -307,8 +345,11 @@ def theta_for_spec(
     shorter lag's, on the same normals and with the same factor block, so
     each sample's event can only shrink and the gap measures the
     truncation, not Monte Carlo noise.  Each estimate is byte-identical to
-    estimate_theta of its set on the same key, and its draws split across
-    at most `threads` parts (None: one per CPU) with the same bits.
+    estimate_theta of its set on the same key.  An estimate of at least
+    2^19 normals (W slots times samples) splits its batches across at most
+    `threads` parts (None: one per CPU), each drawing and reducing whole
+    batches, with the same bits.  samples and max_lag must be integers
+    (not bools).
     """
     lag = _resolve_lag(spec, max_lag)
     cs = build_constraints(spec, x, i, lag)

@@ -14,6 +14,7 @@ It is a third route, independent of both quadratures in the module.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,37 @@ def test_constraints_validate_inputs():
         build_constraints(spec, [0.0, 0.0], 3, max_lag=0)
 
 
+@pytest.mark.parametrize("max_lag", [2.5, True, 2.0], ids=["float", "bool", "whole_float"])
+@pytest.mark.parametrize("call", ["build_constraints", "theta_for_spec"])
+def test_non_integer_lag_is_rejected_by_name(call, max_lag):
+    # 2.5 was cut to lag 2 and True read as lag 1
+    spec = power_variogram(1.0, 4)
+    with pytest.raises(ValueError, match="max_lag must be an integer"):
+        if call == "build_constraints":
+            build_constraints(spec, [0.0], 1, max_lag)
+        else:
+            theta_for_spec(spec, [0.0], 1, 1000, RngKey(0), max_lag=max_lag)
+
+
+@pytest.mark.parametrize("samples", [True, 1e4, 1000.0], ids=["bool", "float", "whole_float"])
+@pytest.mark.parametrize("call", ["estimate_theta", "theta_for_spec"])
+def test_non_integer_samples_are_rejected_by_name(call, samples):
+    # True gave a one-sample estimate with std_error 0, and 1e4 a TypeError
+    # from range
+    spec = bivariate_spec(1.0)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        if call == "estimate_theta":
+            estimate_theta(build_constraints(spec, [0.0, 0.0], 2, 0), samples=samples, key=RngKey(0))
+        else:
+            theta_for_spec(spec, [0.0, 0.0], 2, samples, RngKey(0))
+
+
+def test_numpy_integer_counts_are_integers():
+    spec = bivariate_spec(1.0)
+    est, _ = theta_for_spec(spec, [0.0, 0.0], 2, np.int64(1000), RngKey(0), max_lag=np.int64(0))
+    assert est == theta_for_spec(spec, [0.0, 0.0], 2, 1000, RngKey(0), max_lag=0)[0]
+
+
 def test_truncation_defaults_to_horizon():
     cs = build_constraints(serial_spec(**{"2": 1.5}), [0.0], 1)
     assert cs.truncation_lag == 2
@@ -302,17 +334,58 @@ def test_estimate_batch_boundary_consistency():
     assert 0.0 < est.value < 1.0
 
 
+def brownian_spec():
+    # delta(k) = k / 2: K = 16 has 16 rows on 16 W slots, doubled 32 on 32
+    return DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf)
+
+
+# three batches, the last of 5000 samples, of 16 normals each: 2.2e6 normals
+SPLIT_SAMPLES = 2 * (1 << 16) + 5000
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_split_batch_draw_gives_the_bits_of_one_fill(cpus, pool_sizes, monkeypatch):
-    # one batch of (16, 5000) normals, one fill below the part floor; with parts
-    # of 1000 values its rows split into one part per CPU
-    cs = build_constraints(DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf), [0.0], 1, 16)
+    # the three batches split into one part per CPU, in ranges of
+    # ceil(3 / cpus) batches; each part draws and reduces its own batches
+    cs = build_constraints(brownian_spec(), [0.0], 1, 16)
     key = RngKey(31)
-    one_fill = estimate_theta(cs, samples=5000, key=key)
-    monkeypatch.setattr(theta, "_PART_VALUES", 1000)
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    one_fill = estimate_theta(cs, samples=SPLIT_SAMPLES, key=key)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    assert estimate_theta(cs, samples=5000, key=key) == one_fill
+    assert estimate_theta(cs, samples=SPLIT_SAMPLES, key=key) == one_fill
     assert pool_sizes == ([cpus] if cpus > 1 else [])
+
+
+@pytest.mark.parametrize("threads, pools", [(1, []), (2, [2]), (None, [3])])
+def test_threads_bound_the_parts_with_the_same_bits(threads, pools, pool_sizes, monkeypatch):
+    # at 3 CPUs: one thread runs inline, two split the batches 2 + 1
+    spec = brownian_spec()
+    key = RngKey(43).child(2)
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    serial = theta_for_spec(spec, [0.0], 1, SPLIT_SAMPLES, key, max_lag=16)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert theta_for_spec(spec, [0.0], 1, SPLIT_SAMPLES, key, max_lag=16, threads=threads) == serial
+    assert pool_sizes == pools
+
+
+@pytest.mark.parametrize("last", [1 << 16, 60000], ids=["whole_tiles", "one_product"])
+def test_split_memory_is_bounded_per_part(last, pool_sizes, monkeypatch):
+    # each of 2 parts holds its (q, 2^16) draw and its 2^16 probabilities,
+    # allocated once for all its batches, and a slack tile of (rows, 2^13),
+    # or of (rows, b) in the part whose last batch of b is no whole number of
+    # tiles; a (rows, 2^16) slack block per batch would hold 16 MiB per part
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    q = rows = 32
+    batch, tile = theta._BATCH, theta._TILE
+    bound = (2 * (q * batch + batch) + rows * (tile + max(tile, last % batch))) * 8
+    tracemalloc.start()
+    try:
+        theta_for_spec(brownian_spec(), [0.0], 1, 3 * batch + last, RngKey(47), max_lag=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool_sizes == [2]
+    assert bound <= peak <= bound + (256 << 10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -364,6 +437,34 @@ def test_estimate_matches_per_row_reference(spec, x, i, lag):
     samples, key = (1 << 16) + 1000, RngKey(29).child(i)
     value = estimate_theta(cs, samples=samples, key=key).value
     assert value == pytest.approx(per_row_estimate(cs, samples, key), rel=1e-12, abs=0.0)
+
+
+def one_product_estimate(cs, samples, key):
+    # reference: each batch's slack as one (rows, b) product, reduced to its
+    # mean and squared deviations, which add up in batch order
+    loading = -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
+    counts, means, square = [], [], 0.0
+    for batch, start in enumerate(range(0, samples, 1 << 16)):
+        b = min(1 << 16, samples - start)
+        slack = loading @ standard_normal(key.child(batch), (len(cs.indices), b))
+        slack += cs.rows.bound[:, None]
+        p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
+        counts.append(b)
+        means.append(p.mean())
+        square += float(np.square(p - means[-1]).sum())
+    counts, means = np.array(counts), np.array(means)
+    value = float(counts @ means) / samples
+    square += float(counts @ np.square(means - value))
+    return value, math.sqrt(square) / samples
+
+
+@pytest.mark.parametrize("samples", [1 << 16, 3 * (1 << 16), (1 << 16) + 12345, 8191])
+@pytest.mark.parametrize("lag", [3, 16])
+def test_tiled_slack_gives_the_bits_of_one_product(lag, samples):
+    # whole batches in 2^13-column tiles, the last batch of 12345 in one product
+    cs = build_constraints(brownian_spec(), [0.0], 1, lag)
+    est = estimate_theta(cs, samples=samples, key=RngKey(53).child(lag))
+    assert (est.value, est.std_error) == one_product_estimate(cs, samples, RngKey(53).child(lag))
 
 
 @pytest.mark.parametrize(
