@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one integer check."""
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -19,7 +21,14 @@ class DegenerateDelta(ToolkitError):
 
 
 class NotPositiveSemidefinite(ToolkitError):
-    """A covariance matrix failed the Cholesky test even after jitter.
+    """A covariance matrix failed the Cholesky test even after jitter, or a
+    lag-0 block has a materially negative eigenvalue.
 
     Signals an invalid correlation model rather than a numerical hiccup.
     """
+
+
+def check_integer(value, name: str) -> None:
+    # a bool or a float would pass range checks and be cut to an int
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))

@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import CorrelationModel
+from .errors import check_integer
 from .jsonio import to_jsonable, write_json
 from .norming import limit_cdf, norming_constants, threshold
 from .rng import RngKey
@@ -74,6 +75,9 @@ class ExperimentConfig:
     sampler: str = "cholesky"
 
     def __post_init__(self):
+        for a, n in enumerate(self.n_list):
+            check_integer(n, "n_list[%d]" % a)
+        check_integer(self.replicates, "replicates")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(
             self, "x_grid", tuple(tuple(float(v) for v in p) for p in self.x_grid)

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import check_integer
+
 _HALF_STEP = 2.0**-54  # half the 2^-53 lattice spacing of Generator.random
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _WORDS_PER_STEP = 4  # Philox4x64 gives 4 words, so 4 values, per counter step
@@ -45,6 +47,11 @@ class RngKey:
 
     root: int
     path: tuple[int, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        check_integer(self.root, "seed")
+        if self.root < 0:
+            raise ValueError("seed must be non-negative, got %d" % self.root)
 
     def child(self, *parts: int) -> "RngKey":
         if any(p < 0 for p in parts):

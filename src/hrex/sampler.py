@@ -24,8 +24,8 @@ structure, not the path length (past L = 1):
 * lag0: models with max_lag = 0 (or length-1 paths) multiply each time
   point by one d x d factor;
 * ar1 (method "cholesky"): models that declare a separable AR(1) row,
-  rho(k, n) = a(n)^k rho(0, n), at any length: the Cholesky factor is an
-  AR(1) recursion in time times the d x d factor of the lag-0 block, in
+  rho(k, n) = a(n)^k rho(0, n), at any length: the factor is an AR(1)
+  recursion in time times the d x d factor of the lag-0 block, in
   O(L d^2) per path;
 * banded: Cholesky, at any length, for every other serial model (the
   band has width d*k + d - 1, k the last lag below L whose block is
@@ -46,6 +46,10 @@ structure, not the path length (past L = 1):
   fallback to the banded route.  Each plan logs its embedding size,
   windows, doublings, smallest spectral eigenvalue and clipped eigenvalues
   at DEBUG.
+
+The lag0, ar1 and lag0-exact routes factor the d x d lag-0 block by a
+clipped eigen-factor, exact on a singular block; only the banded route
+retries a failed Cholesky, with jitter, and logs a WARNING when it does.
 
 `iter_path_blocks` is the one draw loop, for paths and, with `maxima`,
 for their maxima over time, which make_plan then gives lag-0 rows with
@@ -78,7 +82,7 @@ import scipy.linalg
 from scipy.special import ndtr, ndtri, ndtri_exp
 
 from .correlation import CorrelationModel, lag_table
-from .errors import NotPositiveSemidefinite
+from .errors import NotPositiveSemidefinite, check_integer
 from .norming import upper_orthant
 from .rng import RngKey, run_parts, split_count, standard_normal, uniform_open
 
@@ -152,22 +156,6 @@ def assemble_covariance(
     return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(size, size)
 
 
-def _factor_or_jitter(factor, what: str) -> np.ndarray:
-    """factor(0.0), retried once as factor(_DEFAULT_JITTER): the factor of
-    the matrix with that jitter added to its diagonal, built afresh.
-
-    Raises NotPositiveSemidefinite when both attempts fail; that is an
-    invalid correlation model, not a numerical accident.
-    """
-    for jitter in (0.0, _DEFAULT_JITTER):
-        try:
-            return factor(jitter)
-        except np.linalg.LinAlgError as exc:
-            failure = str(exc)  # not exc, whose frames would keep the failed matrix alive
-    msg = "%s is not positive semidefinite, even with jitter %g" % (what, _DEFAULT_JITTER)
-    raise NotPositiveSemidefinite("%s; %s" % (msg, failure)) from None
-
-
 def _factor_spectrum(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues of real-symmetric spectral blocks and their factors
     (negative eigenvalues clipped to 0); factors is None when materially
@@ -179,14 +167,19 @@ def _factor_spectrum(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return w, v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
-    """Serially independent time points: one d x d factor per point."""
-    d = model.d
-    lag0 = lag_table(model, range(1), n)[0]
+def _lag0_factor(lag0: np.ndarray) -> np.ndarray:
+    """F with F F^T = the d x d lag-0 block, by _factor_spectrum's clipped
+    eigen-factor: exact on a singular block, where Cholesky needs jitter."""
     _, factor = _factor_spectrum(lag0[None], tol=1e-9 * max(1.0, float(np.abs(lag0).max())))
     if factor is None:
         raise NotPositiveSemidefinite("lag-0 correlation matrix is not PSD")
-    factor_t = factor[0].T.copy()
+    return factor[0]
+
+
+def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
+    """Serially independent time points: one d x d factor per point."""
+    d = model.d
+    factor_t = _lag0_factor(lag_table(model, range(1), n)[0]).T.copy()
     # per replicate: the draw, its block, and the last batch's block, kept until this one is made
     return Plan(length * d, lambda z: z.reshape(-1, length, d) @ factor_t, 3 * length * d, "lag0",
                 standard_normal, 1)
@@ -195,12 +188,12 @@ def _lag0_plan(model: CorrelationModel, length: int, n: float) -> Plan:
 def _ar1_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     """Separable AR(1) rows, rho(k, n) = a^k C with C the lag-0 block, as the
     model declares a = model.ar1_rate(n), checked at lags 1 and 2.  The
-    time-major covariance is T (x) C with T = [a^|t-s|], whose Cholesky factor
-    is chol(T) (x) chol(C), and chol(T) is the recursion y_0 = w_0,
-    y_t = a y_{t-1} + sqrt(1 - a^2) w_t: per replicate, chol(C) (times
-    sqrt(1 - a^2) after the first point) maps each time point's normals into
-    a component-major block, and one unit lower-bidiagonal solve, LAPACK's
-    dtbtrs, runs the recursion on every component in place."""
+    time-major covariance is T (x) C with T = [a^|t-s|], factored as
+    chol(T) (x) F with F = _lag0_factor(C), exact for a singular C too, and
+    chol(T) is the recursion y_0 = w_0, y_t = a y_{t-1} + sqrt(1 - a^2) w_t:
+    per replicate, F (times sqrt(1 - a^2) after the first point) maps each
+    time point's normals into a component-major block, and one unit
+    lower-bidiagonal solve, LAPACK's dtbtrs, runs the recursion in place."""
     d = model.d
     table = lag_table(model, range(3), n)
     a = float(model.ar1_rate(n))
@@ -208,14 +201,8 @@ def _ar1_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     if not (-1.0 < a < 1.0 and gap <= 1e-12):
         raise ValueError("model declares AR(1) rate %r at n=%g, but |rho(k) - rate^k rho(0)| reaches"
                          " %.3g at lags 1-2" % (a, n, gap))
-
-    def factor(jitter: float) -> np.ndarray:
-        block = table[0].copy()
-        block.flat[:: d + 1] += jitter
-        return np.linalg.cholesky(block)
-
-    c = _factor_or_jitter(factor, "lag-0 block of the AR(1) row")
-    first_t, rest_t = c.T.copy(), math.sqrt((1.0 - a) * (1.0 + a)) * c.T
+    factor = _lag0_factor(table[0])
+    first_t, rest_t = factor.T.copy(), math.sqrt((1.0 - a) * (1.0 + a)) * factor.T
     band = np.zeros((2, length), order="F")  # Fortran order, which dtbtrs reads without a copy
     band[1, :-1] = -a  # the subdiagonal; diag="U" leaves row 0, the unit diagonal, unread
 
@@ -257,7 +244,7 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     back, other = np.divmod(comp - bw + np.arange(bw + 1), d)
     per_comp = table[-back, other, comp]
 
-    def factor(jitter: float) -> np.ndarray:
+    def factor(jitter: float) -> tuple[np.ndarray, int]:
         rows = np.empty((length, d, bw + 1))
         rows[:] = per_comp
         # Fortran order, which dpbtrf factors in place and dtbmv reads without a copy
@@ -267,12 +254,16 @@ def _banded_plan(model: CorrelationModel, length: int, n: float) -> Plan:
         ab[bw] += jitter
         # dpbtrf, which scipy.linalg.cholesky_banded wraps, for its info: the
         # order of the first leading minor that is not positive definite
-        u, info = scipy.linalg.lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
-        if info > 0:
-            raise np.linalg.LinAlgError("first fails at time block %d" % ((info - 1) // d))
-        return u
+        return scipy.linalg.lapack.dpbtrf(ab, lower=0, overwrite_ab=1)
 
-    band = _factor_or_jitter(factor, what)
+    band, info = factor(0.0)
+    if info > 0:  # retried once with jitter on the diagonal, once the failed band is freed
+        del band
+        band, info = factor(_DEFAULT_JITTER)
+        if info > 0:  # an invalid correlation model, not a numerical accident
+            raise NotPositiveSemidefinite("%s is not positive semidefinite, even with jitter %g; first fails at"
+                                          " time block %d" % (what, _DEFAULT_JITTER, (info - 1) // d))
+        log.warning("%s factored with jitter %g", what, _DEFAULT_JITTER)
 
     def transform(z: np.ndarray) -> np.ndarray:
         x = z.reshape(-1, size).copy()
@@ -365,9 +356,9 @@ def _circulant_plan(model: CorrelationModel, length: int, n: float) -> Plan | No
 def _lag0_exact_plan(model: CorrelationModel, length: int, n: float) -> Plan:
     """Maxima of lag-0 rows with d <= 2 by their exact law: 2d - 1 uniforms per
     replicate map to (b, 1, d) row maxima."""
-    # make_plan's lag-0 plan has checked that |rho| <= 1 up to rounding
-    rho = float(lag_table(model, range(1), n)[0, 0, -1])
-    d, rho = model.d, min(max(rho, -1.0), 1.0)
+    lag0 = lag_table(model, range(1), n)[0]
+    _lag0_factor(lag0)  # which checks that |rho| <= 1 up to rounding
+    d, rho = model.d, min(max(float(lag0[0, -1]), -1.0), 1.0)
 
     def transform(u: np.ndarray) -> np.ndarray:
         """Maxima of L independent rows from U1..U(2d-1), a row of u each: M1 =
@@ -403,15 +394,14 @@ def make_plan(
     length)."""
     if method not in METHODS:
         raise ValueError("unknown sampling method %r" % (method,))
+    check_integer(length, "length")
     if length < 1:
         raise ValueError("need path length >= 1")
     if n is None:
         n = length
     plan = None
     if model.max_lag == 0 or length == 1:
-        plan = _lag0_plan(model, length, n)  # which checks that the lag-0 matrix is PSD
-        if maxima and model.d <= 2:
-            plan = _lag0_exact_plan(model, length, n)
+        plan = (_lag0_exact_plan if maxima and model.d <= 2 else _lag0_plan)(model, length, n)
     elif method == "circulant":
         plan = _circulant_plan(model, length, n)
         if plan is None:
@@ -457,6 +447,7 @@ def iter_path_blocks(
     unit.  A reduced part's block is kept until that part's next block
     is made, as a consumer of unreduced blocks keeps its last one.  Values
     are independent of the batching and the split on every route."""
+    check_integer(count, "count")
     size, transform, footprint, route, draw, paths = make_plan(model, length, method, n, maxima)
     units = -(-count // paths)
     log.debug("iter_path_blocks route=%s length=%d n=%s count=%d values=%d",

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .correlation import DeltaSpec
-from .errors import DegenerateDelta, InvalidDeltaSpec
+from .errors import DegenerateDelta, InvalidDeltaSpec, check_integer
 from .norming import std_normal_cdf
 from .rng import RngKey, run_parts, standard_normal
 
@@ -68,7 +68,9 @@ __all__ = [
 
 _PSD_TOL = 1e-10
 _BATCH = 1 << 16
-_TILE = 1 << 13  # columns of a part's slack tile, which divides _BATCH
+# columns of a part's slack tile, which divides _BATCH: a batch is cut into
+# whole tiles, which give the bits of one product over them, and a shorter last tile
+_TILE = 1 << 13
 # smallest part of a split estimate, in normals (q * samples): on 2 cores,
 # alternated in one process, two parts of 2^17 ran from 21 % faster to 10 %
 # slower than one, and two of 2^18 14-30 % faster
@@ -130,16 +132,10 @@ def _resolve_lag(spec: DeltaSpec, max_lag: int | None) -> int:
                 "spec has no finite horizon; supply an explicit truncation lag"
             )
         return int(spec.finite_horizon)
-    _check_integer(max_lag, "max_lag")
+    check_integer(max_lag, "max_lag")
     if max_lag < 0:
         raise ValueError("need truncation lag >= 0")
     return int(max_lag)
-
-
-def _check_integer(value, name: str) -> None:
-    # a bool or a float would pass the range checks and be cut to an int
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 def build_constraints(
@@ -262,7 +258,7 @@ def _estimate(
     batches and reduces them to per-batch means and squared deviations; the
     caller combines those in batch order, so any split gives the same bits.
     A set's estimate is the one it gets alone on the same key."""
-    _check_integer(samples, "samples")
+    check_integer(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
     loadings = [None if (cs.rows.column < 0).all() else -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
@@ -277,17 +273,18 @@ def _estimate(
         # one draw, p and slack tile per part, reused by its batches: buffers
         # allocated per batch on pool threads stay in glibc's per-thread arenas
         draw, p = np.empty(q * sizes[first]), np.empty(sizes[first])
-        slack_buffer = np.empty(rows * max(map(_tile, sizes[first:stop])))
+        slack_buffer = np.empty(rows * _TILE)
         for batch_index in range(first, stop):
             b = sizes[batch_index]
             z = standard_normal(key.child(batch_index), (q, b), out=draw[: q * b].reshape(q, b))
-            batch_p, w = p[:b], _tile(b)
+            batch_p = p[:b]
             for n, (cs, loading) in enumerate(zip(sets, loadings)):
                 if loading is None:
                     continue
                 # m(W) tile by tile: each column's slack is bound + loading @ z
-                slack = slack_buffer[: len(loading) * w].reshape(-1, w)
-                for c in range(0, b, w):
+                for c in range(0, b, _TILE):
+                    w = min(_TILE, b - c)
+                    slack = slack_buffer[: len(loading) * w].reshape(-1, w)
                     np.matmul(loading, z[: len(cs.indices), c : c + w], out=slack)
                     slack += cs.rows.bound[:, None]
                     slack.min(axis=0, out=batch_p[c : c + w])
@@ -315,15 +312,6 @@ def _estimate(
         square += float(counts @ np.square(batch_means - value))
         out.append(ThetaEstimate(value, math.sqrt(square) / samples, samples, cs.truncation_lag))
     return out
-
-
-def _tile(b: int) -> int:
-    """Columns of each slack product in a batch of b samples: _TILE when b
-    is a whole number of tiles, else b.  OpenBLAS computes the last columns
-    of a product whose width is not a multiple of its unroll with other
-    kernels for small products than for large ones, so only a batch cut
-    into whole tiles gives the bits of one product over the batch."""
-    return _TILE if b % _TILE == 0 else b
 
 
 def theta_for_spec(

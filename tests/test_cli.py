@@ -736,6 +736,20 @@ def test_rejects_mistyped_config_fields(tmp_path, capsys, command, cfg, named):
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["converge", "theta"])
+def test_rejects_a_negative_seed_by_name(tmp_path, capsys, command):
+    # numpy's own message, "expected non-negative integer", named nothing
+    if command == "converge":
+        argv = ["converge", "--config", write_json(tmp_path / "cfg.json", {**CONVERGE_CFG, "seed": -1})]
+    else:
+        spec = write_json(tmp_path / "spec.json", {"d": 2, "entries": [], "default": "inf"})
+        argv = ["theta", "--spec-file", spec, "--i", "1", "--x", "0,0", "--seed", "-5"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "ValueError" and failure["message"].startswith("seed must be non-negative")
+
+
 def test_check_rejects_flags_it_does_not_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--config", "cfg.json", "--threads", "2"])

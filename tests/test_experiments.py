@@ -7,6 +7,7 @@ import io
 import itertools
 import logging
 import math
+import re
 import sys
 import threading
 
@@ -90,6 +91,20 @@ def test_config_validates():
             ExperimentConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("n_list", (100.7, 1000), "n_list[0] must be an integer, got 100.7"),
+     ("n_list", (True, 1000), "n_list[0] must be an integer, got True"),
+     ("replicates", 150.5, "replicates must be an integer, got 150.5")],
+    ids=["float_n", "bool_n", "float_replicates"],
+)
+def test_config_rejects_non_integer_sizes(field, value, named):
+    # 100.7 used to run as n = 100, and 150.5 replicates to fail inside np.empty
+    good = dict(model=iid_model(1), n_list=(10, 100), replicates=100, x_grid=((0.0,),), seed=1)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(named)):
+        ExperimentConfig(**dict(good, **{field: value}))
+
+
 def test_config_coerces_types():
     cfg = ExperimentConfig(
         model=iid_model(2),
@@ -154,7 +169,7 @@ def test_every_route_entry_takes_the_route_it_names(route):
 
 
 def test_exact_route_keeps_the_lag0_psd_guard():
-    # the exact transform clamps rho to [-1, 1], so without the lag-0 plan's
+    # the exact transform clamps rho to [-1, 1], so without the lag-0 factor's
     # check it would return the maxima of rho = 1 rows for an impossible model
     def rho(lags, n):
         return np.where((lags == 0)[:, None, None], [[1.0, 1.2], [1.2, 1.0]], 0.0)
@@ -276,8 +291,8 @@ def test_split_batch_reduces_on_each_part_thread(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("method, counted", [("cholesky", "lag_table"), ("circulant", "lag_table")])
 def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
-    # every worker chunk reuses the one plan: the ar1, banded or circulant lag
-    # table is built, and factored, once
+    # every worker chunk reuses the one plan: the lag0-exact, ar1, banded or
+    # circulant lag table is built, and factored, once
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(sampler, "_SPLIT_FLOATS", 1)
     calls = []
@@ -288,10 +303,11 @@ def test_maxima_plans_once_per_call(threads, method, counted, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sampler, counted, counting)
-    routes = {"ar1": "ar1", "dense": "banded"} if method == "cholesky" else {"circulant": "circulant"}
+    routes = ({"lag0_exact": "lag0-exact", "ar1": "ar1", "dense": "banded"} if method == "cholesky"
+              else {"circulant": "circulant"})
     for entry, route in routes.items():
         model = ROUTES[entry][0]
-        assert sampler.make_plan(model, 1000, method).route == route
+        assert sampler.make_plan(model, 1000, method, maxima=True).route == route
         calls.clear()
         maxima_matrix(model, 1000, RngKey(3).child(1000), 8, method, threads=threads)
         assert len(calls) == 1

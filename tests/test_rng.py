@@ -75,6 +75,13 @@ def test_negative_start_rejected():
             draw(RngKey(1), 3, start=-1)
 
 
+@pytest.mark.parametrize("root", [-1, True, 2.0, "3"])
+def test_key_rejects_a_seed_that_is_no_non_negative_integer(root):
+    # RngKey(True) used to seed 1, and a negative seed failed in numpy without naming it
+    with pytest.raises(ValueError, match="^seed must be"):
+        RngKey(root)
+
+
 def test_out_is_filled_in_place():
     key = RngKey(47).child(3)
     block = np.zeros((3, 7))

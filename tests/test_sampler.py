@@ -129,6 +129,34 @@ MA1 = tabulated_model(2, {(1, 1, 1): 0.3, (2, 2, 1): 0.2, (1, 2, 0): 0.4, (1, 2,
 
 
 @pytest.mark.parametrize(
+    "model, length, logged",
+    [
+        (tabulated_model(1, {(1, 1, 1): 1.0}), 2,
+         ["banded covariance (length 2, bandwidth 1) factored with jitter 1e-10"]),
+        (MA1, 50, []),
+    ],
+    ids=["jittered", "ma1"],
+)
+def test_banded_jitter_retry_says_so(model, length, logged, caplog):
+    # the one jitter left in the sampler is reported when the retry succeeds
+    caplog.set_level(logging.WARNING, logger="hrex.sampler")
+    _banded_plan(model, length, n=length)
+    assert [r.getMessage() for r in caplog.records] == logged
+
+
+def test_banded_jitter_retry_that_fails_raises(caplog):
+    # criterion 7's row, rho(1) = 1 - 1/ln n: both attempts fail, and the
+    # error, not a warning, says so
+    model = hr_family(DeltaSpec.from_entries(1, {(1, 1, 1): 1.0}))
+    message = ("banded covariance (length 1000, bandwidth 1) is not positive semidefinite, even with jitter"
+               " 1e-10; first fails at time block 2")
+    caplog.set_level(logging.WARNING, logger="hrex.sampler")
+    with pytest.raises(NotPositiveSemidefinite, match="^%s$" % re.escape(message)):
+        make_plan(model, 1000, "cholesky")
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize(
     "model, length",
     [(geometric_model(d, 0.5, 0.3), 40) for d in (1, 2, 3, 4)]
     + [(MA1, 50), (geometric_model(2, 0.99, 0.9), 2000)],
@@ -712,29 +740,45 @@ def test_make_plan_names_the_route_it_takes(model, length, method, route, error,
     assert ("falling back to the %s route" % route in caplog.text) == fell_back
 
 
+@pytest.mark.parametrize(
+    "length, count, named",
+    [(16, True, "count must be an integer, got True"), (16, 2.5, "count must be an integer, got 2.5"),
+     (16.0, 2, "length must be an integer, got 16.0")],
+    ids=["bool_count", "float_count", "float_length"],
+)
+def test_path_blocks_reject_non_integer_sizes(length, count, named):
+    # count=True used to draw one replicate
+    with pytest.raises(ValueError, match="^%s$" % re.escape(named)):
+        next(iter_path_blocks(iid_model(1), length, RngKey(0), count))
+
+
 # --- ar1 route ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("rate", [0.3, 0.6, 0.99])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_ar1_transform_matches_the_dense_factor(d, rate):
-    # chol(T (x) C) = chol(T) (x) chol(C): on the same time-major normals the
-    # recursion and the Cholesky factor of Sigma give the same paths, to rounding
+    # Sigma = T (x) C is factored as chol(T) (x) F, F = V sqrt(W) the clipped
+    # eigen-factor of C: on the same time-major normals the recursion and the
+    # dense product give the same paths, to rounding
     model, length = geometric_model(d, rate, 0.3), 200
     z = standard_normal(RngKey(61).child(d), (5, length * d))
     ar1 = _ar1_plan(model, length, n=length).transform(z)
-    dense = z @ np.linalg.cholesky(assemble_covariance(model, length)).T
+    w, v = np.linalg.eigh(lag_table(model, range(1), length)[0])
+    kac = np.linalg.cholesky(assemble_covariance(geometric_model(1, rate), length))
+    dense = z @ np.kron(kac, v * np.sqrt(np.clip(w, 0.0, None))).T
     assert np.abs(ar1.reshape(5, -1) - dense).max() <= 1e-12
 
 
-def test_ar1_jitter_goes_on_the_lag0_block():
-    # cross = 1 makes C singular: the jitter goes on C, so the covariance is
-    # T (x) (C + jitter I), not Sigma + jitter I
+def test_ar1_is_exact_on_a_singular_lag0_block():
+    # cross = 1 makes C singular and the two components comonotone: the
+    # eigen-factor needs no jitter, so the gram is Sigma itself and the
+    # components come out byte-equal, as on the lag0 and circulant routes
     model, length = geometric_model(2, 0.6, 1.0), 50
     plan = _ar1_plan(model, length, n=length)
-    kac = assemble_covariance(geometric_model(1, 0.6), length)
-    sigma = assemble_covariance(model, length) + _DEFAULT_JITTER * np.kron(kac, np.eye(2))
-    assert np.abs(transform_gram(plan, length, 2) - sigma).max() <= 1e-12
+    assert np.abs(transform_gram(plan, length, 2) - assemble_covariance(model, length)).max() <= 1e-12
+    paths = plan.transform(standard_normal(RngKey(62), (5, plan.size)))
+    assert paths[..., 0].tobytes() == paths[..., 1].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -372,12 +372,13 @@ def test_threads_bound_the_parts_with_the_same_bits(threads, pools, pool_sizes, 
 def test_split_memory_is_bounded_per_part(last, pool_sizes, monkeypatch):
     # each of 2 parts holds its (q, 2^16) draw and its 2^16 probabilities,
     # allocated once for all its batches, and a slack tile of (rows, 2^13),
-    # or of (rows, b) in the part whose last batch of b is no whole number of
-    # tiles; a (rows, 2^16) slack block per batch would hold 16 MiB per part
+    # also in the part whose last batch is no whole number of tiles (once
+    # computed as one (rows, b) product); a (rows, 2^16) slack block per batch
+    # would hold 16 MiB per part
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     q = rows = 32
     batch, tile = theta._BATCH, theta._TILE
-    bound = (2 * (q * batch + batch) + rows * (tile + max(tile, last % batch))) * 8
+    bound = (2 * (q * batch + batch + rows * tile)) * 8
     tracemalloc.start()
     try:
         theta_for_spec(brownian_spec(), [0.0], 1, 3 * batch + last, RngKey(47), max_lag=16)
@@ -440,13 +441,16 @@ def test_estimate_matches_per_row_reference(spec, x, i, lag):
 
 
 def one_product_estimate(cs, samples, key):
-    # reference: each batch's slack as one (rows, b) product, reduced to its
-    # mean and squared deviations, which add up in batch order
+    # reference: each batch's slack as one (rows, b) product over its whole
+    # 2^13-column tiles and one over the rest, reduced to its mean and squared
+    # deviations, which add up in batch order
     loading = -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
     counts, means, square = [], [], 0.0
     for batch, start in enumerate(range(0, samples, 1 << 16)):
         b = min(1 << 16, samples - start)
-        slack = loading @ standard_normal(key.child(batch), (len(cs.indices), b))
+        z = standard_normal(key.child(batch), (len(cs.indices), b))
+        whole = b - b % (1 << 13)
+        slack = np.concatenate([loading @ z[:, :whole], loading @ z[:, whole:]], axis=1)
         slack += cs.rows.bound[:, None]
         p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
         counts.append(b)
@@ -461,7 +465,8 @@ def one_product_estimate(cs, samples, key):
 @pytest.mark.parametrize("samples", [1 << 16, 3 * (1 << 16), (1 << 16) + 12345, 8191])
 @pytest.mark.parametrize("lag", [3, 16])
 def test_tiled_slack_gives_the_bits_of_one_product(lag, samples):
-    # whole batches in 2^13-column tiles, the last batch of 12345 in one product
+    # whole batches in 2^13-column tiles, which give the bits of one product;
+    # the last batch of 12345 in one tile and a last tile of 4153
     cs = build_constraints(brownian_spec(), [0.0], 1, lag)
     est = estimate_theta(cs, samples=samples, key=RngKey(53).child(lag))
     assert (est.value, est.std_error) == one_product_estimate(cs, samples, RngKey(53).child(lag))
