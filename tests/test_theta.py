@@ -372,13 +372,12 @@ def test_threads_bound_the_parts_with_the_same_bits(threads, pools, pool_sizes, 
 def test_split_memory_is_bounded_per_part(last, pool_sizes, monkeypatch):
     # each of 2 parts holds its (q, 2^16) draw and its 2^16 probabilities,
     # allocated once for all its batches, and a slack tile of (rows, 2^13),
-    # also in the part whose last batch is no whole number of tiles (once
-    # computed as one (rows, b) product); a (rows, 2^16) slack block per batch
-    # would hold 16 MiB per part
+    # also in the part whose last batch is no whole number of tiles; a
+    # (rows, 2^16) slack block per batch would hold 16 MiB per part
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     q = rows = 32
     batch, tile = theta._BATCH, theta._TILE
-    bound = (2 * (q * batch + batch + rows * tile)) * 8
+    bound = 2 * (q * batch + batch + rows * tile) * 8
     tracemalloc.start()
     try:
         theta_for_spec(brownian_spec(), [0.0], 1, 3 * batch + last, RngKey(47), max_lag=16)
