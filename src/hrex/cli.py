@@ -201,23 +201,26 @@ def _theta_grid(cfg: dict, model: CorrelationModel, x_grid, seed: int, threads: 
     raise ValueError("unknown theta method %r" % (method,))
 
 
-def _check_threads(args) -> None:
+def _start(args) -> tuple[dict, int, CorrelationModel, str]:
+    """converge's and sample's start-up, after checking --threads: the config,
+    the seed (--seed, else the config's, else 0), the model, and the sampler
+    (--sampler, else the config's, else cholesky)."""
     if args.threads < 1:
         raise ValueError("--threads must be >= 1, got %d" % args.threads)
+    cfg = _load_config(args.config)
+    seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
+    return cfg, seed, model_from_jsonable(cfg["model"]), args.sampler or cfg.get("sampler", "cholesky")
 
 
 def cmd_converge(args) -> int:
-    _check_threads(args)
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
-    model = model_from_jsonable(cfg["model"])
+    cfg, seed, model, sampler = _start(args)
     experiment = ExperimentConfig(
         model=model,
         n_list=tuple(_list_of(cfg["n_list"], int, "n_list")),
         replicates=_typed(cfg["replicates"], int, "replicates"),
         x_grid=_rows(cfg["x_grid"], "x_grid"),
         seed=seed,
-        sampler=args.sampler or cfg.get("sampler", "cholesky"),
+        sampler=sampler,
     )
     thetas = _theta_grid(cfg, model, experiment.x_grid, seed, args.threads)
     empirical = run_maxima_experiment(experiment, threads=args.threads)
@@ -297,13 +300,10 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_threads(args)
-    cfg = _load_config(args.config)
+    cfg, seed, model, sampler = _start(args)
     out_dir = _resolve_out(args)
     if out_dir is None:
         raise ValueError("sample needs an output directory (--out or HREX_OUT)")
-    seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
-    model = model_from_jsonable(cfg["model"])
     if "length" not in cfg:
         raise ValueError("sample config needs a path 'length'")
     length = _typed(cfg["length"], int, "length")
@@ -313,7 +313,6 @@ def cmd_sample(args) -> int:
     model_n = cfg.get("model_n")
     if model_n is not None:
         _typed(model_n, float, "model_n")
-    sampler = args.sampler or cfg.get("sampler", "cholesky")
     key = RngKey(seed).child(length)
     files = []
     blocks = iter_path_blocks(model, length, key, count, method=sampler, n=model_n, threads=args.threads)

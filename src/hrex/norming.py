@@ -22,17 +22,21 @@ law of serially independent bivariate rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
+from .errors import check_integer
+
 __all__ = [
     "NormingConstants",
     "norming_constants",
     "threshold",
     "std_normal_cdf",
+    "theta_bivariate_closed_form",
     "hr_bivariate_cdf",
     "limit_cdf",
     "upper_orthant",
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 _LOG_4PI = math.log(4.0 * math.pi)
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows exactly above it
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,12 @@ def norming_constants(n: int) -> NormingConstants:
     Every such n gives 0 < b_n < a_n: b_n < a_n reduces to
     log log n > -log 4*pi, and b_n > 0 to 4 log n > log log n + log 4*pi.
     """
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise ValueError("need an integer sample size n")
+    check_integer(n, "sample size n")
     if n < 2:
         raise ValueError("need n >= 2 so that log log n is defined")
     a_n = math.sqrt(2.0 * math.log(n))
     b_n = a_n - (math.log(math.log(n)) + _LOG_4PI) / (2.0 * a_n)
-    return NormingConstants(n=n, a_n=a_n, b_n=b_n)
+    return NormingConstants(n=int(n), a_n=a_n, b_n=b_n)
 
 
 def threshold(constants: NormingConstants, x: float) -> float:
@@ -86,42 +90,45 @@ def std_normal_cdf(x: float) -> float:
     return float(ndtr(x))
 
 
-def hr_bivariate_cdf(lam: float, x: float, y: float) -> float:
-    """Bivariate max-stable CDF H_lambda with Gumbel margins.
+def theta_bivariate_closed_form(lam: float, x: float, y: float) -> tuple[float, float]:
+    """Coefficient pair of H_lambda(x, y) = exp(-theta_1 e^-x - theta_2 e^-y):
 
-    For 0 < lambda < infinity,
+        theta_1 = Phi(sqrt(lam) + (y - x) / (2 sqrt(lam))),  theta_2 the same with x, y swapped.
 
-        H(x, y) = exp(- Phi(sqrt(lam) + (x-y)/(2 sqrt(lam))) * e^-y
-                      - Phi(sqrt(lam) + (y-x)/(2 sqrt(lam))) * e^-x).
-
-    The boundary cases are taken on separate branches rather than by
-    substituting a large finite lambda:
-
-        lambda = 0        complete dependence,  exp(-e^-min(x, y)),
-        lambda = infinity independence,         exp(-e^-x - e^-y).
-
+    The boundaries are separate branches, not a large or small finite lambda:
+    (1, 1) at lambda = infinity (independence), and at lambda = 0 (complete
+    dependence) all weight on the lower level, split evenly when x == y.
     x and y may be +-infinite; NaN anywhere is rejected.
     """
     if math.isnan(lam) or math.isnan(x) or math.isnan(y):
         raise ValueError("need non-NaN arguments")
     if lam < 0:
         raise ValueError("need lambda >= 0")
-    if lam == 0.0:
-        return math.exp(-math.exp(-min(x, y)))
     if math.isinf(lam):
-        return math.exp(-math.exp(-x) - math.exp(-y))
+        return (1.0, 1.0)
+    if lam == 0.0:
+        return (0.5, 0.5) if x == y else (1.0, 0.0) if x < y else (0.0, 1.0)
     root = math.sqrt(lam)
-    half = (x - y) / (2.0 * root) if x != y else 0.0
-    term_y = std_normal_cdf(root + half) * math.exp(-y)
-    term_x = std_normal_cdf(root - half) * math.exp(-x)
-    return math.exp(-(term_y + term_x))
+    half = (y - x) / (2.0 * root) if x != y else 0.0  # inf - inf at equal infinite levels
+    return (std_normal_cdf(root + half), std_normal_cdf(root - half))
+
+
+def hr_bivariate_cdf(lam: float, x: float, y: float) -> float:
+    """Bivariate max-stable CDF H_lambda with Gumbel margins, the limit law
+    of theta_bivariate_closed_form's pair: it interpolates between complete
+    dependence exp(-e^-min(x, y)) at lambda = 0 and independence
+    exp(-e^-x - e^-y) at lambda = infinity."""
+    return limit_cdf(theta_bivariate_closed_form(lam, x, y), (x, y))
 
 
 def limit_cdf(thetas: Sequence[float], x: Sequence[float]) -> float:
     """Multivariate limit CDF exp(-sum_i theta_i e^-x_i).
 
     Each theta_i must lie in [0, 1]; the two sequences must have equal,
-    positive length.  Coordinates of x may be +-infinite.
+    positive length.  Coordinates of x may be +-infinite.  A zero theta_i
+    adds nothing, also where e^-x_i is infinite; a term whose e^-x_i
+    overflows is taken as exp(log theta_i - x_i), infinite only when the
+    product itself overflows.
     """
     if len(thetas) != len(x) or len(x) == 0:
         raise ValueError("need matching non-empty theta and x sequences")
@@ -131,7 +138,12 @@ def limit_cdf(thetas: Sequence[float], x: Sequence[float]) -> float:
             raise ValueError("need theta in [0, 1]")
         if math.isnan(xi):
             raise ValueError("need non-NaN levels x")
-        total += th * math.exp(-xi)
+        if th > 0.0:
+            try:
+                total += th * math.exp(-xi)
+            except OverflowError:
+                log_term = math.log(th) - xi
+                total += math.exp(log_term) if log_term <= _LOG_MAX else math.inf
     return math.exp(-total)
 
 

@@ -51,7 +51,6 @@ from scipy.special import ndtr
 
 from .correlation import DeltaSpec
 from .errors import DegenerateDelta, InvalidDeltaSpec, check_integer
-from .norming import std_normal_cdf
 from .rng import RngKey, run_parts, standard_normal
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "theta_for_spec",
     "theta_oracle_single",
     "theta_oracle_single_trapezoid",
-    "theta_bivariate_closed_form",
 ]
 
 _PSD_TOL = 1e-10
@@ -404,28 +402,3 @@ def _check_oracle_args(delta: float, shift: float) -> None:
         raise ValueError("need finite delta > 0")
     if not math.isfinite(shift):
         raise ValueError("need finite shift")
-
-
-def theta_bivariate_closed_form(lam: float, x1: float, x2: float) -> tuple[float, float]:
-    """Coefficient pair reproducing the bivariate CDF H_lambda:
-
-        theta_1 = Phi(sqrt(lam) + (x2 - x1) / (2 sqrt(lam))),
-        theta_2 = Phi(sqrt(lam) + (x1 - x2) / (2 sqrt(lam))),
-
-    so that exp(-theta_1 e^-x1 - theta_2 e^-x2) = H_lambda(x1, x2).
-    The boundary branches return (1, 1) at lambda = infinity and the
-    indicator-type pair at lambda = 0.
-    """
-    if math.isnan(lam) or lam < 0:
-        raise ValueError("need lambda in [0, inf]")
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError("need finite levels")
-    if math.isinf(lam):
-        return (1.0, 1.0)
-    if lam == 0.0:
-        if x1 == x2:
-            return (0.5, 0.5)
-        return (1.0, 0.0) if x1 < x2 else (0.0, 1.0)
-    root = math.sqrt(lam)
-    half = (x2 - x1) / (2.0 * root)
-    return (std_normal_cdf(root + half), std_normal_cdf(root - half))

@@ -34,13 +34,12 @@ from hrex.experiments import (
     random_matrix_distribution,
     weakly_decreasing,
 )
-from hrex.norming import hr_bivariate_cdf, limit_cdf
+from hrex.norming import hr_bivariate_cdf, limit_cdf, theta_bivariate_closed_form
 from hrex.rng import RngKey
 from hrex.sampler import assemble_covariance, iter_path_blocks
 from hrex.theta import (
     build_constraints,
     estimate_theta,
-    theta_bivariate_closed_form,
     theta_for_spec,
     theta_oracle_single,
     theta_oracle_single_trapezoid,

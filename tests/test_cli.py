@@ -11,8 +11,7 @@ import pytest
 
 from hrex import jsonio
 from hrex.cli import main, model_from_jsonable
-from hrex.norming import limit_cdf
-from hrex.theta import theta_bivariate_closed_form
+from hrex.norming import limit_cdf, theta_bivariate_closed_form
 
 PHI_1 = 0.84134474606854295
 
@@ -57,6 +56,23 @@ def test_hlambda_unit_lambda_diagonal(capsys):
 def test_hlambda_rejects_nan(capsys):
     with pytest.raises(SystemExit):
         main(["hlambda", "--lambda", "nan", "--x", "0", "--y", "0"])
+
+
+def test_hlambda_below_the_overflow_level(capsys):
+    # e^800 overflows a float; the CDF there is 0, not an error
+    code, out, err = run(["hlambda", "--lambda", "1", "--x", "-800", "--y", "0"], capsys)
+    assert (code, out, err) == (0, "0.0\n", "")
+
+
+def test_converge_below_the_overflow_level(tmp_path, capsys):
+    cfg = {"model": {"name": "iid", "d": 1}, "n_list": [10, 100], "replicates": 100, "x_grid": [[-800.0]]}
+    out_dir = tmp_path / "out"
+    code, out, err = run(["converge", "--config", write_json(tmp_path / "cfg.json", cfg),
+                          "--out", str(out_dir), "--threads", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sup_deviation"] == {"10": 0.0, "100": 0.0}
+    entries = json.loads((out_dir / "report.json").read_text())["entries"]
+    assert [e["limit"] for e in entries] == [[0.0], [0.0]]
 
 
 # --- theta -----------------------------------------------------------------------

@@ -678,3 +678,21 @@ def test_checkers_name_a_non_finite_correlation():
     with pytest.raises(ValueError, match="non-finite"):
         lag_table(model, range(1, 7), 100)
 
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: DeltaSpec(d=0, entries={}), InvalidDeltaSpec, "dimension d >= 1"),
+    (lambda: DeltaSpec.from_function(1, lambda i, j, k: 1.0, -1), InvalidDeltaSpec, "finite_horizon >= 0"),
+    (lambda: DeltaSpec.from_jsonable({"d": 1, "entries": [], "default": 0}), InvalidDeltaSpec, "default 'inf'"),
+    (lambda: DeltaSpec.from_jsonable({"d": 1, "entries": [{"i": 1, "j": 1, "k": 1}]}), InvalidDeltaSpec,
+     "needs fields i, j, k, delta"),
+    (lambda: DeltaSpec.from_entries(1, {(1, 1, -1): 1.0}), InvalidDeltaSpec, "lag k >= 0"),
+    (lambda: check_short_range(iid_model(1), 10, 0, 3), ValueError, "m >= 1"),
+    (lambda: check_short_range(iid_model(1), 1, 1, 3), ValueError, "n >= 2"),
+    (lambda: check_simplified(iid_model(1), 10, 0), ValueError, "1 <= l_n <= n"),
+    (lambda: berman_term(0.5, 2), ValueError, "n >= 3"),
+    (lambda: estimate_delta(iid_model(2), 1, 2, 0, [1.0, 10.0, 100.0]), ValueError, "sample sizes > 1"),
+])
+def test_correlation_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

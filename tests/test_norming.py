@@ -21,6 +21,7 @@ from hrex.norming import (
     limit_cdf,
     norming_constants,
     std_normal_cdf,
+    theta_bivariate_closed_form,
     threshold,
     upper_orthant,
 )
@@ -333,3 +334,107 @@ def test_upper_orthant_at_zero_thresholds():
         for k in (-1.0, 2.0):
             near = upper_orthant(np.array([-1e-9, 0.0, 1e-9]), k, rho)
             assert abs(near[1] - near[0]) <= 1e-9 and abs(near[2] - near[1]) <= 1e-9
+
+
+# --- frozen bits of H_lambda and its coefficient pair ---------------------------------
+
+# float.hex of hr_bivariate_cdf(lam, x, y) and of theta_1 of the pair, from the
+# release that still wrote the law twice (the pair in hrex.theta, the CDF with
+# its own formula); rows x, columns y over PIN_LEVELS.  At an infinite level
+# the CDF is 0 (-inf), 1 (both +inf) or the Gumbel margin of the other level
+# (MARGIN_PINS), for every lambda.
+PIN_LEVELS = (-1.0, 0.0, 1.5)
+HR_PINS = {
+    0.0: (
+        "0x1.0e49787e20548p-4", "0x1.0e49787e20548p-4", "0x1.0e49787e20548p-4",
+        "0x1.0e49787e20548p-4", "0x1.78b56362cef38p-2", "0x1.78b56362cef38p-2",
+        "0x1.0e49787e20548p-4", "0x1.78b56362cef38p-2", "0x1.999b01119b4f7p-1",
+    ),
+    0.5: (
+        "0x1.06ac84b9ef641p-6", "0x1.96074a848df7ep-5", "0x1.0a8003f5dd8c5p-4",
+        "0x1.96074a848df7ep-5", "0x1.bfb2b64d022b5p-3", "0x1.6925a0d5d58cfp-2",
+        "0x1.0a8003f5dd8c5p-4", "0x1.6925a0d5d58cfp-2", "0x1.6cb158ac9c2c9p-1",
+    ),
+    1.0: (
+        "0x1.520be6f56fc21p-7", "0x1.44a83e4f07df6p-5", "0x1.fef98f5689b20p-5",
+        "0x1.44a83e4f07df6p-5", "0x1.7cab3131f1559p-3", "0x1.571289448ff76p-2",
+        "0x1.fef98f5689b20p-5", "0x1.571289448ff76p-2", "0x1.5fbb0fb0a93edp-1",
+    ),
+    2.0: (
+        "0x1.b5a164775156fp-8", "0x1.fe4bb6b5f6ffap-6", "0x1.dbef1813b69bfp-5",
+        "0x1.fe4bb6b5f6ffap-6", "0x1.44617d5c73dcfp-3", "0x1.428f68f1bd499p-2",
+        "0x1.dbef1813b69bfp-5", "0x1.428f68f1bd499p-2", "0x1.5364ef979ddb5p-1",
+    ),
+    math.inf: (
+        "0x1.1d5f0f3ffcd73p-8", "0x1.8dbb6bda2ce21p-6", "0x1.b077091e56587p-5",
+        "0x1.8dbb6bda2ce21p-6", "0x1.152aaa3bf81ccp-3", "0x1.2d5ef19753b80p-2",
+        "0x1.b077091e56587p-5", "0x1.2d5ef19753b80p-2", "0x1.47b053a246cb9p-1",
+    ),
+}
+PAIR_PINS = {
+    0.0: (
+        "0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-1",
+    ),
+    0.5: (
+        "0x1.853f7ae0c76eap-1", "0x1.d7bb3d3a08445p-1", "0x1.fc9683bfc6ab7p-1",
+        "0x1.0000000000000p-1", "0x1.853f7ae0c76eap-1", "0x1.ec432ecc55f01p-1",
+        "0x1.27c6d14c5e344p-3", "0x1.728558ee694fcp-2", "0x1.853f7ae0c76eap-1",
+    ),
+    1.0: (
+        "0x1.aec4bd120d37dp-1", "0x1.ddcb724ed3702p-1", "0x1.f9bdb6c378b28p-1",
+        "0x1.62075e232ac77p-1", "0x1.aec4bd120d37dp-1", "0x1.eb7d5dbebaa92p-1",
+        "0x1.9aecba9d22528p-2", "0x1.3289a2b16ed6cp-1", "0x1.aec4bd120d37dp-1",
+    ),
+    2.0: (
+        "0x1.d7bb3d3a08446p-1", "0x1.ec432ecc55f01p-1", "0x1.fa7b49db3debbp-1",
+        "0x1.b60e4bace8730p-1", "0x1.d7bb3d3a08446p-1", "0x1.f2bb461da51fep-1",
+        "0x1.677434adc87cfp-1", "0x1.9f8cb6e68789ap-1", "0x1.d7bb3d3a08446p-1",
+    ),
+    math.inf: ("0x1.0000000000000p+0",) * 9,
+}
+MARGIN_PINS = {-1.0: "0x1.0e49787e20548p-4", 0.0: "0x1.78b56362cef38p-2", 1.5: "0x1.999b01119b4f7p-1"}
+
+
+@pytest.mark.parametrize("lam", list(HR_PINS))
+def test_hr_cdf_and_pair_keep_their_frozen_bits(lam):
+    for a, x in enumerate(PIN_LEVELS):
+        for b, y in enumerate(PIN_LEVELS):
+            assert hr_bivariate_cdf(lam, x, y).hex() == HR_PINS[lam][3 * a + b]
+            theta_1, theta_2 = theta_bivariate_closed_form(lam, x, y)
+            assert (theta_1.hex(), theta_2.hex()) == (PAIR_PINS[lam][3 * a + b], PAIR_PINS[lam][3 * b + a])
+        margin = float.fromhex(MARGIN_PINS[x])
+        assert hr_bivariate_cdf(lam, math.inf, x) == hr_bivariate_cdf(lam, x, math.inf) == margin
+        assert hr_bivariate_cdf(lam, -math.inf, x) == hr_bivariate_cdf(lam, x, -math.inf) == 0.0
+    assert hr_bivariate_cdf(lam, math.inf, math.inf) == 1.0
+    assert hr_bivariate_cdf(lam, -math.inf, -math.inf) == hr_bivariate_cdf(lam, math.inf, -math.inf) == 0.0
+
+
+# --- levels where e^-x overflows ---------------------------------------------------------
+
+
+def test_limit_cdf_below_the_overflow_level():
+    # e^-x overflows below x = -709.78; theta e^-x need not, and theta = 0 adds nothing
+    assert limit_cdf([0.0], [-math.inf]) == 1.0
+    assert limit_cdf([1e-320], [-710.0]) == math.exp(-math.exp(math.log(1e-320) + 710.0))
+    assert -math.log(limit_cdf([1e-320], [-710.0])) == pytest.approx(1e-320 * math.exp(700.0) * math.exp(10.0), rel=1e-3)
+    assert limit_cdf([1.0, 0.5], [-800.0, 0.0]) == 0.0
+    assert hr_bivariate_cdf(1.0, -800.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match="theta in"):  # every entry is checked after an overflow
+        limit_cdf([1.0, 1.5], [-800.0, 0.0])
+
+
+def test_norming_constants_take_numpy_integers():
+    assert norming_constants(np.int64(1000)) == norming_constants(1000)
+    assert type(norming_constants(np.int64(1000)).n) is int
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: limit_cdf([0.5], [math.nan]), "non-NaN levels"),
+    (lambda: norming_constants(True), "must be an integer"),
+    (lambda: norming_constants(np.float64(1000.0)), "must be an integer"),
+])
+def test_norming_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -175,3 +175,11 @@ def test_top_lattice_point_stays_below_one(monkeypatch):
     assert (u == np.nextafter(1.0, 0.0)).all()
     z = standard_normal(RngKey(1), 5)
     assert np.isfinite(z).all() and (z > 8.0).all()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: RngKey(1).child(-1), "non-negative substream"),
+])
+def test_rng_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

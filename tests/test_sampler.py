@@ -987,3 +987,13 @@ def test_path_dump_header_larger_than_file(tmp_path):
         assert f.stat().st_size == 40
         with open(f, "rb") as fh, pytest.raises(ValueError, match="truncated path dump"):
             read_path(fh)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: make_plan(iid_model(1), 8, "fastest"), "unknown sampling method"),
+    (lambda: make_plan(iid_model(1), 0, "cholesky"), "path length >= 1"),
+    (lambda: assemble_covariance(iid_model(1), length=0), "path length >= 1"),
+])
+def test_sampler_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -25,14 +25,13 @@ from scipy.special import ndtr
 
 from hrex.correlation import DeltaSpec
 from hrex.errors import DegenerateDelta, InvalidDeltaSpec
-from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf, upper_orthant
+from hrex.norming import hr_bivariate_cdf, limit_cdf, std_normal_cdf, theta_bivariate_closed_form, upper_orthant
 from hrex import theta
 from hrex.rng import RngKey, standard_normal
 from hrex.theta import (
     ThetaEstimate,
     build_constraints,
     estimate_theta,
-    theta_bivariate_closed_form,
     theta_for_spec,
     theta_oracle_single,
     theta_oracle_single_trapezoid,
@@ -712,3 +711,25 @@ def test_mc_zero_lag0_reduction():
     assert limit_cdf([1.0, analytic], [x1, x2]) == pytest.approx(
         hr_bivariate_cdf(0.0, x1, x2), abs=1e-12
     )
+
+
+def test_gap_when_only_the_doubled_lag_reads_w():
+    # lags 1 and 2 carry no finite coefficient, so the lag-2 set has no row and
+    # the draws of each batch serve only the lag-4 set
+    spec = DeltaSpec.from_entries(1, {(1, 1, 3): 1.0})
+    key = RngKey(29).child(0)
+    est, gap = theta_for_spec(spec, [0.0], 1, 5000, key, max_lag=2)
+    assert (est.value, est.std_error) == (1.0, 0.0)
+    alone = estimate_theta(build_constraints(spec, [0.0], 1, 4), samples=5000, key=key)
+    assert (gap.lag_doubled, gap.value_doubled.hex()) == (4, alone.value.hex())
+    assert alone.value < 1.0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: estimate_theta(build_constraints(bivariate_spec(1.0), [0.0, 0.0], 2), samples=0,
+                            key=RngKey(1)), "at least one sample"),
+    (lambda: build_constraints(bivariate_spec(1.0), [0.0, 0.0], 2, max_lag=-1), "truncation lag >= 0"),
+])
+def test_theta_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
