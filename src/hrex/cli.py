@@ -43,6 +43,7 @@ from .experiments import (
     DiscreteMatrixDistribution,
     ExperimentConfig,
     build_report,
+    check_n_list,
     compare_to_limit,
     lemma1_check,
     run_maxima_experiment,
@@ -51,7 +52,7 @@ from .experiments import (
     write_convergence_json,
     write_csv,
 )
-from .jsonio import to_jsonable, write_json
+from .jsonio import read_json, to_jsonable, write_json
 from .norming import hr_bivariate_cdf
 from .rng import RngKey
 from .sampler import METHODS, SamplePath, iter_path_blocks, write_path
@@ -137,8 +138,7 @@ def _finish(args, out_dir: Path | None, seed, files: list[Path], payload: dict, 
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return _typed(json.load(fh), dict, "config")
+    return _typed(read_json(path), dict, "config")
 
 
 def _extended_float(text: str) -> float:
@@ -155,8 +155,7 @@ def cmd_hlambda(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    with open(args.spec_file) as fh:
-        spec = DeltaSpec.from_jsonable(json.load(fh))
+    spec = DeltaSpec.from_jsonable(read_json(args.spec_file))
     x = [float(v) for v in args.x.split(",")]
     estimate, gap = theta_for_spec(
         spec,
@@ -255,7 +254,7 @@ def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     seed = _typed(cfg["seed"], int, "seed") if "seed" in cfg else None  # only the manifest reads it
     model = model_from_jsonable(cfg["model"])
-    n_list = _list_of(cfg["n_list"], int, "n_list")
+    n_list = check_n_list(_list_of(cfg["n_list"], int, "n_list"))
     l_exp = _typed(cfg.get("l_exponent", 0.4), float, "l_exponent")
     r_exp = _typed(cfg.get("r_exponent", 0.6), float, "r_exponent")
     m_list = _list_of(cfg.get("m_list", [1]), int, "m_list")

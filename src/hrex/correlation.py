@@ -124,8 +124,9 @@ class DeltaSpec:
     ) -> "DeltaSpec":
         """Programmatic spec; finite_horizon may be math.inf, in which case
         extremal-coefficient estimation requires an explicit truncation lag."""
-        if finite_horizon < 0:
-            raise InvalidDeltaSpec("need finite_horizon >= 0")
+        integer = isinstance(finite_horizon, (int, np.integer)) and not isinstance(finite_horizon, bool)
+        if not (finite_horizon == math.inf or integer and finite_horizon >= 0):
+            raise InvalidDeltaSpec("need finite_horizon >= 0, an integer or inf, got %r" % (finite_horizon,))
         return cls(d=d, entries={}, finite_horizon=finite_horizon, func=func)
 
     def delta(self, i: int, j: int, k: int) -> float:

@@ -44,6 +44,7 @@ from .sampler import METHODS, iter_path_blocks
 
 __all__ = [
     "ExperimentConfig",
+    "check_n_list",
     "EmpiricalCdf",
     "ConvergenceEntry",
     "ConvergenceReport",
@@ -65,6 +66,16 @@ __all__ = [
     "write_convergence_json",
 ]
 
+
+def check_n_list(n_list: Sequence[int]) -> tuple[int, ...]:
+    """n_list as ints, checked to be integers (not bools), strictly increasing and not empty."""
+    for a, n in enumerate(n_list):
+        check_integer(n, "n_list[%d]" % a)
+    if len(n_list) == 0 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("need a strictly increasing, non-empty n list")
+    return tuple(int(n) for n in n_list)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: CorrelationModel
@@ -75,17 +86,11 @@ class ExperimentConfig:
     sampler: str = "cholesky"
 
     def __post_init__(self):
-        for a, n in enumerate(self.n_list):
-            check_integer(n, "n_list[%d]" % a)
+        object.__setattr__(self, "n_list", check_n_list(self.n_list))
         check_integer(self.replicates, "replicates")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(
             self, "x_grid", tuple(tuple(float(v) for v in p) for p in self.x_grid)
         )
-        if len(self.n_list) == 0 or any(
-            b <= a for a, b in zip(self.n_list, self.n_list[1:])
-        ):
-            raise ValueError("need a strictly increasing, non-empty n list")
         if self.n_list[0] < 2:
             raise ValueError("need sample sizes >= 2")
         if self.replicates < 100:
@@ -245,8 +250,8 @@ class DiscreteMatrixDistribution:
         for vals, ps in dict.fromkeys(zip(self.values, self.probs)):  # each distinct cell once
             if len(vals) != len(ps) or not vals:
                 raise ValueError("cell atoms and probabilities must align")
-            if any(p < 0 for p in ps):
-                raise ValueError("need non-negative probabilities")
+            if not all(p >= 0 for p in ps) or any(math.isnan(v) for v in vals):
+                raise ValueError("need non-negative probabilities and non-NaN atoms, got %r, %r" % (ps, vals))
             if abs(math.fsum(ps) - 1.0) > 1e-9:
                 raise ValueError("cell probabilities must sum to 1")
 
@@ -345,10 +350,10 @@ def lemma1_check(
     keeping the comparison within a 1e-12 budget even for float atom
     probabilities.
     """
-    if len(u) != dist.d:
-        raise ValueError("need one threshold per component")
-    x, prob = _realisations(dist, max_values)
     u = np.asarray([float(v) for v in u])
+    if len(u) != dist.d or np.isnan(u).any():
+        raise ValueError("need one threshold per component, none of them NaN, got %r" % (u.tolist(),))
+    x, prob = _realisations(dist, max_values)
 
     # inclusive suffix maxima over time, then the strict (exclusive) version
     incl = np.maximum.accumulate(x[:, ::-1, :], axis=1)[:, ::-1, :]

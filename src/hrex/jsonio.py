@@ -26,6 +26,15 @@ def to_jsonable(obj: Any) -> Any:
     return obj
 
 
+def read_json(path) -> Any:
+    """The value in the JSON file at path; the non-JSON literals NaN,
+    Infinity and -Infinity raise ValueError naming the literal."""
+    def reject(literal: str):
+        raise ValueError('%s is not JSON: infinity is the string "inf", and NaN has no encoding' % literal)
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 def write_json(path, obj: Any) -> None:
     """Write obj as indented, key-sorted JSON with a trailing newline."""
     with open(path, "w") as fh:

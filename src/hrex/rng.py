@@ -54,6 +54,8 @@ class RngKey:
             raise ValueError("seed must be non-negative, got %d" % self.root)
 
     def child(self, *parts: int) -> "RngKey":
+        for p in parts:
+            check_integer(p, "substream index")
         if any(p < 0 for p in parts):
             raise ValueError("need non-negative substream indices")
         return RngKey(self.root, self.path + tuple(int(p) for p in parts))

@@ -65,10 +65,7 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-10
-_BATCH = 1 << 16
-# columns of a part's slack tile, which divides _BATCH: a batch is cut into
-# whole tiles, which give the bits of one product over them, and a shorter last tile
-_TILE = 1 << 13
+_BATCH = 1 << 13
 # smallest part of a split estimate, in normals (q * samples): on 2 cores,
 # alternated in one process, two parts of 2^17 ran from 21 % faster to 10 %
 # slower than one, and two of 2^18 14-30 % faster
@@ -233,11 +230,12 @@ def estimate_theta(cs: ConstraintSet, *, samples: int, key: RngKey) -> ThetaEsti
     When no row reads W the value is exact and the standard error 0.
     Otherwise each row's slack bound - scale * W[column] is bound +
     loading @ z, with z standard normal and a zero loading for a pure-A row;
-    batch b of 2^16 samples draws its (q, b) block of z, a row per W slot,
-    from substream key.child(b).  The standard error is the per-sample
-    probabilities' standard deviation over sqrt(samples).  An estimate of
-    at least 2^19 normals splits its batches into up to one part per CPU,
-    with the same bits.  samples must be a positive integer (not a bool).
+    batch b of 2^13 samples draws its (q, b) block of z, a row per W slot,
+    from substream key.child(b), and takes all rows' slack as one product.
+    The standard error is the per-sample probabilities' standard deviation
+    over sqrt(samples).  An estimate of at least 2^19 normals splits its
+    batches into up to one part per CPU, with the same bits.  samples must
+    be a positive integer (not a bool).
     This is the one-set case of theta_for_spec's estimate of two sets on
     the same draws.
     """
@@ -249,13 +247,14 @@ def _estimate(
 ) -> list[ThetaEstimate]:
     """estimate_theta of each set, all read from one draw per batch: batch b
     draws a (q, b) block of z from key.child(b), q the most W slots of any
-    set that reads W, and each set reads its leading len(cs.indices) rows.
-    An estimate of at least 2 * _PART_VALUES normals (q * samples) splits
-    its batches into contiguous ranges, up to one per CPU and at most
-    `threads` (None: no bound), on hrex.rng.run_parts.  Each part draws its
-    batches and reduces them to per-batch means and squared deviations; the
-    caller combines those in batch order, so any split gives the same bits.
-    A set's estimate is the one it gets alone on the same key."""
+    set that reads W, and each set reads its leading len(cs.indices) rows
+    into one (rows, b) slack product.  An estimate of at least
+    2 * _PART_VALUES normals (q * samples) splits its _BATCH-sample batches
+    into contiguous ranges, up to one per CPU and at most `threads` (None:
+    no bound), on hrex.rng.run_parts.  Each part draws its batches and
+    reduces them to per-batch means and squared deviations; the caller
+    combines those in batch order, so any split gives the same bits.  A
+    set's estimate is the one it gets alone on the same key."""
     check_integer(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -268,10 +267,9 @@ def _estimate(
     means, squares = np.zeros((2, len(sets), len(sizes)))
 
     def work(first: int, stop: int) -> None:
-        # one draw, p and slack tile per part, reused by its batches: buffers
+        # one batch's draw, p and slack per part, reused by its batches: buffers
         # allocated per batch on pool threads stay in glibc's per-thread arenas
-        draw, p = np.empty(q * sizes[first]), np.empty(sizes[first])
-        slack_buffer = np.empty(rows * _TILE)
+        draw, p, slack_buffer = (np.empty(height * sizes[first]) for height in (q, 1, rows))
         for batch_index in range(first, stop):
             b = sizes[batch_index]
             z = standard_normal(key.child(batch_index), (q, b), out=draw[: q * b].reshape(q, b))
@@ -279,13 +277,11 @@ def _estimate(
             for n, (cs, loading) in enumerate(zip(sets, loadings)):
                 if loading is None:
                     continue
-                # m(W) tile by tile: each column's slack is bound + loading @ z
-                for c in range(0, b, _TILE):
-                    w = min(_TILE, b - c)
-                    slack = slack_buffer[: len(loading) * w].reshape(-1, w)
-                    np.matmul(loading, z[: len(cs.indices), c : c + w], out=slack)
-                    slack += cs.rows.bound[:, None]
-                    slack.min(axis=0, out=batch_p[c : c + w])
+                # m(W): each column's slack is bound + loading @ z
+                slack = slack_buffer[: len(loading) * b].reshape(-1, b)
+                np.matmul(loading, z[: len(cs.indices)], out=slack)
+                slack += cs.rows.bound[:, None]
+                slack.min(axis=0, out=batch_p)
                 np.maximum(batch_p, 0.0, out=batch_p)
                 batch_p *= -2.0
                 np.expm1(batch_p, out=batch_p)
@@ -332,10 +328,10 @@ def theta_for_spec(
     each sample's event can only shrink and the gap measures the
     truncation, not Monte Carlo noise.  Each estimate is byte-identical to
     estimate_theta of its set on the same key.  An estimate of at least
-    2^19 normals (W slots times samples) splits its batches across at most
-    `threads` parts (None: one per CPU), each drawing and reducing whole
-    batches, with the same bits.  samples and max_lag must be integers
-    (not bools).
+    2^19 normals (W slots times samples) splits its batches of 2^13 samples
+    across at most `threads` parts (None: one per CPU), each drawing and
+    reducing whole batches, with the same bits.  samples and max_lag must
+    be integers (not bools).
     """
     lag = _resolve_lag(spec, max_lag)
     cs = build_constraints(spec, x, i, lag)
@@ -343,14 +339,8 @@ def theta_for_spec(
         return _estimate((cs,), samples, key, threads)[0], None
     doubled = max(2 * lag, 1)
     estimate, second = _estimate((cs, build_constraints(spec, x, i, doubled)), samples, key, threads)
-    gap = TruncationGap(
-        lag=lag,
-        lag_doubled=doubled,
-        value=estimate.value,
-        value_doubled=second.value,
-        gap=abs(estimate.value - second.value),
-    )
-    return estimate, gap
+    return estimate, TruncationGap(lag=lag, lag_doubled=doubled, value=estimate.value,
+                                   value_doubled=second.value, gap=abs(estimate.value - second.value))
 
 
 def theta_oracle_single(delta: float, shift: float) -> float:

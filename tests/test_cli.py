@@ -320,8 +320,8 @@ def test_converge_mc_thetas_on_dependent_model(tmp_path, capsys):
 
 def test_converge_threads_bound_the_theta_stage(tmp_path, capsys, pool_sizes, monkeypatch):
     # finite coefficients at lags 1-40 truncated at 32 give 40 W slots at the
-    # doubled lag, so a batch of 65,536 samples draws 2.6e6 normals, enough to
-    # split; the paths (n = 2 and 8, 100 replicates) are too small to split
+    # doubled lag, so 70,000 samples draw 2.8e6 normals in nine batches, enough
+    # to split; the paths (n = 2 and 8, 100 replicates) are too small to split
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     entries = [{"i": 1, "j": 1, "k": k, "delta": 1.0} for k in range(1, 41)]
     cfg = write_json(tmp_path / "cfg.json", {
@@ -750,6 +750,45 @@ def test_rejects_mistyped_config_fields(tmp_path, capsys, command, cfg, named):
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": named}
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_list", [[1000, 100], [1000, 1000], []])
+def test_check_rejects_an_n_list_out_of_order(tmp_path, capsys, n_list):
+    # the trend verdicts read the rows in order: [1000, 100] passed every one
+    # of them while the long-range sum grows with n, and [] named no field
+    cfg = {"model": {"name": "constant", "d": 1, "rho": 0.3}, "n_list": n_list}
+    code, out, err = run(["check", "--config", write_json(tmp_path / "cfg.json", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "need a strictly increasing, non-empty n list"}
+
+
+def test_check_flags_a_growing_long_range_sum(tmp_path, capsys):
+    cfg = {"model": {"name": "constant", "d": 1, "rho": 0.3}, "n_list": [100, 1000]}
+    code, out, _ = run(["check", "--config", write_json(tmp_path / "cfg.json", cfg)], capsys)
+    assert code == 1 and json.loads(out)["verdicts"]["long_range"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "argv, body, literal",
+    [
+        (["converge", "--config"], {**CONVERGE_CFG, "x_grid": [[math.nan], [1.0]]}, "NaN"),
+        (["check", "--config"], {"model": {"name": "iid", "d": 1}, "n_list": [100, 1000], "l_exponent": math.nan},
+         "NaN"),
+        (["lemma1", "--config"], {"n": 2, "d": 1, "atoms": [0.0, 1.0], "thresholds": [math.inf]}, "Infinity"),
+        (["sample", "--config"], {**SAMPLE_CFG, "model_n": -math.inf}, "-Infinity"),
+        (["theta", "--i", "1", "--x", "0", "--spec-file"],
+         {"d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "delta": math.nan}]}, "NaN"),
+    ],
+    ids=["converge", "check", "lemma1", "sample", "theta"],
+)
+def test_rejects_non_json_literals_by_name(tmp_path, capsys, argv, body, literal):
+    # json.dumps writes NaN and the infinities as bare literals, which Python's
+    # parser reads back; the reader refuses them before any field is read
+    code, out, err = run(argv + [write_json(tmp_path / "in.json", body)], capsys)
+    assert code == 2 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "ValueError"
+    assert failure["message"] == '%s is not JSON: infinity is the string "inf", and NaN has no encoding' % literal
 
 
 @pytest.mark.parametrize("command", ["converge", "theta"])

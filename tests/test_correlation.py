@@ -683,6 +683,10 @@ def test_checkers_name_a_non_finite_correlation():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: DeltaSpec(d=0, entries={}), InvalidDeltaSpec, "dimension d >= 1"),
     (lambda: DeltaSpec.from_function(1, lambda i, j, k: 1.0, -1), InvalidDeltaSpec, "finite_horizon >= 0"),
+    # a NaN horizon failed later in lag_table, "cannot convert float NaN to integer"
+    (lambda: DeltaSpec.from_function(1, lambda i, j, k: 1.0, math.nan), InvalidDeltaSpec,
+     "integer or inf, got nan$"),
+    (lambda: DeltaSpec.from_function(1, lambda i, j, k: 1.0, 2.5), InvalidDeltaSpec, "integer or inf, got 2.5$"),
     (lambda: DeltaSpec.from_jsonable({"d": 1, "entries": [], "default": 0}), InvalidDeltaSpec, "default 'inf'"),
     (lambda: DeltaSpec.from_jsonable({"d": 1, "entries": [{"i": 1, "j": 1, "k": 1}]}), InvalidDeltaSpec,
      "needs fields i, j, k, delta"),

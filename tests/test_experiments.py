@@ -626,6 +626,20 @@ def test_lemma1_threshold_arity():
         lemma1_check(dist, [0.0])
 
 
+@pytest.mark.parametrize("call, match", [
+    # NaN fails both p < 0 and |sum - 1| > 1e-9, and lemma1_check then gave 0.0
+    (lambda: DiscreteMatrixDistribution(n=1, d=1, values=((0.0, 1.0),), probs=((math.nan, 1.0),)),
+     r"^need non-negative probabilities and non-NaN atoms, got \(nan, 1\.0\), \(0\.0, 1\.0\)$"),
+    (lambda: DiscreteMatrixDistribution.iid_cells(2, 1, [math.nan, 1.0]),
+     r"^need non-negative probabilities and non-NaN atoms, got \(0\.5, 0\.5\), \(nan, 1\.0\)$"),
+    (lambda: lemma1_check(DiscreteMatrixDistribution.iid_cells(2, 1, [0.0, 1.0]), [math.nan]),
+     r"^need one threshold per component, none of them NaN, got \[nan\]$"),
+])
+def test_experiments_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_lemma1_random_instances(seed):

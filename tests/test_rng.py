@@ -179,6 +179,9 @@ def test_top_lattice_point_stays_below_one(monkeypatch):
 
 @pytest.mark.parametrize("call, match", [
     (lambda: RngKey(1).child(-1), "non-negative substream"),
+    # int() cut both to 1, so they read child(1)'s substream
+    (lambda: RngKey(1).child(1.5), r"^substream index must be an integer, got 1\.5$"),
+    (lambda: RngKey(1).child(2, True), "^substream index must be an integer, got True$"),
 ])
 def test_rng_input_checks(call, match):
     with pytest.raises(ValueError, match=match):

@@ -327,8 +327,8 @@ def test_estimate_batch_boundary_consistency():
     # a count just past one batch against the same count re-run
     spec = bivariate_spec(1.0)
     cs = build_constraints(spec, [0.0, 0.0], 2, max_lag=0)
-    est = estimate_theta(cs, samples=2**16 + 17, key=RngKey(3).child(0))
-    again = estimate_theta(cs, samples=2**16 + 17, key=RngKey(3).child(0))
+    est = estimate_theta(cs, samples=theta._BATCH + 17, key=RngKey(3).child(0))
+    again = estimate_theta(cs, samples=theta._BATCH + 17, key=RngKey(3).child(0))
     assert est.value == again.value
     assert 0.0 < est.value < 1.0
 
@@ -338,14 +338,15 @@ def brownian_spec():
     return DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf)
 
 
-# three batches, the last of 5000 samples, of 16 normals each: 2.2e6 normals
-SPLIT_SAMPLES = 2 * (1 << 16) + 5000
+# seven batches, the last of 5000 samples, of 16 normals each: 8.7e5 normals,
+# enough for three parts of _PART_VALUES
+SPLIT_SAMPLES = 6 * theta._BATCH + 5000
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_split_batch_draw_gives_the_bits_of_one_fill(cpus, pool_sizes, monkeypatch):
-    # the three batches split into one part per CPU, in ranges of
-    # ceil(3 / cpus) batches; each part draws and reduces its own batches
+    # the seven batches split into one part per CPU, in ranges of
+    # ceil(7 / cpus) batches; each part draws and reduces its own batches
     cs = build_constraints(brownian_spec(), [0.0], 1, 16)
     key = RngKey(31)
     monkeypatch.setattr("os.cpu_count", lambda: 1)
@@ -355,9 +356,22 @@ def test_split_batch_draw_gives_the_bits_of_one_fill(cpus, pool_sizes, monkeypat
     assert pool_sizes == ([cpus] if cpus > 1 else [])
 
 
+def test_65536_samples_split_with_the_bits_of_one_cpu(pool_sizes, monkeypatch):
+    # 2^16 samples of 32 W slots are eight batches, so two CPUs draw them in
+    # two parts of four
+    cs = build_constraints(brownian_spec(), [0.0], 1, 32)
+    key = RngKey(59)
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    one_cpu = estimate_theta(cs, samples=1 << 16, key=key)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert estimate_theta(cs, samples=1 << 16, key=key) == one_cpu
+    assert pool_sizes == [2]
+
+
 @pytest.mark.parametrize("threads, pools", [(1, []), (2, [2]), (None, [3])])
 def test_threads_bound_the_parts_with_the_same_bits(threads, pools, pool_sizes, monkeypatch):
-    # at 3 CPUs: one thread runs inline, two split the batches 2 + 1
+    # at 3 CPUs: one thread runs inline, two split the batches 4 + 3, and
+    # no bound one part per CPU, 3 + 3 + 1
     spec = brownian_spec()
     key = RngKey(43).child(2)
     monkeypatch.setattr("os.cpu_count", lambda: 1)
@@ -367,16 +381,16 @@ def test_threads_bound_the_parts_with_the_same_bits(threads, pools, pool_sizes, 
     assert pool_sizes == pools
 
 
-@pytest.mark.parametrize("last", [1 << 16, 60000], ids=["whole_tiles", "one_product"])
+@pytest.mark.parametrize("last", [theta._BATCH, 5000], ids=["whole_tiles", "one_product"])
 def test_split_memory_is_bounded_per_part(last, pool_sizes, monkeypatch):
-    # each of 2 parts holds its (q, 2^16) draw and its 2^16 probabilities,
-    # allocated once for all its batches, and a slack tile of (rows, 2^13),
-    # also in the part whose last batch is no whole number of tiles; a
-    # (rows, 2^16) slack block per batch would hold 16 MiB per part
+    # each of 2 parts holds its (q, _BATCH) draw, its _BATCH probabilities
+    # and its (rows, _BATCH) slack, allocated once for all its batches, also
+    # in the part whose last batch is shorter (one_product; whole_tiles ends
+    # on a full batch)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     q = rows = 32
-    batch, tile = theta._BATCH, theta._TILE
-    bound = 2 * (q * batch + batch + rows * tile) * 8
+    batch = theta._BATCH
+    bound = 2 * (q + 1 + rows) * batch * 8
     tracemalloc.start()
     try:
         theta_for_spec(brownian_spec(), [0.0], 1, 3 * batch + last, RngKey(47), max_lag=16)
@@ -407,7 +421,7 @@ def per_row_estimate(cs, samples, key):
     # (q, b) normal block of each batch through the factor
     total, done, batch, q = 0.0, 0, 0, len(cs.indices)
     while done < samples:
-        b = min(1 << 16, samples - done)
+        b = min(theta._BATCH, samples - done)
         w = standard_normal(key.child(batch), (q, b)).T @ cs.factor.T
         m = np.full(b, np.inf)
         for row in cs.rows:
@@ -433,41 +447,9 @@ def per_row_estimate(cs, samples, key):
 )
 def test_estimate_matches_per_row_reference(spec, x, i, lag):
     cs = build_constraints(spec, x, i, lag)
-    samples, key = (1 << 16) + 1000, RngKey(29).child(i)
+    samples, key = theta._BATCH + 1000, RngKey(29).child(i)
     value = estimate_theta(cs, samples=samples, key=key).value
     assert value == pytest.approx(per_row_estimate(cs, samples, key), rel=1e-12, abs=0.0)
-
-
-def one_product_estimate(cs, samples, key):
-    # reference: each batch's slack as one (rows, b) product over its whole
-    # 2^13-column tiles and one over the rest, reduced to its mean and squared
-    # deviations, which add up in batch order
-    loading = -cs.rows.scale[:, None] * cs.factor[cs.rows.column]
-    counts, means, square = [], [], 0.0
-    for batch, start in enumerate(range(0, samples, 1 << 16)):
-        b = min(1 << 16, samples - start)
-        z = standard_normal(key.child(batch), (len(cs.indices), b))
-        whole = b - b % (1 << 13)
-        slack = np.concatenate([loading @ z[:, :whole], loading @ z[:, whole:]], axis=1)
-        slack += cs.rows.bound[:, None]
-        p = -np.expm1(-2.0 * np.maximum(slack.min(axis=0), 0.0))
-        counts.append(b)
-        means.append(p.mean())
-        square += float(np.square(p - means[-1]).sum())
-    counts, means = np.array(counts), np.array(means)
-    value = float(counts @ means) / samples
-    square += float(counts @ np.square(means - value))
-    return value, math.sqrt(square) / samples
-
-
-@pytest.mark.parametrize("samples", [1 << 16, 3 * (1 << 16), (1 << 16) + 12345, 8191])
-@pytest.mark.parametrize("lag", [3, 16])
-def test_tiled_slack_gives_the_bits_of_one_product(lag, samples):
-    # whole batches in 2^13-column tiles, which give the bits of one product;
-    # the last batch of 12345 in one tile and a last tile of 4153
-    cs = build_constraints(brownian_spec(), [0.0], 1, lag)
-    est = estimate_theta(cs, samples=samples, key=RngKey(53).child(lag))
-    assert (est.value, est.std_error) == one_product_estimate(cs, samples, RngKey(53).child(lag))
 
 
 @pytest.mark.parametrize(
@@ -587,7 +569,7 @@ def test_for_spec_doubled_lag_reads_the_same_draws(seed):
 )
 def test_for_spec_is_two_estimates_on_one_key(spec, x, i, lag):
     # one shared draw per batch gives each set the bits it gets alone
-    samples, key = (1 << 16) + 17, RngKey(37).child(lag)
+    samples, key = theta._BATCH + 17, RngKey(37).child(lag)
     estimate, gap = theta_for_spec(spec, x, i, samples, key, max_lag=lag)
     alone = estimate_theta(build_constraints(spec, x, i, lag), samples=samples, key=key)
     doubled = estimate_theta(build_constraints(spec, x, i, 2 * lag), samples=samples, key=key)
