@@ -11,8 +11,10 @@ Subcommands:
 
 Commands that write files put them in --out (overridden by the HREX_OUT
 environment variable when set) together with a manifest.json listing
-every output file with its SHA-256 hash.  Exit status is 0 only when all
-requested checks pass; failures are reported as machine-readable JSON.
+every output file with its SHA-256 hash.  Exit status is 0 when every
+requested check passes, 1 when a check ran and failed, and 2, with a JSON
+failure record on stderr, when the run could not finish (bad input, a
+file error, memory that cannot be allocated).
 """
 
 from __future__ import annotations
@@ -260,9 +262,9 @@ def cmd_check(args) -> int:
     m_list = _list_of(cfg.get("m_list", [1]), int, "m_list")
     rows = [condition_row(model, n, l_exp, r_exp, m_list) for n in n_list]
 
-    metrics = ["long_range", "simplified"] + ["short_range_m%d" % m for m in m_list]
+    header = list(rows[0])  # n, l_n, r_n, then one metric per column
     verdicts = {}
-    for metric in metrics:
+    for metric in header[3:]:
         values = [row[metric] for row in rows]
         slacks = [1e-12 * max(1.0, abs(v)) for v in values[:-1]]
         verdicts[metric] = "pass" if weakly_decreasing(values, slacks) else "fail"
@@ -272,7 +274,6 @@ def cmd_check(args) -> int:
     files = []
     if out_dir is not None:
         files = [out_dir / "conditions.csv", out_dir / "conditions.json"]
-        header = ["n", "l_n", "r_n"] + metrics
         write_csv(files[0], header, [[row[h] for h in header] for row in rows])
         write_json(files[1], payload)
     return _finish(args, out_dir, seed, files, payload,
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     args.started = time.time()
     try:
         return args.func(args)
-    except (ToolkitError, ValueError, OSError, KeyError) as exc:
+    except (ToolkitError, ValueError, OSError, KeyError, MemoryError) as exc:
         failure = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(failure), file=sys.stderr)
         return 2

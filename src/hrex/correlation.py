@@ -36,25 +36,6 @@ import numpy as np
 
 from .errors import InvalidDeltaSpec
 
-__all__ = [
-    "DeltaSpec",
-    "CorrelationModel",
-    "BlockParameters",
-    "DeltaEstimate",
-    "hr_family",
-    "iid_model",
-    "tabulated_model",
-    "geometric_model",
-    "constant_model",
-    "estimate_delta",
-    "berman_term",
-    "check_long_range",
-    "check_short_range",
-    "check_simplified",
-    "condition_row",
-    "lag_table",
-]
-
 
 def _canonical(i: int, j: int, k: int) -> tuple[int, int, int]:
     return (i, j, k) if i <= j else (j, i, k)
@@ -496,7 +477,8 @@ def condition_row(
     """All three diagnostics at one n, read from one lag table.
 
     Block sizes come from BlockParameters.from_exponents; the row holds n,
-    l_n, r_n, long_range, simplified and short_range_m<m> for each m.
+    l_n, r_n, long_range, simplified and short_range_m<m> for each distinct
+    m, in that order, which is the column order of hrex check's tables.
     """
     params = BlockParameters.from_exponents(n, l_exp, r_exp)
     for m in m_list:

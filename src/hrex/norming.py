@@ -31,18 +31,6 @@ from scipy.special import ndtr, owens_t
 
 from .errors import check_integer
 
-__all__ = [
-    "NormingConstants",
-    "norming_constants",
-    "threshold",
-    "std_normal_cdf",
-    "theta_bivariate_closed_form",
-    "hr_bivariate_cdf",
-    "limit_cdf",
-    "upper_orthant",
-    "lag0_max_cdf",
-]
-
 _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows exactly above it
 
@@ -151,7 +139,10 @@ def upper_orthant(h, k, rho: float) -> np.ndarray:
     """P(X1 > h, X2 > k) elementwise for standard normals with correlation rho,
     by Owen's T (Owen 1956): Q(h)/2 + Q(k)/2 - T(h, (k - rho h) / (h s)) -
     T(k, (h - rho k) / (k s)) - beta, with Q(x) = Phi(-x), s = sqrt(1 - rho^2)
-    and beta = 1/2 when h, k differ in sign; rho = +-1 (X2 = +-X1) are closed forms."""
+    and beta = 1/2 when h, k differ in sign; rho = +-1 (X2 = +-X1) are closed forms.
+    rho must be a number in [-1, 1]."""
+    if not -1.0 <= rho <= 1.0:  # also false for NaN
+        raise ValueError("need a correlation rho in [-1, 1], got %r" % (rho,))
     if rho == 1.0:
         return ndtr(-np.maximum(h, k))
     if rho == -1.0:
@@ -164,9 +155,14 @@ def upper_orthant(h, k, rho: float) -> np.ndarray:
 
 
 def lag0_max_cdf(n: int, u, rho: float) -> np.ndarray:
-    """Exact P(M_n <= u), u = (..., 2), for n independent rows of a bivariate
+    """Exact P(M_n <= u), u = (..., 2), for n >= 1 independent rows of a bivariate
     normal with correlation rho: exp(n log1p(-p)), p the union exceedance."""
+    check_integer(n, "row count n")
+    if n < 1:
+        raise ValueError("need n >= 1 rows, got %d" % n)
     u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (2,):
+        raise ValueError("need levels u whose last axis has length 2, got shape %s" % (u.shape,))
     p = ndtr(-u[..., 0]) + ndtr(-u[..., 1]) - upper_orthant(u[..., 0], u[..., 1], rho)
     with np.errstate(divide="ignore"):  # p = 1: the CDF is 0
         return np.exp(n * np.log1p(-p))

@@ -86,16 +86,6 @@ from .errors import NotPositiveSemidefinite, check_integer
 from .norming import upper_orthant
 from .rng import RngKey, run_parts, split_count, standard_normal, uniform_open
 
-__all__ = [
-    "SamplePath",
-    "assemble_covariance",
-    "make_plan",
-    "iter_path_blocks",
-    "block_maxima",
-    "write_path",
-    "read_path",
-]
-
 log = logging.getLogger(__name__)
 
 DENSE_CAP = 8192  # a band holds at most DENSE_CAP**2 floats (512 MiB): L*d <= DENSE_CAP for a full one
@@ -514,5 +504,7 @@ def read_path(file) -> SamplePath:
         if not chunk:
             raise ValueError("truncated path dump")
         payload += chunk
+    if file.read(1):
+        raise ValueError("trailing bytes after the %d values of a path dump" % (n * d))
     values = np.frombuffer(payload, dtype="<f8").reshape(n, d)
     return SamplePath(values)

@@ -53,17 +53,6 @@ from .correlation import DeltaSpec
 from .errors import DegenerateDelta, InvalidDeltaSpec, check_integer
 from .rng import RngKey, run_parts, standard_normal
 
-__all__ = [
-    "ConstraintSet",
-    "ThetaEstimate",
-    "TruncationGap",
-    "build_constraints",
-    "estimate_theta",
-    "theta_for_spec",
-    "theta_oracle_single",
-    "theta_oracle_single_trapezoid",
-]
-
 _PSD_TOL = 1e-10
 _BATCH = 1 << 13
 # smallest part of a split estimate, in normals (q * samples): on 2 cores,
@@ -150,7 +139,7 @@ def build_constraints(
     if not 1 <= i <= spec.d:
         raise ValueError("target component out of range")
     max_lag = _resolve_lag(spec, max_lag)
-    table = spec.table(max_lag)
+    table = spec.table(int(min(max_lag, spec.finite_horizon)))  # no slot or row lies beyond the horizon
     column = table[:, :, i - 1]
     finite = np.isfinite(column)
     lag, t = np.nonzero(finite & (column > 0.0))
@@ -324,14 +313,14 @@ def theta_for_spec(
     twice the lag and the gap between the two is reported so the caller
     can judge the truncation error.  Both constraint sets are estimated
     from one draw per batch: the doubled lag's leading W slots are the
-    shorter lag's, on the same normals and with the same factor block, so
-    each sample's event can only shrink and the gap measures the
-    truncation, not Monte Carlo noise.  Each estimate is byte-identical to
-    estimate_theta of its set on the same key.  An estimate of at least
-    2^19 normals (W slots times samples) splits its batches of 2^13 samples
-    across at most `threads` parts (None: one per CPU), each drawing and
-    reducing whole batches, with the same bits.  samples and max_lag must
-    be integers (not bools).
+    shorter lag's, on the same normals and with the same factor block up
+    to rounding, so each sample's event can only shrink (to rounding) and
+    the gap measures the truncation, not Monte Carlo noise.  Each estimate
+    is byte-identical to estimate_theta of its set on the same key.  An
+    estimate of at least 2^19 normals (W slots times samples) splits its
+    batches of 2^13 samples across at most `threads` parts (None: one per
+    CPU), each drawing and reducing whole batches, with the same bits.
+    samples and max_lag must be integers (not bools).
     """
     lag = _resolve_lag(spec, max_lag)
     cs = build_constraints(spec, x, i, lag)

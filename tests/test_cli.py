@@ -372,6 +372,21 @@ def test_check_iid_passes(tmp_path, capsys):
     assert header == "n,l_n,r_n,long_range,simplified,short_range_m1,short_range_m2"
 
 
+def test_check_writes_one_column_per_distinct_m(tmp_path, capsys):
+    # a repeated m is one key of each row, so one column of the csv, as in the json
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"model": {"name": "iid", "d": 1}, "n_list": [100, 1000], "m_list": [1, 1]},
+    )
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["check", "--config", cfg, "--out", str(out_dir)], capsys)
+    assert code == 0
+    lines = (out_dir / "conditions.csv").read_text().splitlines()
+    rows = json.loads((out_dir / "conditions.json").read_text())["rows"]
+    header = lines[0].split(",")
+    assert header == ["n", "l_n", "r_n", "long_range", "simplified", "short_range_m1"]
+    assert [line.split(",") for line in lines[1:]] == [[repr(row[h]) for h in header] for row in rows]
+
 def test_check_constant_correlation_flagged(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",
@@ -609,6 +624,21 @@ def test_sample_requires_out_dir(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
 
+
+def test_converge_reports_a_failed_allocation(tmp_path, capsys, monkeypatch):
+    # exit 1 means a check ran and failed; a run that cannot allocate its
+    # maxima exits 2 with the failure record, as a bad config does
+    message = "Unable to allocate 149. TiB for an array with shape (10000000000000, 2)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("hrex.cli.run_maxima_experiment", no_memory)
+    cfg = {"model": {"name": "geometric", "d": 2, "rate": 0.5}, "n_list": [100, 1000],
+           "replicates": 10**13, "x_grid": [[0.0, 0.0]], "theta": {"method": "ones"}}
+    code, out, err = run(["converge", "--config", write_json(tmp_path / "cfg.json", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "MemoryError", "message": message}
 
 def test_sample_requires_path_length(tmp_path, capsys):
     # n is the array-row size elsewhere, so it does not stand in for the path length

@@ -309,6 +309,23 @@ def test_lag0_max_cdf_closed_form_branches():
     assert np.allclose(lag0_max_cdf(n, u, -1.0), countermonotone, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "n, u, rho, match",
+    [
+        (-5, (0.0, 0.0), 0.5, "need n >= 1"),
+        (2.5, (0.0, 0.0), 0.5, "row count n must be an integer"),
+        (True, (0.0, 0.0), 0.5, "row count n must be an integer"),
+        (10, (3.0, 3.0, 3.0), 0.5, "last axis has length 2"),
+        (10, (3.0, 3.0), math.nan, r"rho in \[-1, 1\], got nan"),
+        (10, (3.0, 3.0), 1.5, r"rho in \[-1, 1\], got 1.5"),
+    ],
+    ids=["negative_n", "fractional_n", "bool_n", "three_levels", "nan_rho", "rho_above_one"],
+)
+def test_lag0_max_cdf_rejects_what_has_no_law(n, u, rho, match):
+    with pytest.raises(ValueError, match=match):
+        lag0_max_cdf(n, u, rho)
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_lag0_max_cdf_approaches_the_limit_at_the_log_rate(lam):
     # exact finite-n law against H_lambda, with no Monte Carlo noise: rows with

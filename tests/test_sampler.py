@@ -978,6 +978,13 @@ def test_path_dump_rejects_truncated():
             read_path(io.BytesIO(cut))
 
 
+def test_path_dump_rejects_trailing_bytes():
+    buf = io.BytesIO()
+    write_path(SamplePath(path_values(iid_model(2), 3, RngKey(1).child(3), 1)[0]), buf)
+    buf.write(b"trailing garbage")
+    with pytest.raises(ValueError, match="trailing bytes after the 6 values"):
+        read_path(io.BytesIO(buf.getvalue()))
+
 def test_path_dump_header_larger_than_file(tmp_path):
     # a header may claim more values than any machine holds; reading must
     # stop at the bytes present instead of allocating what the header says

@@ -102,7 +102,12 @@ CASES = {
     "maxima_banded_full": "maxima('banded', constant_model(1, 0.3), 200, 17, 64)",
     "maxima_circulant_single": "maxima('circulant', geometric_model(2, 0.5, 0.3), 200, 18, 64, 'circulant')",
     "maxima_circulant_paired": "maxima('circulant', MA1, 200, 19, 64, 'circulant')",
+    "paths_lag0_d3": "first_paths('lag0', LAG0_D3, 40, 23, 3)",
+    "paths_ar1_d1": "first_paths('ar1', geometric_model(1, 0.5), 40, 24, 3)",
+    "paths_ar1_d2": "first_paths('ar1', geometric_model(2, 0.5, 0.3), 40, 25, 3)",
     "paths_banded": "first_paths('banded', MA1, 40, 21, 3)",
+    "paths_banded_full": "first_paths('banded', constant_model(1, 0.3), 40, 26, 3)",
+    "paths_circulant_single": "first_paths('circulant', geometric_model(2, 0.5, 0.3), 40, 27, 3, 'circulant')",
     "paths_circulant_paired": "first_paths('circulant', MA1, 40, 22, 3, 'circulant')",
     "theta_exact": "theta(DeltaSpec.from_entries(2, {(1, 2, 0): 0.0}), [0.3, -0.2], 2, 20000, 31)",
     "theta_q1": "theta(DeltaSpec.from_entries(2, {(1, 2, 0): 1.0}), [0.3, -0.2], 2, 20000, 32)",

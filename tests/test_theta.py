@@ -286,6 +286,21 @@ def test_truncation_defaults_to_horizon():
         )
 
 
+def test_lags_beyond_the_horizon_cost_nothing():
+    # past the finite horizon every coefficient is infinite, so those lags add
+    # no W slot and no row: the table is read only up to the horizon
+    spec = DeltaSpec.from_entries(2, {(1, 2, 0): 1.0, (1, 1, 1): 2.0})
+    near, _ = theta_for_spec(spec, [0.3, -0.2], 2, 20000, RngKey(5), max_lag=1)
+    tracemalloc.start()
+    try:
+        far, gap = theta_for_spec(spec, [0.3, -0.2], 2, 20000, RngKey(5), max_lag=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap is None and far.truncation_K == 10**6
+    assert (far.value, far.std_error) == (near.value, near.std_error)
+    assert peak < 1 << 20
+
 # --- Monte Carlo estimation ----------------------------------------------------
 
 
@@ -550,9 +565,9 @@ def test_for_spec_truncation_gap_reported():
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_for_spec_doubled_lag_reads_the_same_draws(seed):
-    # the doubled lag's leading W slots, and their factor block, are the
-    # lag-16 ones on the same normals, so each sample's event only shrinks:
-    # the gap is the truncation's, not Monte Carlo noise, and never negative
+    # the doubled lag's leading W slots are the lag-16 ones on the same
+    # normals, with their factor block to rounding, so each sample's event
+    # only shrinks: the gap is the truncation's, not Monte Carlo noise
     spec = DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf)
     _, gap = theta_for_spec(spec, [0.0], 1, 100_000, RngKey(seed).child(1), max_lag=16)
     assert gap.lag_doubled == 32
@@ -575,6 +590,15 @@ def test_for_spec_is_two_estimates_on_one_key(spec, x, i, lag):
     doubled = estimate_theta(build_constraints(spec, x, i, 2 * lag), samples=samples, key=key)
     assert estimate == alone
     assert (gap.value, gap.value_doubled) == (alone.value, doubled.value)
+
+
+@pytest.mark.parametrize("lag", [16, 32, 64])
+def test_doubled_lag_factor_block_equals_the_shorter_to_rounding(lag):
+    # LAPACK may round the larger factorisation differently: on delta(k) = k/2
+    # the leading block was 6.1e-16, 2.0e-15 and 4.6e-15 off at these lags
+    spec = DeltaSpec.from_function(1, lambda i, j, k: k / 2.0, math.inf)
+    short, long = (build_constraints(spec, [0.0], 1, k) for k in (lag, 2 * lag))
+    assert np.abs(long.factor[:lag, :lag] - short.factor).max() <= 1e-12
 
 
 def squared_distance_spec():
