@@ -1,13 +1,14 @@
 """Seeded outputs against a committed record, tests/seeded_values.json.
 
-Each case is one seeded call, spelled as a Python expression that this
-module evaluates.  The record keeps, per case, that call, the SHA-256 of
-its output bytes and its first four values as float.hex, beside the
-machine that wrote it: numpy and scipy versions, BLAS name and version,
-and platform.machine().  On that machine every digest must match;
-elsewhere the four values must match to 1e-12 relative, since BLAS and
-SIMD kernels may round differently.  So a change that moves a seeded value
-fails here, by case name, until the record is rewritten with
+Each case is one seeded call (for hrex check, a deterministic one),
+spelled as a Python expression that this module evaluates.  The record
+keeps, per case, that call, the SHA-256 of its output bytes and its first
+four values as float.hex, beside the machine that wrote it: numpy and
+scipy versions, BLAS name and version, and platform.machine().  On that
+machine every digest must match; elsewhere the four values must match to
+1e-12 relative, since BLAS and SIMD kernels may round differently.  So a
+change that moves a seeded value fails here, by case name, until the
+record is rewritten with
 
     PYTHONPATH=src python tests/test_seeded_values.py --write
 
@@ -48,6 +49,9 @@ HR_LAG0 = {"name": "hr", "delta_spec": {"d": 2, "entries": [{"i": 1, "j": 2, "k"
 CONVERGE = {"model": HR_LAG0, "n_list": [100, 1000], "replicates": 200,
             "x_grid": [[0.0, 0.0], [1.0, 1.0]], "theta": {"method": "mc", "samples": 20000}, "seed": 606}
 SAMPLE = {"model": {"name": "geometric", "d": 2, "rate": 0.5, "cross": 0.3}, "length": 50, "count": 3, "seed": 9}
+CHECK_CONSTANT = {"model": {"name": "constant", "d": 2, "rho": 0.3}, "n_list": [100, 1000, 10000], "m_list": [1, 3]}
+CHECK_HR = {"model": {"name": "hr", "delta_spec": {"d": 1, "entries": [{"i": 1, "j": 1, "k": 1, "delta": 3.0}]}},
+            "n_list": [100, 1000, 10000], "m_list": [1, 3]}
 
 
 def maxima(route, model, n, seed, replicates, sampler="cholesky"):
@@ -70,13 +74,15 @@ def theta(spec, x, i, samples, seed, max_lag=None, cpus=None):
     return np.array([estimate.value, estimate.std_error] + ([] if gap is None else [gap.value_doubled, gap.gap]))
 
 
-def run_cli(subcommand, config, seed):
-    """The files `hrex subcommand` writes for config, but its manifest."""
+def run_cli(subcommand, config, seed=None):
+    """The files `hrex subcommand` writes for config, but its manifest; --seed
+    only when a seed is given."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "config.json")
         path.write_text(json.dumps(config))
+        seed_flag = [] if seed is None else ["--seed", str(seed)]
         with mock.patch("sys.stdout", io.StringIO()):
-            assert main([subcommand, "--config", str(path), "--seed", str(seed), "--out", tmp]) in (0, 1)
+            assert main([subcommand, "--config", str(path), "--out", tmp] + seed_flag) in (0, 1)
         return {f.name: f.read_bytes() for f in sorted(Path(tmp).iterdir()) if f.suffix != ".json"}
 
 
@@ -90,6 +96,13 @@ def sample_dump(config, seed):
     """Every path file's bytes in name order, and path 0's values."""
     files = run_cli("sample", config, seed)
     return b"".join(files.values()), read_path(io.BytesIO(files["path_000000.bin"])).values
+
+
+def check_table(config):
+    """conditions.csv's bytes, and its metric columns (after n, l_n, r_n)."""
+    data = run_cli("check", config)["conditions.csv"]
+    rows = list(csv.reader(io.StringIO(data.decode())))[1:]
+    return data, np.array([[float(v) for v in row[3:]] for row in rows])
 
 
 CASES = {
@@ -115,6 +128,8 @@ CASES = {
     "theta_split": "theta(BROWNIAN_8, [0.0], 1, 2 * (1 << 16) + 5000, 34, cpus=2)",
     "converge_report_csv": "converge_report(CONVERGE, 606)",
     "sample_dump": "sample_dump(SAMPLE, 9)",
+    "check_constant": "check_table(CHECK_CONSTANT)",
+    "check_hr_serial": "check_table(CHECK_HR)",
 }
 
 
