@@ -31,6 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .correlation import (
+    BlockParameters,
     CorrelationModel,
     DeltaSpec,
     condition_row,
@@ -260,7 +261,7 @@ def cmd_check(args) -> int:
     l_exp = _typed(cfg.get("l_exponent", 0.4), float, "l_exponent")
     r_exp = _typed(cfg.get("r_exponent", 0.6), float, "r_exponent")
     m_list = _list_of(cfg.get("m_list", [1]), int, "m_list")
-    rows = [condition_row(model, n, l_exp, r_exp, m_list) for n in n_list]
+    rows = [condition_row(model, BlockParameters.from_exponents(n, l_exp, r_exp), m_list) for n in n_list]
 
     header = list(rows[0])  # n, l_n, r_n, then one metric per column
     verdicts = {}

@@ -21,15 +21,17 @@ from which the extremal-coefficient constraint sets are built.
 The module also evaluates the three summability diagnostics that a model
 must satisfy for the limit theorem to apply: a long-range sum built from
 Berman's inequality, a short-range sum over small lags, and a simplified
-single-line criterion that implies both when it holds.  Each is a
-reduction over a window of the lag table; condition_row builds one table
-per n and reads all three (for every short-range start m) from it.
+single-line criterion whose decay to 0 implies the long-range condition.
+condition_row(model, params, m_list) is their one entry point: for the
+block sizes n, l_n and r_n of a BlockParameters it builds one lag table
+and reads all three, the short-range sum once per start m, from windows
+of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -71,7 +73,9 @@ class DeltaSpec:
     delta(i, j, k) is symmetric in (i, j), equals 0 at (i, i, 0), and is
     infinite wherever nothing else is recorded.  finite_horizon is the
     largest lag carrying any finite coefficient; it is what bounds the
-    constraint sets used for extremal-coefficient estimation.
+    constraint sets used for extremal-coefficient estimation.  For a spec
+    built from a function it is a cut: every lag beyond it is infinite,
+    whatever the function would give there.
     """
 
     d: int
@@ -103,7 +107,8 @@ class DeltaSpec:
     def from_function(
         cls, d: int, func: Callable[[int, int, int], float], finite_horizon: float
     ) -> "DeltaSpec":
-        """Programmatic spec; finite_horizon may be math.inf, in which case
+        """Programmatic spec, read through func up to finite_horizon and
+        infinite beyond it; finite_horizon may be math.inf, in which case
         extremal-coefficient estimation requires an explicit truncation lag."""
         integer = isinstance(finite_horizon, (int, np.integer)) and not isinstance(finite_horizon, bool)
         if not (finite_horizon == math.inf or integer and finite_horizon >= 0):
@@ -118,11 +123,13 @@ class DeltaSpec:
         """table[k, i-1, j-1] = delta_ij(k) for lags k = 0..max_lag.
 
         This is the only reader of entries and func: each (i <= j, k) off
-        the lag-0 diagonal is read once, a func value checked by
-        _validate_value, and mirrored into (j, i, k).
+        the lag-0 diagonal up to finite_horizon is read once, a func value
+        checked by _validate_value, and mirrored into (j, i, k).  Lags
+        beyond finite_horizon read inf without a call.
         """
-        table = np.zeros((max_lag + 1, self.d, self.d))
-        for k in range(max_lag + 1):
+        table = np.full((max_lag + 1, self.d, self.d), math.inf)
+        np.fill_diagonal(table[0], 0.0)
+        for k in range(int(min(max_lag, self.finite_horizon)) + 1):
             for i in range(1, self.d + 1):
                 for j in range(i + (k == 0), self.d + 1):
                     value = (self.entries.get((i, j, k), math.inf) if self.func is None
@@ -357,18 +364,15 @@ def berman_term(rho: float, n: float) -> float:
 
 @dataclass(frozen=True)
 class BlockParameters:
-    """Block sizes for the long/short-range split: 1 <= l_n < r_n <= n,
-    with q_n = floor(n / r_n) blocks."""
+    """Block sizes for the long/short-range split: 1 <= l_n < r_n <= n."""
 
     n: int
     l_n: int
     r_n: int
-    q_n: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.l_n < self.r_n <= self.n:
             raise ValueError("need 1 <= l_n < r_n <= n")
-        object.__setattr__(self, "q_n", self.n // self.r_n)
 
     @classmethod
     def from_exponents(cls, n: int, l_exp: float, r_exp: float) -> "BlockParameters":
@@ -397,7 +401,7 @@ def lag_table(model: CorrelationModel, lags: range, n: float) -> np.ndarray:
             "correlation model gives a non-finite rho at (i, j, k) = (%d, %d, %d)"
             % (i + 1, j + 1, lags[a])
         )
-    if not np.allclose(table, np.swapaxes(table, 1, 2), atol=1e-14):
+    if not np.allclose(table, np.swapaxes(table, 1, 2), rtol=0.0, atol=1e-14):
         raise ValueError("correlation model is not symmetric in (i, j)")
     return table
 
@@ -428,71 +432,27 @@ def _simplified(window: np.ndarray, n: int) -> float:
     return math.log(n) * total
 
 
-def check_long_range(model: CorrelationModel, params: BlockParameters) -> float:
-    """Long-range dependence sum
+def condition_row(model: CorrelationModel, params: BlockParameters, m_list: list[int]) -> dict:
+    """The three diagnostics at n = params.n, read from one lag table, with
+    rho = rho_ij(s, n):
 
-        (n^2 / r_n) * sum_{i,j} sum_{s=l_n}^{n} berman_term(rho_ij(s, n), n).
+        long_range   (n^2 / r_n) sum_{i,j} sum_{s=l_n}^{n} berman_term(rho, n)
+        simplified   log n sum_{i,j} max_{l_n <= s <= n} |rho|
+        short_range_m<m>
+                     sum_{i,j} sum_{s=m}^{r_n} n^{-(1-rho)/(1+rho)} (log n)^{-rho/(1+rho)} / sqrt(1-rho^2)
 
-    Zero correlations (every lag beyond model.max_lag) contribute nothing.
+    A zero rho adds nothing to long_range and exactly 1/n to a short-range
+    sum, which is empty for m > r_n.  The row holds n, l_n, r_n, then the
+    sums in the order above, one short_range_m<m> per distinct m: hrex
+    check's columns.
     """
-    table = lag_table(model, range(params.l_n, params.n + 1), params.n)
-    return _long_range(table, params.n, params.r_n)
-
-
-def _check_short_args(n: int, m: int, r_n: int) -> None:
-    if m < 1 or r_n < 1:
-        raise ValueError("need m >= 1 and r_n >= 1")
-    if n < 2:
-        raise ValueError("need n >= 2")
-
-
-def check_short_range(model: CorrelationModel, n: int, m: int, r_n: int) -> float:
-    """Short-range dependence sum
-
-        sum_{i,j} sum_{s=m}^{r_n} n^{-(1-rho)/(1+rho)}
-                                  * (log n)^{-rho/(1+rho)} / sqrt(1-rho^2)
-
-    with rho = rho_ij(s, n).  Infinite left endpoints of the double limit
-    are probed by increasing m; each rho = 0 term contributes exactly 1/n,
-    and m > r_n gives an empty sum.
-    """
-    _check_short_args(n, m, r_n)
-    return _short_range(lag_table(model, range(m, r_n + 1), n), n)
-
-
-def check_simplified(model: CorrelationModel, n: int, l_n: int) -> float:
-    """Single-line criterion log n * sum_{i,j} max_{l_n <= k <= n} |rho_ij(k, n)|.
-
-    When this tends to 0 along n (for some l_n = o(n)) the long-range
-    condition holds automatically and only small lags remain to check.
-    """
-    if not 1 <= l_n <= n:
-        raise ValueError("need 1 <= l_n <= n")
-    return _simplified(lag_table(model, range(l_n, n + 1), n), n)
-
-
-def condition_row(
-    model: CorrelationModel, n: int, l_exp: float, r_exp: float, m_list: list[int]
-) -> dict:
-    """All three diagnostics at one n, read from one lag table.
-
-    Block sizes come from BlockParameters.from_exponents; the row holds n,
-    l_n, r_n, long_range, simplified and short_range_m<m> for each distinct
-    m, in that order, which is the column order of hrex check's tables.
-    """
-    params = BlockParameters.from_exponents(n, l_exp, r_exp)
-    for m in m_list:
-        _check_short_args(n, m, params.r_n)
-    first = min([params.l_n, *m_list])
+    if min(m_list, default=1) < 1:
+        raise ValueError("need m >= 1, got %r" % (m_list,))
+    n, l_n, r_n = params.n, params.l_n, params.r_n
+    first = min([l_n, *m_list])
     table = lag_table(model, range(first, n + 1), n)
-    tail = table[params.l_n - first :]
-    row = {
-        "n": n,
-        "l_n": params.l_n,
-        "r_n": params.r_n,
-        "long_range": _long_range(tail, n, params.r_n),
-        "simplified": _simplified(tail, n),
-    }
+    tail = table[l_n - first :]
+    row = {**asdict(params), "long_range": _long_range(tail, n, r_n), "simplified": _simplified(tail, n)}
     for m in m_list:
-        row["short_range_m%d" % m] = _short_range(table[m - first : params.r_n - first + 1], n)
+        row["short_range_m%d" % m] = _short_range(table[m - first : r_n - first + 1], n)
     return row

@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("need at least 100 replicates")
         if not self.x_grid or any(len(p) != self.model.d for p in self.x_grid):
             raise ValueError("need a non-empty grid of d-dimensional points")
+        if any(math.isnan(v) for p in self.x_grid for v in p):
+            raise ValueError("need non-NaN grid levels, got %r" % (self.x_grid,))
         if self.sampler not in METHODS:
             raise ValueError("sampler must be one of %s, got %r" % (", ".join(METHODS), self.sampler))
 
@@ -389,6 +391,8 @@ def block_consistency_check(
         raise ValueError("need 1 <= r_n <= n")
     if len(x) != model.d:
         raise ValueError("x needs one level per component: got %d for d = %d" % (len(x), model.d))
+    if any(math.isnan(v) for v in x):
+        raise ValueError("need non-NaN levels x, got %r" % (list(x),))
     if replicates < 1:
         raise ValueError("replicates must be >= 1, got %d" % replicates)
     q_n = n // r_n

@@ -16,9 +16,7 @@ import pytest
 from hrex.correlation import (
     BlockParameters,
     DeltaSpec,
-    check_long_range,
-    check_short_range,
-    check_simplified,
+    condition_row,
     constant_model,
     geometric_model,
     hr_family,
@@ -332,16 +330,17 @@ def test_criterion_8_sampler_covariance_and_determinism():
 
 def test_criterion_9_condition_checkers():
     budget, started = 5, time.monotonic()
-    model = iid_model(1)
-    long_range = check_long_range(model, BlockParameters(n=10**4, l_n=10, r_n=100))
+    row = condition_row(iid_model(1), BlockParameters(n=10**4, l_n=10, r_n=100), [1, 2, 3])
+    long_range = row["long_range"]
     worst = 0.0
     for m in (1, 2, 3):
-        got = check_short_range(model, 10**4, m, 100)
+        got = row["short_range_m%d" % m]
         expect = (100 - m + 1) / 10**4
         worst = max(worst, abs(got - expect))
 
     const = constant_model(1, 0.3)
-    values = [check_simplified(const, n, max(1, int(n**0.4))) for n in (100, 1000, 10**4)]
+    values = [condition_row(const, BlockParameters.from_exponents(n, 0.4, 0.6), [])["simplified"]
+              for n in (100, 1000, 10**4)]
     flagged = not weakly_decreasing(values)
     growing = values[0] < values[1] < values[2]
 

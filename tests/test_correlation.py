@@ -1,5 +1,5 @@
 """Dependence-coefficient specs, the log-scaled correlation family, and
-the asymptotic condition checkers.
+the asymptotic condition diagnostics of condition_row.
 """
 
 import ast
@@ -18,9 +18,6 @@ from hrex.correlation import (
     CorrelationModel,
     DeltaSpec,
     berman_term,
-    check_long_range,
-    check_short_range,
-    check_simplified,
     condition_row,
     constant_model,
     estimate_delta,
@@ -286,12 +283,7 @@ def test_berman_sign_parity(rho, n):
     assert berman_term(rho, n) == berman_term(-rho, n)
 
 
-# --- block parameters and checkers -------------------------------------------
-
-
-def test_block_parameters_q():
-    p = BlockParameters(n=1000, l_n=10, r_n=64)
-    assert p.q_n == 1000 // 64
+# --- block parameters and condition diagnostics ------------------------------
 
 
 def test_block_parameters_validate():
@@ -304,14 +296,14 @@ def test_block_parameters_validate():
 
 
 def test_long_range_iid_is_exactly_zero():
-    value = check_long_range(iid_model(2), BlockParameters(n=1000, l_n=5, r_n=50))
-    assert value == 0.0
+    row = condition_row(iid_model(2), BlockParameters(n=1000, l_n=5, r_n=50), [])
+    assert row["long_range"] == 0.0
 
 
 def test_long_range_zero_beyond_horizon():
     model = hr_family(serial_spec(**{"1": 2.0, "2": 3.0}))
-    value = check_long_range(model, BlockParameters(n=10**4, l_n=3, r_n=100))
-    assert value == 0.0
+    row = condition_row(model, BlockParameters(n=10**4, l_n=3, r_n=100), [])
+    assert row["long_range"] == 0.0
 
 
 def test_long_range_log_decay_flagged_as_failing():
@@ -328,49 +320,51 @@ def test_long_range_log_decay_flagged_as_failing():
     )
     values = []
     for n in (10**3, 10**4, 10**5):
-        p = BlockParameters(n=n, l_n=1, r_n=int(math.sqrt(n)))
-        values.append(check_long_range(model, p))
-        assert check_simplified(model, n, 1) == pytest.approx(1.0, rel=1e-12)
+        row = condition_row(model, BlockParameters(n=n, l_n=1, r_n=int(math.sqrt(n))), [])
+        values.append(row["long_range"])
+        assert row["simplified"] == pytest.approx(1.0, rel=1e-12)
     assert values[0] < values[1] < values[2]
 
 
 def test_short_range_iid_closed_form():
     # every rho = 0 term contributes exactly 1/n
-    value = check_short_range(iid_model(1), 10**4, 1, 100)
-    assert value == pytest.approx(100 / 10**4, abs=1e-12)
-    value = check_short_range(iid_model(1), 10**4, 3, 100)
-    assert value == pytest.approx(98 / 10**4, abs=1e-12)
+    row = condition_row(iid_model(1), BlockParameters(n=10**4, l_n=10, r_n=100), [1, 3])
+    assert row["short_range_m1"] == pytest.approx(100 / 10**4, abs=1e-12)
+    assert row["short_range_m3"] == pytest.approx(98 / 10**4, abs=1e-12)
 
 
 def test_short_range_empty_start_beyond_bound():
-    assert check_short_range(iid_model(1), 100, 11, 10) == 0.0
+    row = condition_row(iid_model(1), BlockParameters(n=100, l_n=1, r_n=10), [11])
+    assert row["short_range_m11"] == 0.0
 
 
 def test_short_range_serial_hr_term():
-    # single nonzero term at s = 1 with rho = 1 - 1/ln n
+    # single nonzero term at s = 1 with rho = 1 - 1/ln n; s = 2 has rho = 0
     n = 10**4
     r = 1.0 - 1.0 / math.log(n)
     expect = (
         n ** (-(1 - r) / (1 + r)) * math.log(n) ** (-r / (1 + r)) / math.sqrt(1 - r * r)
-        + 0 / n
+        + 1 / n
     )
     model = hr_family(serial_spec(**{"1": 1.0}))
-    got = check_short_range(model, n, 1, 1)
+    got = condition_row(model, BlockParameters(n=n, l_n=1, r_n=2), [1])["short_range_m1"]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_short_range_rejects_unit_rho_in_window():
-    model = constant_model(1, 0.0)  # fine
-    check_short_range(model, 100, 1, 5)
+    p = BlockParameters(n=100, l_n=3, r_n=5)
+    condition_row(constant_model(1, 0.0), p, [1])  # fine
+    # rho = 1 at lags 1 and 2 only: the long-range window from l_n = 3 is clean
     bad = CorrelationModel(
-        d=1, rho=lambda lags, n: np.ones((len(lags), 1, 1)), max_lag=math.inf, name="unit"
+        d=1, rho=lambda lags, n: np.ones((len(lags), 1, 1)), max_lag=2, name="unit"
     )
-    with pytest.raises(ValueError):
-        check_short_range(bad, 100, 1, 5)
+    with pytest.raises(ValueError, match="short-range sum"):
+        condition_row(bad, p, [1])
 
 
 def test_simplified_iid_zero():
-    assert check_simplified(iid_model(3), 1000, 10) == 0.0
+    row = condition_row(iid_model(3), BlockParameters(n=1000, l_n=10, r_n=100), [])
+    assert row["simplified"] == 0.0
 
 
 def test_simplified_inverse_log_squared():
@@ -381,9 +375,8 @@ def test_simplified_inverse_log_squared():
         name="slow",
     )
     for n in (10**3, 10**4):
-        assert check_simplified(model, n, 2) == pytest.approx(
-            1.0 / math.log(n), rel=1e-12
-        )
+        row = condition_row(model, BlockParameters(n=n, l_n=2, r_n=10), [])
+        assert row["simplified"] == pytest.approx(1.0 / math.log(n), rel=1e-12)
 
 
 def test_simplified_harmonic_decay_sweeps_downward():
@@ -394,7 +387,8 @@ def test_simplified_harmonic_decay_sweeps_downward():
         name="harmonic",
     )
     values = [
-        check_simplified(model, n, int(math.sqrt(n))) for n in (10**3, 10**4, 10**5)
+        condition_row(model, BlockParameters(n=n, l_n=int(math.sqrt(n)), r_n=n), [])["simplified"]
+        for n in (10**3, 10**4, 10**5)
     ]
     assert values[0] > values[1] > values[2]
 
@@ -408,19 +402,16 @@ def test_checkers_nonnegative_and_finite():
     ]
     p = BlockParameters(n=500, l_n=4, r_n=40)
     for model in models:
-        for value in (
-            check_long_range(model, p),
-            check_short_range(model, 500, 2, 40),
-            check_simplified(model, 500, 4),
-        ):
-            assert value >= 0.0 and math.isfinite(value)
+        row = condition_row(model, p, [2])
+        for key in ("long_range", "short_range_m2", "simplified"):
+            assert row[key] >= 0.0 and math.isfinite(row[key])
 
 
 def test_long_range_monotone_in_window():
     # widening the lag window (smaller l_n) can only add nonnegative terms
     model = geometric_model(1, 0.5)
-    wide = check_long_range(model, BlockParameters(n=200, l_n=2, r_n=20))
-    narrow = check_long_range(model, BlockParameters(n=200, l_n=10, r_n=20))
+    wide = condition_row(model, BlockParameters(n=200, l_n=2, r_n=20), [])["long_range"]
+    narrow = condition_row(model, BlockParameters(n=200, l_n=10, r_n=20), [])["long_range"]
     assert wide >= narrow
 
 
@@ -570,6 +561,24 @@ def test_function_spec_table_reads_each_coefficient_once():
         bad.table(2)
 
 
+def test_function_spec_is_cut_at_its_finite_horizon():
+    # k / 2 is finite at every lag, but the spec declares horizon 2: lag 3
+    # on reads inf, as build_constraints and hr_family already treat it
+    calls = []
+
+    def func(i, j, k):
+        calls.append(k)
+        return k / 2.0
+
+    spec = DeltaSpec.from_function(1, func, 2)
+    assert spec.delta(1, 1, 3) == math.inf
+    table = spec.table(5)
+    assert table[:, 0, 0].tolist() == [0.0, 0.5, 1.0, math.inf, math.inf, math.inf]
+    assert max(calls) == 2
+    # horizon 0: only lag 0 is read, and d = 1 has nothing there but the 0 diagonal
+    assert DeltaSpec.from_function(1, func, 0).table(2)[:, 0, 0].tolist() == [0.0, math.inf, math.inf]
+
+
 def test_lag_table_cuts_beyond_max_lag_without_calling_rho():
     model, calls = counting(tabulated_model(2, {(1, 2, 1): 0.25, (1, 1, 2): -0.5}))
     table = lag_table(model, range(1, 6), 50)
@@ -585,18 +594,19 @@ def test_lag_table_cuts_beyond_max_lag_without_calling_rho():
 def test_condition_row_reads_rho_once_per_lag_and_pair():
     n = 10**4
     model, calls = counting(geometric_model(2, 0.5, 0.3))
-    row = condition_row(model, n, 0.4, 0.6, [1, 3])
+    params = BlockParameters.from_exponents(n, 0.4, 0.6)
+    row = condition_row(model, params, [1, 3])
     assert calls == [list(range(1, n + 1))]
     plain = geometric_model(2, 0.5, 0.3)
-    params = BlockParameters.from_exponents(n, 0.4, 0.6)
+    long_range, short_m1, simplified = loop_reference(plain, n, params.l_n, params.r_n, 1)
     assert row == {
         "n": n,
         "l_n": params.l_n,
         "r_n": params.r_n,
-        "long_range": check_long_range(plain, params),
-        "simplified": check_simplified(plain, n, params.l_n),
-        "short_range_m1": check_short_range(plain, n, 1, params.r_n),
-        "short_range_m3": check_short_range(plain, n, 3, params.r_n),
+        "long_range": long_range,
+        "simplified": simplified,
+        "short_range_m1": short_m1,
+        "short_range_m3": loop_reference(plain, n, params.l_n, params.r_n, 3)[1],
     }
 
 
@@ -636,14 +646,10 @@ def test_checkers_equal_loop_reference(name):
     }[name]
     for n in (100, 3000):
         p = BlockParameters.from_exponents(n, 0.3, 0.6)
+        row = condition_row(model, p, [1, 2])
         for m in (1, 2):
             expect = loop_reference(model, n, p.l_n, p.r_n, m)
-            got = (
-                check_long_range(model, p),
-                check_short_range(model, n, m, p.r_n),
-                check_simplified(model, n, p.l_n),
-            )
-            assert got == expect
+            assert (row["long_range"], row["short_range_m%d" % m], row["simplified"]) == expect
 
 
 def test_checkers_reject_asymmetric_model():
@@ -658,14 +664,23 @@ def test_checkers_reject_asymmetric_model():
         max_lag=6,
     )
     p = BlockParameters(n=100, l_n=2, r_n=10)
-    for check in (
-        lambda: check_long_range(model, p),
-        lambda: check_short_range(model, 100, 1, 10),
-        lambda: check_simplified(model, 100, 2),
-        lambda: condition_row(model, 100, 0.4, 0.6, [1]),
-    ):
+    for params, m_list in ((p, []), (p, [1]), (BlockParameters.from_exponents(100, 0.4, 0.6), [1])):
         with pytest.raises(ValueError, match="not symmetric"):
-            check()
+            condition_row(model, params, m_list)
+
+
+def test_lag_table_symmetry_has_no_relative_tolerance():
+    # rho_12 = 0.3 against rho_21 = 0.300002 differ by 2e-6, under numpy's
+    # default rtol of 1e-5 but far above rounding
+    def lag0(cross_21):
+        return CorrelationModel(
+            d=2, rho=lambda lags, n: np.array([[[1.0, 0.3], [cross_21, 1.0]]]), max_lag=0
+        )
+
+    with pytest.raises(ValueError, match="not symmetric"):
+        lag_table(lag0(0.300002), range(0, 1), 100)
+    # a rounding-level difference (0.1 + 0.2 against 0.3) is still accepted
+    assert lag_table(lag0(0.1 + 0.2), range(0, 1), 100)[0, 1, 0] == 0.1 + 0.2
 
 
 def test_checkers_name_a_non_finite_correlation():
@@ -674,7 +689,7 @@ def test_checkers_name_a_non_finite_correlation():
         d=1, rho=lambda lags, n: np.where(lags == 3, math.nan, 0.5**lags)[:, None, None], max_lag=6
     )
     with pytest.raises(ValueError, match=r"non-finite rho at \(i, j, k\) = \(1, 1, 3\)"):
-        check_simplified(model, 100, 2)
+        condition_row(model, BlockParameters(n=100, l_n=2, r_n=10), [])
     with pytest.raises(ValueError, match="non-finite"):
         lag_table(model, range(1, 7), 100)
 
@@ -691,9 +706,7 @@ def test_checkers_name_a_non_finite_correlation():
     (lambda: DeltaSpec.from_jsonable({"d": 1, "entries": [{"i": 1, "j": 1, "k": 1}]}), InvalidDeltaSpec,
      "needs fields i, j, k, delta"),
     (lambda: DeltaSpec.from_entries(1, {(1, 1, -1): 1.0}), InvalidDeltaSpec, "lag k >= 0"),
-    (lambda: check_short_range(iid_model(1), 10, 0, 3), ValueError, "m >= 1"),
-    (lambda: check_short_range(iid_model(1), 1, 1, 3), ValueError, "n >= 2"),
-    (lambda: check_simplified(iid_model(1), 10, 0), ValueError, "1 <= l_n <= n"),
+    (lambda: condition_row(iid_model(1), BlockParameters(n=10, l_n=1, r_n=3), [1, 0]), ValueError, "m >= 1"),
     (lambda: berman_term(0.5, 2), ValueError, "n >= 3"),
     (lambda: estimate_delta(iid_model(2), 1, 2, 0, [1.0, 10.0, 100.0]), ValueError, "sample sizes > 1"),
 ])

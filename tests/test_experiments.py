@@ -757,6 +757,19 @@ def test_block_consistency_rejects_no_replicates():
         block_consistency_check(iid_model(1), 10, 5, [0.5], 0, RngKey(1).child(0))
 
 
+def test_nan_levels_are_rejected_before_any_path_is_drawn(monkeypatch):
+    # empirical_cdf's threshold rejects a NaN level too, but only after
+    # every sampling run
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the NaN level was rejected")
+
+    monkeypatch.setattr("hrex.experiments.iter_path_blocks", no_sampling)
+    with pytest.raises(ValueError, match="need non-NaN grid levels"):
+        ExperimentConfig(iid_model(1), (100, 1000), 100, ((0.0,), (math.nan,)), 1)
+    with pytest.raises(ValueError, match="need non-NaN levels x"):
+        block_consistency_check(bivariate_hr(1.0), 100, 10, [0.5, math.nan], 100, RngKey(1).child(0))
+
+
 def test_block_consistency_lag0_rows_follow_the_exact_law():
     # lag-0 bivariate rows take the exact plan at both lengths, so each
     # probability lies within 5 SE of the finite-n law at the row-n correlation
